@@ -63,27 +63,17 @@ def icosphere(subdivisions=3, radius=1.0):
         [3, 9, 4], [3, 4, 2], [3, 2, 6], [3, 6, 8], [3, 8, 9],
         [4, 9, 5], [2, 4, 11], [6, 2, 10], [8, 6, 7], [9, 8, 1],
     ])
+    mesh = TriangleMesh(verts, tris)
     for _ in range(subdivisions):
-        cache = {}
-        new_tris = []
-        verts_list = list(verts)
-
-        def midpoint(a, b):
-            key = (min(a, b), max(a, b))
-            if key not in cache:
-                m = verts_list[a] + verts_list[b]
-                m /= np.linalg.norm(m)
-                cache[key] = len(verts_list)
-                verts_list.append(m)
-            return cache[key]
-
-        for a, b, c in tris:
-            ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
-            new_tris.extend([[a, ab, ca], [ab, b, bc], [ca, bc, c],
-                             [ab, bc, ca]])
-        verts = np.asarray(verts_list)
-        tris = np.asarray(new_tris)
-    return TriangleMesh(verts * radius, tris)
+        n = mesh.n_vertices
+        fine = mesh.subdivided()
+        verts = fine.vertices.copy()
+        mid = verts[n:]
+        # Row-wise dot products through matmul round like the norm of a
+        # single 3-vector does; np.linalg.norm(axis=1) does not.
+        verts[n:] = mid / np.sqrt(mid[:, None, :] @ mid[:, :, None])[:, 0]
+        mesh = TriangleMesh(verts, fine.triangles)
+    return TriangleMesh(mesh.vertices * radius, mesh.triangles)
 
 
 def bumpy_sphere(subdivisions=4, n_bumps=8, amplitude=0.25, width=0.45,

@@ -132,9 +132,27 @@ def run_match(args):
     return 0
 
 
+def _read_pairs(path):
+    """Jobs of a ``--pairs`` manifest, all checked before any job runs."""
+    jobs = []
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, 1):
+            fields = line.split()
+            if not fields:
+                continue
+            if len(fields) != 3:
+                raise UsageError(f"{path}:{lineno}: expected 'part full outdir',"
+                                 f" got {len(fields)} fields")
+            out = fields[2]
+            if os.path.exists(out) and not os.path.isdir(out):
+                raise UsageError(f"{path}:{lineno}: output directory {out!r}"
+                                 " is an existing file")
+            jobs.append(fields)
+    return jobs
+
+
 def run_match_batch(args):
-    with open(args.pairs) as fh:
-        jobs = [line.split() for line in fh if line.strip()]
+    jobs = _read_pairs(args.pairs)
     workers = int(os.environ.get("PFM_THREADS", args.jobs))
 
     def one(job):
@@ -310,7 +328,6 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        args._argv = argv
         args = _apply_config(args, parser.subcommands[args.command])
         if args.command == "match":
             if args.pairs:

@@ -71,7 +71,11 @@ class MatchProblem:
     W: np.ndarray
     d: np.ndarray
     F: np.ndarray = None  # q-column descriptors of the partial shape
-    _ms_cache: tuple = field(default=None, repr=False)
+    # (E, F, G) of the full shape's triangles, for mumford_shah.
+    metric: tuple = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.metric = triangle_metric(self.mesh_full)
 
 
 # -- saturation functions -----------------------------------------------------
@@ -107,16 +111,22 @@ def data_term(C, A, Psi, mass, G, v):
     ev = eta(v)
     weighted = (mass * ev)[:, None] * G
     B = Psi.T @ weighted
-    H = C @ A - B
-    q = H.shape[1]
-    eps = max(1e-9 * np.linalg.norm(B) / np.sqrt(q), 1e-300)
-    colnorm = np.sqrt(np.einsum("ij,ij->j", H, H) + eps ** 2)
-    value = float(np.sum(colnorm - eps))
-    Hn = H / colnorm
+    value, Hn = _smoothed_l21(C @ A - B, B)
     grad_C = Hn @ A.T
     U = Psi @ Hn
     grad_v = -eta_prime(v) * mass * np.einsum("ij,ij->i", U, G)
     return value, grad_C, grad_v
+
+
+def _smoothed_l21(H, B):
+    """Smoothed L2,1 norm of the residual H = C A - B, with eps scaled to B.
+
+    Returns (value, H with each column divided by its smoothed norm).
+    """
+    q = H.shape[1]
+    eps = max(1e-9 * np.linalg.norm(B) / np.sqrt(q), 1e-300)
+    colnorm = np.sqrt(np.einsum("ij,ij->j", H, H) + eps ** 2)
+    return float(np.sum(colnorm - eps)), H / colnorm
 
 
 def area_term(v, area_part, mass):
@@ -189,11 +199,9 @@ def total_energy(C, v, prob, params, with_grads=True):
 
     Returns EnergyBreakdown or (EnergyBreakdown, grad_C, grad_v).
     """
-    if prob._ms_cache is None:
-        prob._ms_cache = triangle_metric(prob.mesh_full)
     data, gC_data, gv_data = data_term(C, prob.A, prob.Psi, prob.mass, prob.G, v)
     area, gv_area = area_term(v, prob.area_part, prob.mass)
-    ms, gv_ms = mumford_shah(v, prob.mesh_full, params.sigma_xi, prob._ms_cache)
+    ms, gv_ms = mumford_shah(v, prob.mesh_full, params.sigma_xi, prob.metric)
     slant, gC_slant = slant_term(C, prob.W)
     orth, gC_orth = orthogonality_term(C, prob.d)
     breakdown = EnergyBreakdown.combine(data, area, ms, slant, orth, params)

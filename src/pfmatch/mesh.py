@@ -1,7 +1,7 @@
 """Triangle mesh representation, OFF/PLY I/O and geometric primitives.
 
 A :class:`TriangleMesh` is immutable after construction and caches derived
-structure (edge partition, areas, geodesic graph) lazily.  Geodesic distances
+structure (edge table, areas, geodesic graph) lazily.  Geodesic distances
 use Dijkstra on the edge graph augmented with edge-midpoint Steiner points,
 which keeps the graph-metric error small enough for evaluation purposes.
 """
@@ -95,11 +95,6 @@ class TriangleMesh:
             raise MeshError("vertex with zero area (not incident to any triangle)")
         return s
 
-    def triangle_normals(self):
-        p = self.vertices[self.triangles]
-        nrm = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
-        return nrm / np.linalg.norm(nrm, axis=1, keepdims=True)
-
     def vertex_normals(self):
         """Area-weighted average of incident triangle normals."""
         p = self.vertices[self.triangles]
@@ -115,15 +110,7 @@ class TriangleMesh:
 
     def _edge_data(self):
         if self._edges is None:
-            t = self.triangles
-            raw = np.vstack([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
-            raw.sort(axis=1)
-            edges, counts = np.unique(raw, axis=0, return_counts=True)
-            if counts.max() > 2:
-                bad = edges[np.argmax(counts)]
-                raise MeshError(f"non-manifold edge {tuple(bad)}: "
-                                f"{counts.max()} incident triangles")
-            self._edges = (edges, counts)
+            self._edges = edge_table(self.triangles)
         return self._edges
 
     @property
@@ -132,12 +119,12 @@ class TriangleMesh:
 
     @property
     def interior_edges(self):
-        edges, counts = self._edge_data()
+        edges, counts, _ = self._edge_data()
         return edges[counts == 2]
 
     @property
     def boundary_edges(self):
-        edges, counts = self._edge_data()
+        edges, counts, _ = self._edge_data()
         return edges[counts == 1]
 
     def boundary_vertices(self):
@@ -153,26 +140,17 @@ class TriangleMesh:
         if self._geo_graph is not None:
             return self._geo_graph
         n = self.n_vertices
-        edges = self.edges
-        eidx = {(int(a), int(b)): i for i, (a, b) in enumerate(edges)}
+        edges, _, tri_edges = self._edge_data()
         mid = 0.5 * (self.vertices[edges[:, 0]] + self.vertices[edges[:, 1]])
         pos = np.vstack([self.vertices, mid])
-
-        rows, cols = [], []
-        # Edge halves: vertex -- midpoint.
+        # Edge halves (vertex--midpoint), then per triangle the shortcuts
+        # midpoint--next midpoint and vertex--opposite midpoint.
         m_ids = n + np.arange(len(edges))
-        rows.extend(edges[:, 0]); cols.extend(m_ids)
-        rows.extend(edges[:, 1]); cols.extend(m_ids)
-        # Per-triangle shortcuts: midpoint--midpoint and vertex--opposite midpoint.
-        for tri in self.triangles:
-            a, b, c = (int(x) for x in tri)
-            mab = n + eidx[(min(a, b), max(a, b))]
-            mbc = n + eidx[(min(b, c), max(b, c))]
-            mca = n + eidx[(min(c, a), max(c, a))]
-            rows.extend([mab, mbc, mca, a, b, c])
-            cols.extend([mbc, mca, mab, mbc, mca, mab])
-        rows = np.asarray(rows)
-        cols = np.asarray(cols)
+        tri_mids = n + tri_edges  # midpoints of ab, bc, ca
+        opposite = tri_mids[:, [1, 2, 0]]
+        rows = np.concatenate([edges[:, 0], edges[:, 1], tri_mids.ravel(),
+                               self.triangles.ravel()])
+        cols = np.concatenate([m_ids, m_ids, opposite.ravel(), opposite.ravel()])
         w = np.linalg.norm(pos[rows] - pos[cols], axis=1)
         g = csr_matrix((w, (rows, cols)), shape=(len(pos), len(pos)))
         g = g.maximum(g.T)
@@ -229,19 +207,13 @@ class TriangleMesh:
 
     def subdivided(self):
         """One step of 1-to-4 midpoint subdivision (no smoothing)."""
-        edges = self.edges
-        eidx = {(int(a), int(b)): i for i, (a, b) in enumerate(edges)}
-        n = self.n_vertices
+        edges, _, tri_edges = self._edge_data()
         mids = 0.5 * (self.vertices[edges[:, 0]] + self.vertices[edges[:, 1]])
-        verts = np.vstack([self.vertices, mids])
-        tris = []
-        for tri in self.triangles:
-            a, b, c = (int(x) for x in tri)
-            mab = n + eidx[(min(a, b), max(a, b))]
-            mbc = n + eidx[(min(b, c), max(b, c))]
-            mca = n + eidx[(min(c, a), max(c, a))]
-            tris.extend([[a, mab, mca], [mab, b, mbc], [mca, mbc, c], [mab, mbc, mca]])
-        return TriangleMesh(verts, np.asarray(tris))
+        a, b, c = self.triangles.T
+        mab, mbc, mca = (self.n_vertices + tri_edges).T
+        tris = np.stack([a, mab, mca, mab, b, mbc, mca, mbc, c, mab, mbc, mca],
+                        axis=1).reshape(-1, 3)
+        return TriangleMesh(np.vstack([self.vertices, mids]), tris)
 
     # -- internals ----------------------------------------------------------
 
@@ -254,69 +226,81 @@ class TriangleMesh:
             bad = int(np.argmin(areas))
             raise MeshError(f"degenerate triangle {bad} (area {areas[bad]:.3e})")
         self._tri_areas = areas
-        self._edge_data()  # manifoldness check
-        ncomp = connected_components(self._vertex_adjacency(), directed=False)[0]
+        edges, counts, _ = self._edge_data()
+        if counts.max() > 2:
+            bad = edges[np.argmax(counts)]
+            raise MeshError(f"non-manifold edge {tuple(bad)}: "
+                            f"{counts.max()} incident triangles")
+        adjacency = csr_matrix((np.ones(len(edges)), (edges[:, 0], edges[:, 1])),
+                               shape=(self.n_vertices, self.n_vertices))
+        ncomp = connected_components(adjacency, directed=False)[0]
         if ncomp > 1:
             warnings.warn(f"mesh has {ncomp} connected components", stacklevel=3)
 
-    def _vertex_adjacency(self):
-        e = np.vstack([self.triangles[:, [0, 1]], self.triangles[:, [1, 2]],
-                       self.triangles[:, [2, 0]]])
-        data = np.ones(len(e))
-        return csr_matrix((data, (e[:, 0], e[:, 1])),
-                          shape=(self.n_vertices, self.n_vertices))
-
     @staticmethod
     def _orient(vertices, triangles):
-        """Propagate a consistent orientation per component; flip closed
-        components to positive signed volume."""
-        t = triangles.copy()
-        m = len(t)
-        edge_tris = {}
-        for j in range(m):
-            a, b, c = (int(x) for x in t[j])
-            for u, w in ((a, b), (b, c), (c, a)):
-                edge_tris.setdefault((min(u, w), max(u, w)), []).append(j)
+        """Orient each component consistently with its first triangle; flip
+        closed components to positive signed volume.
 
-        def directed_edges(tri):
-            a, b, c = (int(x) for x in tri)
-            return [(a, b), (b, c), (c, a)]
-
-        visited = np.zeros(m, dtype=bool)
-        orientable = True
-        for start in range(m):
-            if visited[start]:
-                continue
-            comp = [start]
-            stack = [start]
-            visited[start] = True
-            while stack:
-                j = stack.pop()
-                for u, w in directed_edges(t[j]):
-                    for jn in edge_tris[(min(u, w), max(u, w))]:
-                        if jn == j:
-                            continue
-                        same_dir = (u, w) in directed_edges(t[jn])
-                        if not visited[jn]:
-                            if same_dir:
-                                t[jn] = t[jn][::-1]
-                            visited[jn] = True
-                            comp.append(jn)
-                            stack.append(jn)
-                        elif same_dir:
-                            orientable = False
-            comp = np.asarray(comp)
-            # Closed components: pick outward orientation (positive volume).
-            p = vertices[t[comp]]
-            vol = np.einsum("ij,ij->", p[:, 0], np.cross(p[:, 1], p[:, 2])) / 6.0
-            raw = np.vstack([t[comp][:, [0, 1]], t[comp][:, [1, 2]], t[comp][:, [2, 0]]])
-            raw.sort(axis=1)
-            _, counts = np.unique(raw, axis=0, return_counts=True)
-            if counts.min() == 2 and vol < 0:
-                t[comp] = t[comp][:, ::-1]
-        if not orientable:
+        Node j of the orientation double cover is triangle j as given and
+        node j + m the same triangle flipped.  The two triangles on an edge
+        link the nodes that traverse the edge in opposite directions, so a
+        component is orientable exactly when no j and j + m share a node
+        component.
+        """
+        m = len(triangles)
+        edges, counts, tri_edges = edge_table(triangles)
+        slot_edge = tri_edges.ravel()
+        forward = triangles.ravel() == edges[slot_edge, 0]
+        order = np.argsort(slot_edge, kind="stable")
+        paired = slot_edge[order[:-1]] == slot_edge[order[1:]]
+        s1, s2 = order[:-1][paired], order[1:][paired]
+        shift = m * (forward[s1] == forward[s2])
+        j1, j2 = s1 // 3, s2 // 3
+        cover = csr_matrix((np.ones(2 * len(j1)),
+                            (np.concatenate([j1, j1 + m]),
+                             np.concatenate([j2 + shift, j2 + m - shift]))),
+                           shape=(2 * m, 2 * m))
+        labels = connected_components(cover, directed=False)[1]
+        # The two node components of a triangle component mirror each other.
+        # Flip the triangles on the other side from the component's first
+        # one; a non-orientable component has one side and stays as given.
+        _, first, comp = np.unique(np.minimum(labels[:m], labels[m:]),
+                                   return_index=True, return_inverse=True)
+        flip = labels[:m] != labels[first[comp]]
+        if np.any(labels[:m] == labels[m:]):
             warnings.warn("mesh is not consistently orientable", stacklevel=4)
+
+        # Closed components turn outward: positive signed volume.
+        p = vertices[triangles]
+        vol = np.einsum("ij,ij->i", p[:, 0], np.cross(p[:, 1], p[:, 2]))
+        vol = np.bincount(comp, weights=np.where(flip, -vol, vol))
+        on_boundary = (counts[tri_edges] == 1).any(axis=1)
+        is_open = np.bincount(comp, weights=on_boundary) > 0
+        flip ^= ((vol < 0) & ~is_open)[comp]
+        t = triangles.copy()
+        t[flip] = t[flip][:, ::-1]
         return t
+
+
+def edge_table(triangles):
+    """Number the edges of a triangle array in one pass.
+
+    Returns (edges, counts, tri_edges): the sorted vertex pairs, numbered in
+    order of first appearance along each triangle's edges ab, bc, ca; the
+    number of triangles on each edge; and the (m, 3) ids of each triangle's
+    edges ab, bc, ca.
+    """
+    raw = np.sort(np.asarray(triangles)[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2),
+                  axis=1)
+    key = raw[:, 0] * (raw[:, 1].max() + 1) + raw[:, 1]  # one integer per pair
+    _, first, inverse, counts = np.unique(key, return_index=True,
+                                          return_inverse=True,
+                                          return_counts=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return raw[first[order]], counts[order], rank[inverse].reshape(-1, 3)
 
 
 # -- file I/O ----------------------------------------------------------------

@@ -1,9 +1,9 @@
 """Nonlinear conjugate gradients, the alternating C/v scheme, and the
 ICP-like spectral refinement.
 
-Everything here is deterministic: no unseeded randomness, fixed tie-breaking
-in nearest-neighbor queries, and a descent safeguard that never accepts an
-energy increase across outer iterations.
+Everything here is deterministic: no unseeded randomness, exact
+nearest-neighbor queries that repeat for the same inputs, and a descent
+safeguard that never accepts an energy increase across outer iterations.
 """
 
 from dataclasses import dataclass, field
@@ -11,9 +11,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .energy import (EnergyParams, MatchProblem, area_term, data_term, eta,
-                     mumford_shah, orthogonality_term, slant_term,
-                     total_energy, triangle_metric)
+from .energy import (EnergyParams, MatchProblem, _smoothed_l21, area_term,
+                     data_term, eta, mumford_shah, orthogonality_term,
+                     slant_term, total_energy)
 from .spectral import build_d_vector, build_weight_matrix, estimate_rank
 
 UNASSIGNED = -1
@@ -206,7 +206,6 @@ def build_problem(basis_part, basis_full, desc_part, desc_full, mesh_full,
                         G=desc_full.values, mesh_full=mesh_full,
                         area_part=area_part, W=W, d=d,
                         F=desc_part.values)
-    prob._ms_cache = triangle_metric(mesh_full)
     return prob, r
 
 
@@ -218,13 +217,9 @@ def c_step(prob, params, C0, v_fixed, opts=SolverOptions()):
 
     def fg(x):
         C = x.reshape(k, k)
-        # data term with v frozen: reuse data_term via a fixed B
-        H = C @ prob.A - B
-        q = H.shape[1]
-        eps = max(1e-9 * np.linalg.norm(B) / np.sqrt(q), 1e-300)
-        colnorm = np.sqrt(np.einsum("ij,ij->j", H, H) + eps ** 2)
-        val = float(np.sum(colnorm - eps))
-        gC = (H / colnorm) @ prob.A.T
+        # data term with v frozen, so B is fixed
+        val, Hn = _smoothed_l21(C @ prob.A - B, B)
+        gC = Hn @ prob.A.T
         s_val, s_grad = slant_term(C, prob.W)
         o_val, o_grad = orthogonality_term(C, prob.d)
         total = val + params.mu3 * s_val + params.mu4_5 * o_val
@@ -243,7 +238,7 @@ def v_step(prob, params, C_fixed, v0, opts=SolverOptions()):
                                    prob.G, v)
         a_val, a_gv = area_term(v, prob.area_part, prob.mass)
         m_val, m_gv = mumford_shah(v, prob.mesh_full, params.sigma_xi,
-                                   prob._ms_cache)
+                                   prob.metric)
         val = d_val + params.mu1 * a_val + params.mu2 * m_val
         return val, d_gv + params.mu1 * a_gv + params.mu2 * m_gv
 
@@ -254,9 +249,9 @@ def v_step(prob, params, C_fixed, v0, opts=SolverOptions()):
 def nearest_columns(queries, points):
     """Index of the nearest row of ``points`` for each row of ``queries``.
 
-    Exact search; ties resolved to the smallest index (cKDTree guarantees
-    this for exact ties via its balanced median splits, and desk-scale sizes
-    keep brute-force verification cheap in the tests).
+    Exact search: the returned row is at the smallest distance, and the same
+    inputs give the same indices.  Which of several equidistant rows is
+    returned is left to cKDTree; it is not always the smallest index.
     """
     tree = cKDTree(points)
     return tree.query(queries, k=1)[1]

@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from pfmatch.bench import bumpy_sphere, grid_mesh, icosphere
 from pfmatch.mesh import TriangleMesh
+
+# Property tests draw the same examples on every run.
+settings.register_profile("pfmatch", derandomize=True, max_examples=20,
+                          deadline=None)
+settings.load_profile("pfmatch")
 
 TETRA_OFF = """OFF
 4 4 0

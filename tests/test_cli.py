@@ -123,6 +123,31 @@ def test_match_batch(mesh_files, tmp_path, monkeypatch):
     assert os.path.exists(tmp_path / "j2" / "C.bin")
 
 
+@pytest.mark.parametrize("line", ["a.ply b.ply", "a.ply b.ply out extra"])
+def test_match_batch_rejects_field_count(mesh_files, tmp_path, capsys, line):
+    manifest = tmp_path / "pairs.txt"
+    manifest.write_text(
+        f"{mesh_files['part']} {mesh_files['full']} {tmp_path / 'j1'}\n"
+        f"\n{line}\n")
+    assert main(["match", "--pairs", str(manifest)] + MATCH_FLAGS) == 2
+    err = capsys.readouterr().err
+    assert f"{manifest}:3:" in err
+    assert "expected 'part full outdir'" in err
+    assert not (tmp_path / "j1").exists()  # no job ran before the check
+
+
+def test_match_batch_rejects_file_as_outdir(mesh_files, tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    manifest = tmp_path / "pairs.txt"
+    manifest.write_text(
+        f"{mesh_files['part']} {mesh_files['full']} {tmp_path / 'j1'}\n"
+        f"{mesh_files['part']} {mesh_files['full']} {taken}\n")
+    assert main(["match", "--pairs", str(manifest)] + MATCH_FLAGS) == 2
+    assert f"{manifest}:2:" in capsys.readouterr().err
+    assert not (tmp_path / "j1").exists()
+
+
 def test_eval_perfect(mesh_files, tmp_path):
     prefix = str(tmp_path / "cut")
     assert main(["gen", "cut", "--mesh", mesh_files["sphere"],

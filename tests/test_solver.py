@@ -193,6 +193,20 @@ def test_nearest_columns_brute_force(rng):
     assert np.array_equal(got, np.argmin(dists, axis=1))
 
 
+def test_nearest_columns_ties_exact_and_repeatable(rng):
+    # Every point is repeated, and the queries sit on points or halfway
+    # between two, so most queries have several equidistant answers.
+    pts = np.repeat(rng.integers(-2, 3, size=(30, 4)).astype(float), 5, axis=0)
+    q = np.vstack([pts[::7], 0.5 * (pts[::5] + pts[3::5][::-1])])
+    got = nearest_columns(q, pts)
+    dists = np.sum((q[:, None, :] - pts[None, :, :]) ** 2, axis=2)
+    assert np.array_equal(dists[np.arange(len(q)), got], dists.min(axis=1))
+    assert np.array_equal(nearest_columns(q.copy(), pts.copy()), got)
+    # The tied index is whatever cKDTree returns, not always the smallest.
+    eye = nearest_columns(np.eye(3), np.repeat(np.eye(3), 8, axis=0))
+    assert np.array_equal(eye // 8, [0, 1, 2])
+
+
 def test_refine_recovers_permutation(rng):
     n, k = 30, 6
     Phi = rng.standard_normal((n, k))
