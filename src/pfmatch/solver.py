@@ -2,14 +2,15 @@
 ICP-like spectral refinement.
 
 Everything here is deterministic: no unseeded randomness, exact
-nearest-neighbor queries that repeat for the same inputs, and a descent
+nearest-neighbor search with ties going to the smallest index, and a descent
 safeguard that never accepts an energy increase across outer iterations.
+Each ICP round of the refinement forms its quadratic data term once in
+n-space; every objective evaluation after that is k x k work.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .energy import (EnergyParams, MatchProblem, _smoothed_l21, area_term,
                      data_term, eta, mumford_shah, orthogonality_term,
@@ -24,6 +25,10 @@ UNASSIGNED = -1
 _SIGMA = 0.3      # strong Wolfe curvature: |phi'(a)| <= SIGMA |phi'(0)|
 _EPS_F = 1e-12    # relative change of f below which f is not trusted
 _MAX_GROW = 10.0  # largest growth of the trial step while extrapolating
+
+# Queries per block of nearest_columns: a block's distance matrix holds
+# _NN_BLOCK x n_points doubles (3.7 MB at 1800 points).
+_NN_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -249,12 +254,66 @@ def v_step(prob, params, C_fixed, v0, opts=SolverOptions()):
 def nearest_columns(queries, points):
     """Index of the nearest row of ``points`` for each row of ``queries``.
 
-    Exact search: the returned row is at the smallest distance, and the same
-    inputs give the same indices.  Which of several equidistant rows is
-    returned is left to cKDTree; it is not always the smallest index.
+    Exact search: the returned row j minimises the float64 squared distance
+    ``np.sum((q - points[j]) ** 2)``, and among equal distances it is the
+    smallest such j, as ``np.argmin`` over every row would give.
+
+    Each block of queries is scored by BLAS as |p|^2 - 2 q.p.  That form and
+    the direct sum each round to within (k + 2) eps (|q|^2 + max |p|^2) of
+    the true distance, so a row whose runner-up lies within four times that
+    of its minimum is re-ranked on the direct distances of the rows that
+    close.
     """
-    tree = cKDTree(points)
-    return tree.query(queries, k=1)[1]
+    queries = np.asarray(queries, dtype=np.float64)
+    points = np.asarray(points, dtype=np.float64)
+    p_sq = np.einsum("ij,ij->i", points, points)
+    minus_2pt = -2.0 * points.T
+    tol = (4 * points.shape[1] + 8) * np.finfo(np.float64).eps
+    out = np.empty(len(queries), dtype=np.intp)
+    for start in range(0, len(queries), _NN_BLOCK):
+        q = queries[start:start + _NN_BLOCK]
+        dist = q @ minus_2pt
+        dist += p_sq
+        rows = np.arange(len(q))
+        best = np.argmin(dist, axis=1)
+        d_min = dist[rows, best]
+        dist[rows, best] = np.inf
+        runner_up = dist.min(axis=1)
+        dist[rows, best] = d_min
+        bound = tol * (np.einsum("ij,ij->i", q, q) + p_sq.max())
+        for i in np.flatnonzero(runner_up - d_min <= bound):
+            near = np.flatnonzero(dist[i] <= d_min[i] + bound[i])
+            exact = np.sum((points[near] - q[i]) ** 2, axis=1)
+            best[i] = near[np.argmin(exact)]
+        out[start:start + len(q)] = best
+    return out
+
+
+def _icp_objective(Phi_a, Psi, C0, d, mu4_5):
+    """``fun_grad`` of one ICP re-fit: |Phi_a C^T - Psi|^2 + mu4_5 orth(C).
+
+    The data part is quadratic in C.  With R0 = Phi_a C0^T - Psi,
+    G0 = R0^T Phi_a, M = Phi_a^T Phi_a and D = C - C0 it equals
+    |R0|^2 + <D, 2 G0 + D M>, with gradient 2 (G0 + D M), so an evaluation
+    is k x k work.  Expanding around C0 keeps |R0|^2 exact; the form
+    tr(C M C^T) - 2 <C, Psi^T Phi_a> + |Psi|^2 cancels to rounding noise
+    near a good fit.
+    """
+    k = C0.shape[0]
+    R0 = Phi_a @ C0.T - Psi
+    r0 = float(np.sum(R0 ** 2))
+    G0 = R0.T @ Phi_a
+    M = Phi_a.T @ Phi_a
+
+    def fg(x):
+        C = x.reshape(k, k)
+        D = C - C0
+        DM = D @ M
+        o_val, o_grad = orthogonality_term(C, d)
+        return (r0 + float(np.sum(D * (2.0 * G0 + DM))) + mu4_5 * o_val,
+                (2.0 * (G0 + DM) + mu4_5 * o_grad).reshape(-1))
+
+    return fg
 
 
 def refine(C, Phi, Psi, d, mu4_5, opts=SolverOptions()):
@@ -269,19 +328,8 @@ def refine(C, Phi, Psi, d, mu4_5, opts=SolverOptions()):
     residuals = []
     pi = None
     for _ in range(opts.refine_max_iter):
-        X = Phi @ C.T  # n_part x k embedded partial points
-        pi = nearest_columns(Psi, X)
-        Phi_a = Phi[pi]  # n_full x k
-
-        def fg(x, Phi_a=Phi_a):
-            Cm = x.reshape(k, k)
-            R = Phi_a @ Cm.T - Psi
-            val = float(np.sum(R ** 2))
-            grad = 2.0 * R.T @ Phi_a
-            o_val, o_grad = orthogonality_term(Cm, d)
-            return (val + mu4_5 * o_val,
-                    (grad + mu4_5 * o_grad).reshape(-1))
-
+        pi = nearest_columns(Psi, Phi @ C.T)
+        fg = _icp_objective(Phi[pi], Psi, C, d, mu4_5)
         resid = fg(C.reshape(-1))[0]
         residuals.append(resid)
         if len(residuals) > 1 and (residuals[-2] - resid) <= \
@@ -327,11 +375,12 @@ def invert_assignment(pi, n_part):
     For each partial vertex, the smallest full-shape vertex mapped onto it,
     or -1 when none is.
     """
+    pi = np.asarray(pi)
+    full = np.flatnonzero(pi != UNASSIGNED)
+    # return_index gives each target's first, so smallest, full vertex
+    targets, first = np.unique(pi[full], return_index=True)
     inv = np.full(n_part, UNASSIGNED, dtype=np.int64)
-    for full_v in range(len(pi) - 1, -1, -1):
-        p = pi[full_v]
-        if p != UNASSIGNED:
-            inv[p] = full_v
+    inv[targets] = full[first]
     return inv
 
 

@@ -3,11 +3,12 @@ import pytest
 
 from pfmatch.bench import grid_mesh
 from pfmatch.descriptors import shot_descriptors
-from pfmatch.energy import EnergyParams, eta
+from pfmatch.energy import EnergyParams, eta, orthogonality_term
 from pfmatch.laplacian import mesh_basis
-from pfmatch.solver import (UNASSIGNED, SolverOptions, alternate, build_problem,
-                            c_step, invert_assignment, nearest_columns,
-                            nonlinear_cg, pointwise_map, refine, v_step)
+from pfmatch.solver import (_NN_BLOCK, UNASSIGNED, SolverOptions, _icp_objective,
+                            alternate, build_problem, c_step,
+                            invert_assignment, nearest_columns, nonlinear_cg,
+                            pointwise_map, refine, v_step)
 
 
 @pytest.fixture(scope="module")
@@ -202,9 +203,25 @@ def test_nearest_columns_ties_exact_and_repeatable(rng):
     dists = np.sum((q[:, None, :] - pts[None, :, :]) ** 2, axis=2)
     assert np.array_equal(dists[np.arange(len(q)), got], dists.min(axis=1))
     assert np.array_equal(nearest_columns(q.copy(), pts.copy()), got)
-    # The tied index is whatever cKDTree returns, not always the smallest.
+    assert np.array_equal(got, np.argmin(dists, axis=1))
     eye = nearest_columns(np.eye(3), np.repeat(np.eye(3), 8, axis=0))
-    assert np.array_equal(eye // 8, [0, 1, 2])
+    assert np.array_equal(eye, [0, 8, 16])
+
+
+def test_nearest_columns_near_ties_match_float64_argmin(rng):
+    # Each point sits next to a copy moved up by 1 ulp in every coordinate;
+    # each query takes every coordinate from one of the two, so its two
+    # distances differ by a few ulp^2, far below the rounding of |p|^2 - 2 q.p.
+    # The queries span more than one block.
+    base = rng.standard_normal((40, 7))
+    up = np.nextafter(base, np.inf)
+    pts = np.vstack([base, up])
+    n_q = 3 * _NN_BLOCK + 5
+    src = rng.integers(0, len(base), n_q)
+    q = np.where(rng.random((n_q, base.shape[1])) < 0.5, base[src], up[src])
+    got = nearest_columns(q, pts)
+    dists = np.sum((q[:, None, :] - pts[None, :, :]) ** 2, axis=2)
+    assert np.array_equal(got, np.argmin(dists, axis=1))
 
 
 def test_refine_recovers_permutation(rng):
@@ -217,6 +234,26 @@ def test_refine_recovers_permutation(rng):
                               opts=SolverOptions(refine_max_iter=5))
     assert np.array_equal(pi, perm)
     assert residuals[0] < 1e-20
+
+
+def test_icp_objective_matches_direct_form(rng):
+    # For a fixed pi the k-space objective equals the n-space one at any C.
+    n_part, n_full, k = 50, 80, 7
+    Phi = rng.standard_normal((n_part, k))
+    Psi = rng.standard_normal((n_full, k))
+    Phi_a = Phi[rng.integers(0, n_part, n_full)]
+    d = (np.arange(k) < 5).astype(float)
+    fg = _icp_objective(Phi_a, Psi, rng.standard_normal((k, k)), d, 3.0)
+    for _ in range(5):
+        C = rng.standard_normal((k, k))
+        R = Phi_a @ C.T - Psi
+        o_val, o_grad = orthogonality_term(C, d)
+        val, grad = fg(C.reshape(-1))
+        np.testing.assert_allclose(val, np.sum(R ** 2) + 3.0 * o_val,
+                                   rtol=1e-10)
+        np.testing.assert_allclose(grad, (2.0 * R.T @ Phi_a
+                                          + 3.0 * o_grad).reshape(-1),
+                                   rtol=1e-10)
 
 
 def test_refine_residuals_decrease(small_pair):
@@ -248,6 +285,25 @@ def test_invert_assignment_ties():
     inv = invert_assignment(pi, 4)
     # Partial vertex 2 receives full vertices 0 and 2: smallest index wins.
     assert np.array_equal(inv, [1, 4, 0, UNASSIGNED])
+
+
+def _invert_assignment_loop(pi, n_part):
+    """Reference: the per-vertex loop that invert_assignment replaced."""
+    inv = np.full(n_part, UNASSIGNED, dtype=np.int64)
+    for full_v in range(len(pi) - 1, -1, -1):
+        p = pi[full_v]
+        if p != UNASSIGNED:
+            inv[p] = full_v
+    return inv
+
+
+@pytest.mark.parametrize("n_full, n_part", [(0, 3), (1, 1), (50, 7),
+                                            (300, 40), (40, 300)])
+def test_invert_assignment_matches_loop(rng, n_full, n_part):
+    pi = rng.integers(UNASSIGNED, n_part, n_full)
+    inv = invert_assignment(pi, n_part)
+    assert inv.dtype == np.int64
+    assert np.array_equal(inv, _invert_assignment_loop(pi, n_part))
 
 
 # -- alternating scheme ----------------------------------------------------------
