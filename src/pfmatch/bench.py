@@ -12,6 +12,8 @@ import numpy as np
 
 from .mesh import TriangleMesh
 
+GEODESIC_BLOCK = 64  # Dijkstra sources per call in princeton_error
+
 
 @dataclass(frozen=True)
 class GroundTruth:
@@ -191,11 +193,14 @@ def princeton_error(assignment, gt, mesh_full):
     assigned = np.flatnonzero(assignment >= 0)
     if len(assigned) == 0:
         return errors
-    sources = np.unique(targets[assigned])
-    dmat = mesh_full.geodesic_distances(sources)
-    row = {int(s): i for i, s in enumerate(sources)}
-    for x in assigned:
-        errors[x] = dmat[row[int(targets[x])], assignment[x]] / scale
+    sources, row = np.unique(targets[assigned], return_inverse=True)
+    # Dijkstra fills a row over vertices and edge midpoints per source;
+    # blocks of sources keep only GEODESIC_BLOCK of those rows alive.
+    for first in range(0, len(sources), GEODESIC_BLOCK):
+        dmat = mesh_full.geodesic_distances(sources[first:first + GEODESIC_BLOCK])
+        sel = (row >= first) & (row < first + GEODESIC_BLOCK)
+        x = assigned[sel]
+        errors[x] = dmat[row[sel] - first, assignment[x]] / scale
     return errors
 
 

@@ -19,6 +19,7 @@ N_COS_BINS = 11
 DESCRIPTOR_DIM = N_AZIMUTH * N_ELEVATION * N_RADIAL * N_COS_BINS  # 352
 MIN_NEIGHBORS = 5
 DEFAULT_RADIUS_FRACTION = 0.07
+SHOT_BLOCK = 64  # centres per batch; bounds the live pair arrays
 
 
 @dataclass(frozen=True)
@@ -45,19 +46,49 @@ def local_reference_frame(center, neighbors, radius):
     Returns a 3x3 matrix with rows (x, y, z) of the local frame.
     """
     diff = neighbors - center
-    dist = np.linalg.norm(diff, axis=1)
-    w = radius - dist
-    cov = (diff * w[:, None]).T @ diff / w.sum()
-    evals, evecs = np.linalg.eigh(cov)  # ascending
-    x_axis = evecs[:, 2]
-    z_axis = evecs[:, 0]
-    # Sign disambiguation: majority of neighbors on the positive side.
-    if np.sum(diff @ x_axis >= 0) < len(diff) / 2.0:
-        x_axis = -x_axis
-    if np.sum(diff @ z_axis >= 0) < len(diff) / 2.0:
-        z_axis = -z_axis
-    y_axis = np.cross(z_axis, x_axis)
-    return np.vstack([x_axis, y_axis, z_axis])
+    return _frames(diff, np.array([0, len(diff)]), radius)[0]
+
+
+def _frames(diff, bounds, radius):
+    """Local reference frames of ``len(bounds) - 1`` centres at once.
+
+    Centre i owns the neighbour offsets ``diff[bounds[i]:bounds[i + 1]]``.
+    Returns (c, 3, 3): rows (x, y, z) per centre, x and z the covariance
+    eigenvectors of largest and smallest eigenvalue.
+    """
+    w = radius - np.linalg.norm(diff, axis=1)
+    wd = diff * w[:, None]
+    spans = list(zip(bounds[:-1], bounds[1:]))
+    # BLAS products and numpy's pairwise sums stay per centre: on a flat or
+    # symmetric support one ulp of w.sum() rotates the degenerate
+    # eigenvectors, and the in-plane signs below sit at rounding level.
+    cov = np.array([wd[s:e].T @ diff[s:e] / w[s:e].sum() for s, e in spans])
+    evecs = np.linalg.eigh(cov)[1]  # eigenvalues ascending
+    owner = np.repeat(np.arange(len(spans)), np.diff(bounds))
+    axes = []
+    for col in (2, 0):
+        axis = evecs[:, :, col]
+        proj = np.concatenate([diff[s:e] @ a for (s, e), a in zip(spans, axis)])
+        # Sign disambiguation: majority of neighbors on the positive side.
+        n_pos = np.bincount(owner[proj >= 0], minlength=len(spans))
+        flip = n_pos < np.diff(bounds) / 2.0
+        axes.append(np.where(flip[:, None], -axis, axis))
+    x_axis, z_axis = axes
+    return np.stack([x_axis, np.cross(z_axis, x_axis), z_axis], axis=1)
+
+
+def _neighbour_table(pts, radius):
+    """CSR table of the points within ``radius`` of each point, itself left
+    out: point v's neighbours are ``nbr[indptr[v]:indptr[v + 1]]``, in
+    ascending index order."""
+    n = len(pts)
+    pairs = cKDTree(pts).query_pairs(radius, output_type="ndarray")
+    centre = np.concatenate([pairs[:, 0], pairs[:, 1]])
+    nbr = np.concatenate([pairs[:, 1], pairs[:, 0]])
+    nbr = nbr[np.argsort(centre * n + nbr)]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(centre, minlength=n), out=indptr[1:])
+    return indptr, nbr
 
 
 def shot_descriptors(mesh, radius=None):
@@ -68,50 +99,67 @@ def shot_descriptors(mesh, radius=None):
         raise ValueError("radius must be positive")
     pts = mesh.vertices
     normals = mesh.vertex_normals()
-    tree = cKDTree(pts)
-    neighbor_lists = tree.query_ball_point(pts, radius)
+    indptr, nbr = _neighbour_table(pts, radius)
 
     n = mesh.n_vertices
     desc = np.zeros((n, DESCRIPTOR_DIM))
-    flags = np.zeros(n, dtype=bool)
-    for v in range(n):
-        nbr = [u for u in neighbor_lists[v] if u != v]
-        if len(nbr) < MIN_NEIGHBORS:
-            flags[v] = True
+    flags = np.diff(indptr) < MIN_NEIGHBORS
+    for first in range(0, n, SHOT_BLOCK):
+        centres = first + np.flatnonzero(~flags[first:first + SHOT_BLOCK])
+        if len(centres) == 0:
             continue
-        nbr = np.asarray(nbr)
-        frame = local_reference_frame(pts[v], pts[nbr], radius)
-        local = (pts[nbr] - pts[v]) @ frame.T
-        dist = np.linalg.norm(local, axis=1)
-        ok = dist > 1e-12 * radius
-        local, dist, nbr = local[ok], dist[ok], nbr[ok]
-
-        azimuth = np.arctan2(local[:, 1], local[:, 0])  # (-pi, pi]
-        az_bin = np.minimum((azimuth + np.pi) / (2 * np.pi) * N_AZIMUTH,
-                            N_AZIMUTH - 1e-9).astype(np.int64)
-        el_bin = (local[:, 2] >= 0).astype(np.int64)
-        rad_bin = (dist >= radius / 2.0).astype(np.int64)
-        sector = (az_bin * N_ELEVATION + el_bin) * N_RADIAL + rad_bin
-
-        cosang = np.clip(normals[nbr] @ normals[v], -1.0, 1.0)
-        # Soft assignment across the two adjacent cosine bins.
-        pos = (cosang + 1.0) / 2.0 * N_COS_BINS - 0.5
-        lo = np.floor(pos).astype(np.int64)
-        frac = pos - lo
-        hist = np.zeros((N_AZIMUTH * N_ELEVATION * N_RADIAL, N_COS_BINS))
-        valid_lo = lo >= 0
-        np.add.at(hist, (sector[valid_lo], lo[valid_lo]), 1.0 - frac[valid_lo])
-        hi = lo + 1
-        valid_hi = hi <= N_COS_BINS - 1
-        np.add.at(hist, (sector[valid_hi], hi[valid_hi]), frac[valid_hi])
-        # Clamp spill at the extreme bins back into them.
-        np.add.at(hist, (sector[~valid_lo], 0), 1.0 - frac[~valid_lo])
-        np.add.at(hist, (sector[~valid_hi], N_COS_BINS - 1), frac[~valid_hi])
-
-        flat = hist.reshape(-1)
-        norm = np.linalg.norm(flat)
-        if norm > 0:
-            desc[v] = flat / norm
-        else:
-            flags[v] = True
+        hist = _histograms(centres, indptr, nbr, pts, normals, radius)
+        norm = np.array([np.linalg.norm(h) for h in hist])
+        good = norm > 0
+        desc[centres[good]] = hist[good] / norm[good, None]
+        flags[centres[~good]] = True
     return DescriptorField(desc, float(radius), flags)
+
+
+def _histograms(centres, indptr, nbr, pts, normals, radius):
+    """Unnormalised (len(centres), 352) histograms of a block of centres,
+    from their rows of the neighbour table."""
+    cnt = np.diff(indptr)[centres]
+    bounds = np.concatenate([[0], np.cumsum(cnt)])
+    rows = np.repeat(indptr[centres] - bounds[:-1], cnt) + np.arange(bounds[-1])
+    nb = nbr[rows]
+    owner = np.repeat(np.arange(len(centres)), cnt)
+    diff = pts[nb] - pts[centres[owner]]
+    frames = _frames(diff, bounds, radius)
+    local = np.concatenate([diff[s:e] @ f.T for s, e, f in
+                            zip(bounds[:-1], bounds[1:], frames)])
+    dist = np.linalg.norm(local, axis=1)
+    ok = dist > 1e-12 * radius
+    local, dist, nb, owner = local[ok], dist[ok], nb[ok], owner[ok]
+    bounds = np.concatenate([[0], np.cumsum(np.bincount(owner, minlength=len(centres)))])
+
+    azimuth = np.arctan2(local[:, 1], local[:, 0])  # (-pi, pi]
+    az_bin = np.minimum((azimuth + np.pi) / (2 * np.pi) * N_AZIMUTH,
+                        N_AZIMUTH - 1e-9).astype(np.int64)
+    el_bin = (local[:, 2] >= 0).astype(np.int64)
+    rad_bin = (dist >= radius / 2.0).astype(np.int64)
+    sector = (az_bin * N_ELEVATION + el_bin) * N_RADIAL + rad_bin
+
+    nb_normals = normals[nb]
+    cosang = np.concatenate([nb_normals[s:e] @ normals[v] for s, e, v in
+                             zip(bounds[:-1], bounds[1:], centres)])
+    cosang = np.clip(cosang, -1.0, 1.0)
+    # Soft assignment across the two adjacent cosine bins.
+    pos = (cosang + 1.0) / 2.0 * N_COS_BINS - 0.5
+    lo = np.floor(pos).astype(np.int64)
+    frac = pos - lo
+    hi = lo + 1
+    valid_lo = lo >= 0
+    valid_hi = hi <= N_COS_BINS - 1
+    base = (owner * (N_AZIMUTH * N_ELEVATION * N_RADIAL) + sector) * N_COS_BINS
+    # One bincount in the order of four passes (lower bin, upper bin, then
+    # the spill at the extreme bins clamped back into them), so every bin
+    # sums its terms in neighbour order, pass by pass.
+    index = np.concatenate([base[valid_lo] + lo[valid_lo],
+                            base[valid_hi] + hi[valid_hi],
+                            base[~valid_lo],
+                            base[~valid_hi] + N_COS_BINS - 1])
+    weight = np.concatenate([1.0 - frac[valid_lo], frac[valid_hi],
+                             1.0 - frac[~valid_lo], frac[~valid_hi]])
+    hist = np.bincount(index, weight, minlength=len(centres) * DESCRIPTOR_DIM)
+    return hist.reshape(len(centres), DESCRIPTOR_DIM)

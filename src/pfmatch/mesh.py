@@ -6,7 +6,6 @@ use Dijkstra on the edge graph augmented with edge-midpoint Steiner points,
 which keeps the graph-metric error small enough for evaluation purposes.
 """
 
-import struct
 import warnings
 
 import numpy as np
@@ -422,26 +421,30 @@ def _ply_ascii_element(fh, count, props, path):
 
 
 def _ply_binary_element(fh, count, props, path):
-    if all(p[0] != "list" for p in props):
-        dt = np.dtype([(p[0], "<" + _PLY_TYPES[p[1]]) for p in props])
-        raw = np.frombuffer(fh.read(dt.itemsize * count), dtype=dt)
-        return {p[0]: raw[p[0]] for p in props}
-    data = {p[0] if p[0] != "list" else p[3]: [] for p in props}
-    for _ in range(count):
-        for p in props:
-            if p[0] == "list":
-                idx_t = "<" + _PLY_TYPES[p[1]]
-                val_t = "<" + _PLY_TYPES[p[2]]
-                cnt = int(np.frombuffer(fh.read(np.dtype(idx_t).itemsize), idx_t)[0])
-                if cnt != 3:
-                    raise MeshError(f"{path}: only triangular faces supported")
-                vals = np.frombuffer(fh.read(np.dtype(val_t).itemsize * cnt), val_t)
-                data[p[3]].append(vals.astype(np.int64))
-            else:
-                val_t = "<" + _PLY_TYPES[p[1]]
-                data[p[0]].append(np.frombuffer(
-                    fh.read(np.dtype(val_t).itemsize), val_t)[0])
-    return {k: np.asarray(v) for k, v in data.items()}
+    # Faces must be triangles, so a list property is read as a fixed record
+    # of its count and three values; a count other than 3 is rejected below.
+    fields = []
+    for p in props:
+        if p[0] == "list":
+            fields += [(p[3] + ".count", "<" + _PLY_TYPES[p[1]]),
+                       (p[3], "<" + _PLY_TYPES[p[2]], (3,))]
+        else:
+            fields.append((p[0], "<" + _PLY_TYPES[p[1]]))
+    dt = np.dtype(fields)
+    buf = fh.read(dt.itemsize * count)
+    raw = np.frombuffer(buf, dtype=dt, count=len(buf) // dt.itemsize)
+    data = {}
+    for p in props:
+        if p[0] == "list":
+            # A short face also shortens the data, so test before the length.
+            if (raw[p[3] + ".count"] != 3).any():
+                raise MeshError(f"{path}: only triangular faces supported")
+            data[p[3]] = raw[p[3]]
+        else:
+            data[p[0]] = raw[p[0]]
+    if len(raw) < count:
+        raise MeshError(f"{path}: truncated ply data")
+    return data
 
 
 def save_off(mesh, path):
@@ -475,11 +478,12 @@ def save_ply(mesh, path, binary=True, colors=None):
             if colors is None:
                 fh.write(np.ascontiguousarray(mesh.vertices, "<f8").tobytes())
             else:
-                for v, c in zip(mesh.vertices, colors):
-                    fh.write(struct.pack("<3d3B", *v, *c))
-            tri = mesh.triangles.astype("<i4")
-            for t in tri:
-                fh.write(struct.pack("<B3i", 3, *t))
+                rec = np.empty(n, dtype=[("xyz", "<f8", (3,)), ("rgb", "u1", (3,))])
+                rec["xyz"], rec["rgb"] = mesh.vertices, colors
+                fh.write(rec.tobytes())
+            rec = np.empty(m, dtype=[("count", "u1"), ("idx", "<i4", (3,))])
+            rec["count"], rec["idx"] = 3, mesh.triangles
+            fh.write(rec.tobytes())
     else:
         with open(path, "w") as fh:
             fh.write("\n".join(header) + "\n")

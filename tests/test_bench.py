@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from pfmatch.bench import (GroundTruth, bumpy_sphere, cumulative_curve,
-                           erode_holes, grid_mesh, icosphere, plane_cut,
+from pfmatch.bench import (GEODESIC_BLOCK, GroundTruth, bumpy_sphere,
+                           cumulative_curve, erode_holes, grid_mesh,
+                           icosphere, plane_cut,
                            plane_offset_for_area, princeton_error,
                            load_ground_truth, save_ground_truth)
 
@@ -123,6 +124,36 @@ def test_princeton_error_unassigned(square_grid):
     err = princeton_error(pred, gt, square_grid)
     assert np.isnan(err[2])
     assert np.isfinite(np.delete(err, 2)).all()
+
+
+def _princeton_dense(assignment, gt, mesh_full):
+    """Reference evaluation: one dense Dijkstra matrix over all sources."""
+    targets = np.asarray(gt.correspondence)
+    scale = np.sqrt(mesh_full.total_area)
+    errors = np.full(len(assignment), np.nan)
+    assigned = np.flatnonzero(assignment >= 0)
+    if len(assigned) == 0:
+        return errors
+    sources = np.unique(targets[assigned])
+    dmat = mesh_full.geodesic_distances(sources)
+    row = {int(s): i for i, s in enumerate(sources)}
+    for x in assigned:
+        errors[x] = dmat[row[int(targets[x])], assignment[x]] / scale
+    return errors
+
+
+def test_princeton_error_matches_dense(rng):
+    full = grid_mesh(30)
+    _, gt = plane_cut(full, [0.3, 0.0, 0.0], [1.0, 0.0, 0.0])
+    n = len(gt.correspondence)
+    assert n > 2 * GEODESIC_BLOCK  # several blocks of sources
+    pred = rng.integers(0, full.n_vertices, size=n)
+    pred[rng.random(n) < 0.2] = -1        # unassigned vertices
+    pred[rng.random(n) < 0.3] = 7         # many vertices share one prediction
+    err = princeton_error(pred, gt, full)
+    ref = _princeton_dense(pred, gt, full)
+    assert np.isnan(err).any()
+    assert np.array_equal(err, ref, equal_nan=True)
 
 
 def test_princeton_error_length_mismatch(square_grid):

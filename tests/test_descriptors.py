@@ -1,10 +1,80 @@
 import numpy as np
 import pytest
 
-from pfmatch.bench import grid_mesh, icosphere
-from pfmatch.descriptors import (DESCRIPTOR_DIM, DescriptorField, default_radius,
+from scipy.spatial import cKDTree
+
+from pfmatch.bench import bumpy_sphere, grid_mesh, icosphere, plane_cut
+from pfmatch.descriptors import (DESCRIPTOR_DIM, MIN_NEIGHBORS, N_AZIMUTH,
+                                 N_COS_BINS, N_ELEVATION, N_RADIAL, SHOT_BLOCK,
+                                 DescriptorField, default_radius,
                                  local_reference_frame, shot_descriptors)
 from pfmatch.mesh import TriangleMesh
+
+
+def _lrf_loop(center, neighbors, radius):
+    """Reference local frame: one centre at a time."""
+    diff = neighbors - center
+    dist = np.linalg.norm(diff, axis=1)
+    w = radius - dist
+    cov = (diff * w[:, None]).T @ diff / w.sum()
+    evals, evecs = np.linalg.eigh(cov)  # ascending
+    x_axis = evecs[:, 2]
+    z_axis = evecs[:, 0]
+    if np.sum(diff @ x_axis >= 0) < len(diff) / 2.0:
+        x_axis = -x_axis
+    if np.sum(diff @ z_axis >= 0) < len(diff) / 2.0:
+        z_axis = -z_axis
+    y_axis = np.cross(z_axis, x_axis)
+    return np.vstack([x_axis, y_axis, z_axis])
+
+
+def _shot_loop(mesh, radius):
+    """Reference SHOT: the per-vertex loop that the batched code replaces."""
+    pts = mesh.vertices
+    normals = mesh.vertex_normals()
+    neighbor_lists = cKDTree(pts).query_ball_point(pts, radius)
+    n = mesh.n_vertices
+    desc = np.zeros((n, DESCRIPTOR_DIM))
+    flags = np.zeros(n, dtype=bool)
+    for v in range(n):
+        nbr = [u for u in neighbor_lists[v] if u != v]
+        if len(nbr) < MIN_NEIGHBORS:
+            flags[v] = True
+            continue
+        nbr = np.asarray(nbr)
+        frame = _lrf_loop(pts[v], pts[nbr], radius)
+        local = (pts[nbr] - pts[v]) @ frame.T
+        dist = np.linalg.norm(local, axis=1)
+        ok = dist > 1e-12 * radius
+        local, dist, nbr = local[ok], dist[ok], nbr[ok]
+
+        azimuth = np.arctan2(local[:, 1], local[:, 0])
+        az_bin = np.minimum((azimuth + np.pi) / (2 * np.pi) * N_AZIMUTH,
+                            N_AZIMUTH - 1e-9).astype(np.int64)
+        el_bin = (local[:, 2] >= 0).astype(np.int64)
+        rad_bin = (dist >= radius / 2.0).astype(np.int64)
+        sector = (az_bin * N_ELEVATION + el_bin) * N_RADIAL + rad_bin
+
+        cosang = np.clip(normals[nbr] @ normals[v], -1.0, 1.0)
+        pos = (cosang + 1.0) / 2.0 * N_COS_BINS - 0.5
+        lo = np.floor(pos).astype(np.int64)
+        frac = pos - lo
+        hist = np.zeros((N_AZIMUTH * N_ELEVATION * N_RADIAL, N_COS_BINS))
+        valid_lo = lo >= 0
+        np.add.at(hist, (sector[valid_lo], lo[valid_lo]), 1.0 - frac[valid_lo])
+        hi = lo + 1
+        valid_hi = hi <= N_COS_BINS - 1
+        np.add.at(hist, (sector[valid_hi], hi[valid_hi]), frac[valid_hi])
+        np.add.at(hist, (sector[~valid_lo], 0), 1.0 - frac[~valid_lo])
+        np.add.at(hist, (sector[~valid_hi], N_COS_BINS - 1), frac[~valid_hi])
+
+        flat = hist.reshape(-1)
+        norm = np.linalg.norm(flat)
+        if norm > 0:
+            desc[v] = flat / norm
+        else:
+            flags[v] = True
+    return desc, flags
 
 
 def rotation_matrix(axis, angle):
@@ -101,3 +171,41 @@ def test_lrf_orthonormal_right_handed(rng):
 def test_invalid_radius(square_grid):
     with pytest.raises(ValueError):
         shot_descriptors(square_grid, radius=0.0)
+
+
+def _cut_bumpy():
+    part, _ = plane_cut(bumpy_sphere(3), [0.0, 0.0, 0.2], [0.0, 0.0, 1.0])
+    return part
+
+
+@pytest.mark.parametrize("make_mesh, radius", [
+    (lambda: grid_mesh(8), 0.3),     # flat: degenerate in-plane frames
+    (lambda: grid_mesh(8), 0.05),    # below the spacing: all flagged
+    (lambda: grid_mesh(30), 0.1),    # more vertices than one block
+    (lambda: bumpy_sphere(3), 0.6),
+    (_cut_bumpy, 0.3),               # boundary vertices
+    (lambda: bumpy_sphere(3), 0.15),  # flagged and unflagged in one block
+], ids=["grid8-r0.3", "grid8-r0.05", "grid30-r0.1", "bumpy-r0.6",
+        "cut-r0.3", "bumpy-r0.15"])
+def test_shot_matches_loop_exactly(make_mesh, radius):
+    mesh = make_mesh()
+    field = shot_descriptors(mesh, radius=radius)
+    desc, flags = _shot_loop(mesh, radius)
+    assert np.array_equal(field.flags, flags)
+    assert np.array_equal(field.values, desc)
+
+
+def test_shot_reference_cases_cover_blocks():
+    # The reference cases above must reach the block logic they are for.
+    assert grid_mesh(30).n_vertices > SHOT_BLOCK
+    flags = shot_descriptors(bumpy_sphere(3), radius=0.15).flags
+    blocks = flags[:len(flags) // SHOT_BLOCK * SHOT_BLOCK].reshape(-1, SHOT_BLOCK)
+    assert (blocks.any(axis=1) & ~blocks.all(axis=1)).any()
+
+
+def test_lrf_matches_loop_exactly(rng):
+    for _ in range(5):
+        pts = rng.standard_normal((40, 3)) * 0.2
+        center = rng.standard_normal(3) * 0.01
+        assert np.array_equal(local_reference_frame(center, pts, 1.0),
+                              _lrf_loop(center, pts, 1.0))

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -69,6 +71,58 @@ def test_ply_with_colors_loads(tmp_path, square_grid):
     save_ply(square_grid, path, binary=True, colors=colors)
     back = load_mesh(path)
     assert back.n_vertices == square_grid.n_vertices
+
+
+def _save_ply_struct(mesh, path, colors=None):
+    """Reference binary PLY writer: one struct.pack per record."""
+    header = ["ply", "format binary_little_endian 1.0",
+              f"element vertex {mesh.n_vertices}",
+              "property double x", "property double y", "property double z"]
+    if colors is not None:
+        header += ["property uchar red", "property uchar green", "property uchar blue"]
+    header += [f"element face {mesh.n_triangles}",
+               "property list uchar int vertex_indices", "end_header"]
+    with open(path, "wb") as fh:
+        fh.write(("\n".join(header) + "\n").encode("ascii"))
+        if colors is None:
+            fh.write(np.ascontiguousarray(mesh.vertices, "<f8").tobytes())
+        else:
+            for v, c in zip(mesh.vertices, colors):
+                fh.write(struct.pack("<3d3B", *v, *c))
+        for t in mesh.triangles.astype("<i4"):
+            fh.write(struct.pack("<B3i", 3, *t))
+
+
+@pytest.mark.parametrize("colored", [False, True])
+def test_binary_ply_bytes_match_struct_writer(tmp_path, bumpy, rng, colored):
+    colors = None
+    if colored:
+        colors = rng.integers(0, 256, size=(bumpy.n_vertices, 3)).astype(np.uint8)
+    save_ply(bumpy, tmp_path / "new.ply", binary=True, colors=colors)
+    _save_ply_struct(bumpy, tmp_path / "ref.ply", colors=colors)
+    assert (tmp_path / "new.ply").read_bytes() == (tmp_path / "ref.ply").read_bytes()
+    back = load_mesh(tmp_path / "new.ply")
+    assert np.array_equal(back.triangles, bumpy.triangles)
+
+
+@pytest.mark.parametrize("last_face, message", [
+    (struct.pack("<B4i", 4, 0, 1, 2, 3), "only triangular faces supported"),
+    (struct.pack("<B2i", 3, 0, 1), "truncated ply data"),
+])
+def test_binary_ply_bad_faces_rejected(tmp_path, last_face, message):
+    header = ["ply", "format binary_little_endian 1.0", "element vertex 5",
+              "property double x", "property double y", "property double z",
+              "element face 2", "property list uchar int vertex_indices",
+              "end_header"]
+    verts = np.array([[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0], [2, 0, 0]], "<f8")
+    path = tmp_path / "bad.ply"
+    with open(path, "wb") as fh:
+        fh.write(("\n".join(header) + "\n").encode("ascii"))
+        fh.write(verts.tobytes())
+        fh.write(struct.pack("<B3i", 3, 1, 4, 2))
+        fh.write(last_face)
+    with pytest.raises(MeshError, match=message):
+        load_mesh(path)
 
 
 def test_vertex_areas_equilateral(equilateral):
