@@ -13,6 +13,10 @@ import numpy as np
 from .mesh import TriangleMesh
 
 GEODESIC_BLOCK = 64  # Dijkstra sources per call in princeton_error
+# Bound of princeton_error's first Dijkstra pass, in units of sqrt(area).
+# On a 2562-vertex benchmark pair (mean error 0.066) 0.15 left 8% of the
+# rows to the unbounded pass and took the least time of 0.05-0.4.
+GEODESIC_LIMIT = 0.15
 
 
 @dataclass(frozen=True)
@@ -194,13 +198,21 @@ def princeton_error(assignment, gt, mesh_full):
     if len(assigned) == 0:
         return errors
     sources, row = np.unique(targets[assigned], return_inverse=True)
+    pred = assignment[assigned]
+    dist = np.full(len(assigned), np.inf)
     # Dijkstra fills a row over vertices and edge midpoints per source;
-    # blocks of sources keep only GEODESIC_BLOCK of those rows alive.
-    for first in range(0, len(sources), GEODESIC_BLOCK):
-        dmat = mesh_full.geodesic_distances(sources[first:first + GEODESIC_BLOCK])
-        sel = (row >= first) & (row < first + GEODESIC_BLOCK)
-        x = assigned[sel]
-        errors[x] = dmat[row[sel] - first, assignment[x]] / scale
+    # blocks of sources keep only GEODESIC_BLOCK of those rows alive.  A
+    # first pass stops at GEODESIC_LIMIT * scale, where most predictions
+    # lie; a second, unbounded one runs only from the sources of rows it
+    # did not reach.  The finite distances of both are exact.
+    for limit in (GEODESIC_LIMIT * scale, np.inf):
+        todo = np.unique(row[np.isinf(dist)])
+        for first in range(0, len(todo), GEODESIC_BLOCK):
+            block = todo[first:first + GEODESIC_BLOCK]
+            dmat = mesh_full.geodesic_distances(sources[block], limit=limit)
+            sel = np.flatnonzero(np.isin(row, block))
+            dist[sel] = dmat[np.searchsorted(block, row[sel]), pred[sel]]
+    errors[assigned] = dist / scale
     return errors
 
 

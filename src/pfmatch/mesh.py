@@ -156,17 +156,22 @@ class TriangleMesh:
         self._geo_graph = g
         return g
 
-    def geodesic_distances(self, source):
+    def geodesic_distances(self, source, limit=np.inf):
         """Graph-geodesic distances from one source vertex (or several).
 
         Returns a length-n vector for a scalar source, or a (len(sources), n)
-        matrix.  Unreachable vertices get +inf.
+        matrix.  Unreachable vertices get +inf, and so do vertices farther
+        than ``limit``; Dijkstra stops there.  Every finite distance equals
+        the unbounded one: edge weights are non-negative, so a shortest path
+        within the limit runs through nodes within it, and reaches each in
+        the same sums.
         """
         sources = np.atleast_1d(np.asarray(source, dtype=np.int64))
         if sources.min() < 0 or sources.max() >= self.n_vertices:
             raise IndexError("source vertex index out of range")
         g = self._geodesic_graph()
-        d = dijkstra(g, directed=False, indices=sources)[:, : self.n_vertices]
+        d = dijkstra(g, directed=False, indices=sources,
+                     limit=limit)[:, : self.n_vertices]
         return d[0] if np.isscalar(source) or np.ndim(source) == 0 else d
 
     def farthest_point_sample(self, count, seed):

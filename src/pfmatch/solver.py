@@ -26,8 +26,9 @@ _SIGMA = 0.3      # strong Wolfe curvature: |phi'(a)| <= SIGMA |phi'(0)|
 _EPS_F = 1e-12    # relative change of f below which f is not trusted
 _MAX_GROW = 10.0  # largest growth of the trial step while extrapolating
 
-# Queries per block of nearest_columns: a block's distance matrix holds
-# _NN_BLOCK x n_points doubles (3.7 MB at 1800 points).
+# Queries per block of nearest_columns: a block's score matrix holds
+# _NN_BLOCK x n_points floats (1.8 MB at 1800 points; doubles, twice that,
+# where the search falls back to float64).
 _NN_BLOCK = 256
 
 
@@ -77,6 +78,9 @@ class MatchResult:
     energy_trace: list
     rank_estimate: int
     refine_residuals: list = field(default_factory=list)
+    # One safeguard decision per outer iteration: True where the refined C
+    # replaced the C-step's.
+    refine_accepted: list = field(default_factory=list)
 
 
 def nonlinear_cg(fun_grad, x0, opts=SolverOptions()):
@@ -258,35 +262,76 @@ def nearest_columns(queries, points):
     ``np.sum((q - points[j]) ** 2)``, and among equal distances it is the
     smallest such j, as ``np.argmin`` over every row would give.
 
-    Each block of queries is scored by BLAS as |p|^2 - 2 q.p.  That form and
-    the direct sum each round to within (k + 2) eps (|q|^2 + max |p|^2) of
-    the true distance, so a row whose runner-up lies within four times that
-    of its minimum is re-ranked on the direct distances of the rows that
-    close.
+    A float32 screen decides most rows.  One GEMM per block of queries
+    scores every point as S_j = |p_j|^2 - 2 q.p_j, the rows [q, 1] against
+    the columns [-2 p_j, |p_j|^2]; S_j ranks the points as |q - p_j|^2
+    does.  A row's float32 argmin is the answer when its float32 runner-up
+    lies more than 2 E above it.  Every other row is re-ranked on the
+    float64 direct sums of the points scored within 2 E of its minimum, a
+    set that holds every float64 minimiser.
+
+    E = (4k + 8) eps (|q|^2 + max_j |p_j|^2) is rigorous, with eps the
+    machine epsilon of the scores.  Let u = eps / 2, m = |q|^2 +
+    max_j |p_j|^2 and gamma_n = n u / (1 - n u):
+    - rounding q and p to float32 and the (k + 1)-term dot product put a
+      factor within gamma_{k+3} of 1 on every q_i p_i;
+    - |p|^2, summed in float64, rounded to float32 and carried through the
+      dot product, gets a factor within gamma_{2k+2} of 1;
+    so a score is within gamma_{k+3} (|q|^2 + |p|^2) + gamma_{2k+2} |p|^2
+    <= gamma_{3k+5} m of S_j.  A float64 direct sum is within
+    gamma64_{k+2} |q - p|^2 <= 2 gamma64_{k+2} m of the distance.  The two
+    together stay below E while (5k + 9) u <= 3/8, so a gap of more than
+    2 E leaves the float32 argmin the only float64 minimiser.
+
+    The derivation needs every float32 quantity to be normal or zero, and
+    none to overflow: nonzero entries of at least 2^-63 in magnitude (their
+    products stay at or above 2^-125) and 4 k max|x|^2 <= 2^127.  Otherwise,
+    or for k >= 2^16, the same search runs in float64, where the same E
+    holds with no input rounding.
     """
     queries = np.asarray(queries, dtype=np.float64)
     points = np.asarray(points, dtype=np.float64)
+    k = points.shape[1]
+    dtype = _score_dtype(queries, points)
     p_sq = np.einsum("ij,ij->i", points, points)
-    minus_2pt = -2.0 * points.T
-    tol = (4 * points.shape[1] + 8) * np.finfo(np.float64).eps
+    rows_q = np.ones((len(queries), k + 1), dtype=dtype)
+    rows_q[:, :k] = queries
+    cols_p = np.vstack([-2.0 * points.T, p_sq]).astype(dtype)
+    margin = 2 * (4 * k + 8) * np.finfo(dtype).eps * (
+        np.einsum("ij,ij->i", queries, queries) + p_sq.max(initial=0.0))
     out = np.empty(len(queries), dtype=np.intp)
     for start in range(0, len(queries), _NN_BLOCK):
-        q = queries[start:start + _NN_BLOCK]
-        dist = q @ minus_2pt
-        dist += p_sq
-        rows = np.arange(len(q))
+        stop = start + _NN_BLOCK
+        dist = rows_q[start:stop] @ cols_p
+        rows = np.arange(len(dist))
         best = np.argmin(dist, axis=1)
-        d_min = dist[rows, best]
+        d_min = dist[rows, best].astype(np.float64)
         dist[rows, best] = np.inf
         runner_up = dist.min(axis=1)
         dist[rows, best] = d_min
-        bound = tol * (np.einsum("ij,ij->i", q, q) + p_sq.max())
+        bound = margin[start:stop]
         for i in np.flatnonzero(runner_up - d_min <= bound):
             near = np.flatnonzero(dist[i] <= d_min[i] + bound[i])
-            exact = np.sum((points[near] - q[i]) ** 2, axis=1)
+            exact = np.sum((points[near] - queries[start + i]) ** 2, axis=1)
             best[i] = near[np.argmin(exact)]
-        out[start:start + len(q)] = best
+        out[start:stop] = best
     return out
+
+
+def _score_dtype(queries, points):
+    """float32 where the error bound of nearest_columns holds: k < 2^16,
+    no nonzero entry below 2^-63 in magnitude and 4 k max|x|^2 <= 2^127;
+    float64 otherwise."""
+    k = points.shape[1]
+    if k >= 2 ** 16:
+        return np.float64
+    for x in (queries, points):
+        mag = np.abs(x)
+        big = float(mag.max(initial=0.0))
+        if not (4 * k * big * big <= 2.0 ** 127 and
+                mag.min(where=mag > 0.0, initial=np.inf) >= 2.0 ** -63):
+            return np.float64
+    return np.float32
 
 
 def _icp_objective(Phi_a, Psi, C0, d, mu4_5):
@@ -390,14 +435,18 @@ def alternate(prob, params, phi_part, opts=SolverOptions()):
     ``phi_part`` holds the n_part x k partial-shape eigenvectors used by the
     refinement pass after each C-step.  The refined C seeds the next v-step
     only when it does not increase the total energy (descent safeguard
-    keeping the outer trace monotone); the point-wise map always comes from
-    the last refinement.
+    keeping the outer trace monotone); ``refine_accepted`` records each
+    decision.  The point-wise map always comes from a refinement of the
+    final C.  refine does not read v, so when the last safeguard rejected,
+    C is still the C that refinement started from and its result is used
+    again instead of being recomputed; only after an acceptance does a
+    final refine run from the refined C.
     """
     C = np.zeros_like(prob.W)
     v = initial_mask(prob)
     trace = []
     refine_residuals = []
-    pi = None
+    refine_accepted = []
     prev_total = np.inf
     for _ in range(opts.max_outer):
         C, _ = c_step(prob, params, C, v, opts)
@@ -406,8 +455,11 @@ def alternate(prob, params, phi_part, opts=SolverOptions()):
         refine_residuals.append(resids)
         e_ref = total_energy(C_ref, v, prob, params, with_grads=False)
         e_raw = total_energy(C, v, prob, params, with_grads=False)
-        if e_ref.total <= e_raw.total:
+        accepted = bool(e_ref.total <= e_raw.total)
+        refine_accepted.append(accepted)
+        if accepted:
             C = C_ref
+        kept = None if accepted else (C_ref, pi, resids)
         v, _ = v_step(prob, params, C, v, opts)
         breakdown = total_energy(C, v, prob, params, with_grads=False)
         trace.append(breakdown)
@@ -416,10 +468,12 @@ def alternate(prob, params, phi_part, opts=SolverOptions()):
             break
         prev_total = breakdown.total
 
-    C_out, pi, resids = refine(C, phi_part, prob.Psi, prob.d,
-                               params.mu4_5, opts)
-    refine_residuals.append(resids)
+    if kept is None:
+        kept = refine(C, phi_part, prob.Psi, prob.d, params.mu4_5, opts)
+    C_out, pi, resids = kept
+    refine_residuals.append(list(resids))
     pi = pointwise_map(pi, eta(v))
     r = int(np.sum(prob.d))
     return MatchResult(C=C_out, v=v, pi=pi, energy_trace=trace,
-                       rank_estimate=r, refine_residuals=refine_residuals)
+                       rank_estimate=r, refine_residuals=refine_residuals,
+                       refine_accepted=refine_accepted)

@@ -250,21 +250,19 @@ def boundary_interaction(basis_part):
     """Per-vertex boundary interaction strength.
 
     f(v) = sum_{i != j} (phi_iv phi_jv / (lambda_i - lambda_j))^2 over the
-    basis truncation, skipping (and counting) near-degenerate pairs.
+    basis truncation, skipping (and counting) near-degenerate pairs.  With
+    P = Phi o Phi and Q_ij = 1 / (lambda_i - lambda_j)^2, zero on the
+    diagonal and on skipped pairs, f = rowsum((P Q) o P).
     """
-    lam = basis_part.eigenvalues
-    Phi = basis_part.eigenvectors
     k = basis_part.k
+    lam = basis_part.eigenvalues
     scale = max(abs(lam[-1]), 1e-300)
-    f = np.zeros(basis_part.n)
-    skipped = 0
-    for i in range(k):
-        for j in range(i + 1, k):
-            gap = lam[i] - lam[j]
-            if abs(gap) < PAIR_SKIP_REL_TOL * scale:
-                skipped += 1
-                continue
-            f += 2.0 * (Phi[:, i] * Phi[:, j] / gap) ** 2
+    gap = lam[:k, None] - lam[None, :k]
+    skip = np.abs(gap) < PAIR_SKIP_REL_TOL * scale  # the diagonal too
+    skipped = (np.count_nonzero(skip) - k) // 2
+    Q = np.divide(1.0, gap ** 2, out=np.zeros_like(gap), where=~skip)
+    P = basis_part.eigenvectors[:, :k] ** 2
+    f = np.einsum("ij,ij->i", P @ Q, P)
     if skipped:
         warnings.warn(f"boundary_interaction: skipped {skipped} "
                       "near-degenerate eigenvalue pairs", stacklevel=2)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pfmatch.bench import (GEODESIC_BLOCK, GroundTruth, bumpy_sphere,
+from pfmatch.bench import (GEODESIC_BLOCK, GEODESIC_LIMIT, GroundTruth, bumpy_sphere,
                            cumulative_curve, erode_holes, grid_mesh,
                            icosphere, plane_cut,
                            plane_offset_for_area, princeton_error,
@@ -154,6 +154,27 @@ def test_princeton_error_matches_dense(rng):
     ref = _princeton_dense(pred, gt, full)
     assert np.isnan(err).any()
     assert np.array_equal(err, ref, equal_nan=True)
+
+
+def test_princeton_error_bounded_pass_matches_dense(rng, bumpy):
+    # Predictions on, next to and far from their targets: the bounded first
+    # pass settles the near rows and the unbounded second pass the rest.
+    _, gt = plane_cut(bumpy, [0.0, 0.0, -0.2], [0.0, 0.0, 1.0])
+    n = len(gt.correspondence)
+    edges = bumpy.edges
+    nbr = np.full(bumpy.n_vertices, -1)
+    nbr[edges[:, 0]] = edges[:, 1]
+    pred = np.where(rng.random(n) < 0.5, gt.correspondence,
+                    nbr[gt.correspondence])
+    far = rng.random(n) < 0.3
+    pred[far] = rng.integers(0, bumpy.n_vertices, far.sum())
+    pred[rng.random(n) < 0.1] = -1
+    err = princeton_error(pred, gt, bumpy)
+    assert np.array_equal(err, _princeton_dense(pred, gt, bumpy),
+                          equal_nan=True)
+    assert (err == 0).any()
+    assert ((err > 0) & (err <= GEODESIC_LIMIT)).any()
+    assert (err > GEODESIC_LIMIT).sum() > GEODESIC_BLOCK
 
 
 def test_princeton_error_length_mismatch(square_grid):

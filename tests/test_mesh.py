@@ -179,6 +179,17 @@ def test_geodesic_edge_inequality(square_grid):
         assert d[u] <= d[v] + length + 1e-12
 
 
+def test_geodesic_limit_keeps_exact_distances(bumpy):
+    sources = np.arange(0, bumpy.n_vertices, 37)
+    full = bumpy.geodesic_distances(sources)
+    limit = float(np.median(full))
+    bounded = bumpy.geodesic_distances(sources, limit=limit)
+    within = full <= limit
+    assert within.any() and not within.all()
+    assert np.array_equal(bounded[within], full[within])
+    assert np.all(np.isinf(bounded[~within]))
+
+
 def test_geodesic_source_out_of_range(square_grid):
     with pytest.raises(IndexError):
         square_grid.geodesic_distances(square_grid.n_vertices)

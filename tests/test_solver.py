@@ -1,12 +1,18 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import pfmatch.solver as solver
 from pfmatch.bench import grid_mesh
 from pfmatch.descriptors import shot_descriptors
 from pfmatch.energy import EnergyParams, eta, orthogonality_term
 from pfmatch.laplacian import mesh_basis
-from pfmatch.solver import (_NN_BLOCK, UNASSIGNED, SolverOptions, _icp_objective,
-                            alternate, build_problem, c_step,
+from pfmatch.solver import (_NN_BLOCK, UNASSIGNED, MatchResult, SolverOptions,
+                            _icp_objective, _score_dtype, alternate,
+                            build_problem, c_step, initial_mask,
                             invert_assignment, nearest_columns, nonlinear_cg,
                             pointwise_map, refine, v_step)
 
@@ -224,6 +230,85 @@ def test_nearest_columns_near_ties_match_float64_argmin(rng):
     assert np.array_equal(got, np.argmin(dists, axis=1))
 
 
+def _nearest_columns_f64(queries, points):
+    """Reference: the float64 blocked search that the float32 screen
+    replaced (scores |p|^2 - 2 q.p in float64, margin (4k + 8) eps m)."""
+    queries = np.asarray(queries, dtype=np.float64)
+    points = np.asarray(points, dtype=np.float64)
+    p_sq = np.einsum("ij,ij->i", points, points)
+    minus_2pt = -2.0 * points.T
+    tol = (4 * points.shape[1] + 8) * np.finfo(np.float64).eps
+    out = np.empty(len(queries), dtype=np.intp)
+    for start in range(0, len(queries), _NN_BLOCK):
+        q = queries[start:start + _NN_BLOCK]
+        dist = q @ minus_2pt
+        dist += p_sq
+        rows = np.arange(len(q))
+        best = np.argmin(dist, axis=1)
+        d_min = dist[rows, best]
+        dist[rows, best] = np.inf
+        runner_up = dist.min(axis=1)
+        dist[rows, best] = d_min
+        bound = tol * (np.einsum("ij,ij->i", q, q) + p_sq.max())
+        for i in np.flatnonzero(runner_up - d_min <= bound):
+            near = np.flatnonzero(dist[i] <= d_min[i] + bound[i])
+            exact = np.sum((points[near] - q[i]) ** 2, axis=1)
+            best[i] = near[np.argmin(exact)]
+        out[start:start + len(q)] = best
+    return out
+
+
+def _near_tie_cloud(rng, n, k, scale):
+    """(queries, points) full of exact and near ties: duplicated points,
+    copies moved by 1 float32 ulp in one coordinate (still distinct in
+    float64), and queries on points, on the moved copies and halfway."""
+    base = scale * rng.standard_normal((n, k))
+    moved = base.copy()
+    col = rng.integers(0, k, n)
+    moved[np.arange(n), col] = np.nextafter(
+        base[np.arange(n), col].astype(np.float32), np.float32(np.inf))
+    points = np.vstack([base, moved, base[: n // 2]])
+    queries = np.vstack([base, moved, 0.5 * (base + moved),
+                         scale * rng.standard_normal((n, k)),
+                         points[rng.permutation(len(points))[:n]]])
+    return queries, points
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), log_scale=st.integers(-6, 6),
+       k=st.integers(1, 12), n=st.integers(1, 40))
+def test_nearest_columns_float32_screen_matches_float64(seed, log_scale, k,
+                                                        n):
+    rng = np.random.default_rng(seed)
+    queries, points = _near_tie_cloud(rng, n, k, 10.0 ** log_scale)
+    assert not np.array_equal(points[:n], points[n:2 * n])
+    assert _score_dtype(queries, points) is np.float32
+    assert np.array_equal(nearest_columns(queries, points),
+                          _nearest_columns_f64(queries, points))
+
+
+@pytest.mark.parametrize("scale", [1e30, 3e-30, 1e-30])
+def test_nearest_columns_float64_fallback_exact(rng, scale):
+    # Near 1e30 float32 scores would overflow, near 1e-30 their products
+    # underflow; the search must fall back to float64 and stay exact.
+    queries, points = _near_tie_cloud(rng, 300, 6, scale)
+    assert _score_dtype(queries, points) is np.float64
+    got = nearest_columns(queries, points)
+    assert np.array_equal(got, _nearest_columns_f64(queries, points))
+    dists = np.sum((queries[:, None, :] - points[None, :, :]) ** 2, axis=2)
+    assert np.array_equal(got, np.argmin(dists, axis=1))
+
+
+def test_score_dtype_limits():
+    ones = np.ones((3, 4))
+    assert _score_dtype(ones, ones) is np.float32
+    assert _score_dtype(np.zeros((3, 4)), ones) is np.float32
+    tiny = ones.copy()
+    tiny[1, 2] = 2.0 ** -64
+    assert _score_dtype(tiny, ones) is np.float64
+    assert _score_dtype(ones, 2.0 ** 62 * ones) is np.float64
+    assert _score_dtype(ones, np.full((3, 4), np.nan)) is np.float64
+
+
 def test_refine_recovers_permutation(rng):
     n, k = 30, 6
     Phi = rng.standard_normal((n, k))
@@ -354,3 +439,109 @@ def test_alternate_recovers_part_region(small_pair):
     ev = eta(result.v)
     # Mask should concentrate on the true region more than its complement.
     assert ev[in_part].mean() > ev[~in_part].mean()
+
+
+def _alternate_reference(prob, params, phi_part, opts=SolverOptions()):
+    """Reference: alternate as it was before it reused the refine that the
+    safeguard rejected; it always runs a final refine.  It looks up the
+    solver's functions on the module, so a test that patches them patches
+    both versions."""
+    C = np.zeros_like(prob.W)
+    v = initial_mask(prob)
+    trace = []
+    refine_residuals = []
+    pi = None
+    prev_total = np.inf
+    for _ in range(opts.max_outer):
+        C, _ = solver.c_step(prob, params, C, v, opts)
+        C_ref, pi, resids = solver.refine(C, phi_part, prob.Psi, prob.d,
+                                          params.mu4_5, opts)
+        refine_residuals.append(resids)
+        e_ref = solver.total_energy(C_ref, v, prob, params, with_grads=False)
+        e_raw = solver.total_energy(C, v, prob, params, with_grads=False)
+        if e_ref.total <= e_raw.total:
+            C = C_ref
+        v, _ = solver.v_step(prob, params, C, v, opts)
+        breakdown = solver.total_energy(C, v, prob, params, with_grads=False)
+        trace.append(breakdown)
+        if np.isfinite(prev_total) and prev_total - breakdown.total <= \
+                opts.outer_rel_tol * max(abs(prev_total), 1e-300):
+            break
+        prev_total = breakdown.total
+
+    C_out, pi, resids = solver.refine(C, phi_part, prob.Psi, prob.d,
+                                      params.mu4_5, opts)
+    refine_residuals.append(resids)
+    pi = pointwise_map(pi, eta(v))
+    r = int(np.sum(prob.d))
+    return MatchResult(C=C_out, v=v, pi=pi, energy_trace=trace,
+                       rank_estimate=r, refine_residuals=refine_residuals)
+
+
+def _count_refines(monkeypatch):
+    """Patch solver.refine to record the C each call starts from and the
+    C it returns."""
+    calls = []
+    real = solver.refine
+
+    def counted(C, *args, **kwargs):
+        out = real(C, *args, **kwargs)
+        calls.append((C.copy(), out[0]))
+        return out
+
+    monkeypatch.setattr(solver, "refine", counted)
+    return calls
+
+
+def _assert_same_result(got, ref):
+    assert got.C.tobytes() == ref.C.tobytes()
+    assert got.v.tobytes() == ref.v.tobytes()
+    assert got.pi.tobytes() == ref.pi.tobytes()
+    assert got.energy_trace == ref.energy_trace
+    assert got.refine_residuals == ref.refine_residuals
+    assert got.rank_estimate == ref.rank_estimate
+
+
+@pytest.mark.parametrize("max_outer", [1, 2, 3])
+def test_alternate_reuses_rejected_refine(small_pair, monkeypatch,
+                                          max_outer):
+    prob, params = small_pair["prob"], small_pair["params"]
+    opts = SolverOptions(max_outer=max_outer, cg_max_iter=30,
+                         refine_max_iter=6)
+    calls = _count_refines(monkeypatch)
+    ref = _alternate_reference(prob, params, small_pair["phi"], opts)
+    n_ref = len(calls)
+    got = alternate(prob, params, small_pair["phi"], opts)
+    _assert_same_result(got, ref)
+    outer = len(got.energy_trace)
+    assert got.refine_accepted == [False] * outer
+    assert n_ref == outer + 1
+    assert len(calls) - n_ref == outer  # the final refine is reused
+
+
+def test_alternate_refines_again_after_acceptance(small_pair, monkeypatch):
+    # Make the safeguard accept every refined C by lowering the energy of
+    # the first total_energy call after each refine (the e_ref check).
+    prob, params = small_pair["prob"], small_pair["params"]
+    opts = SolverOptions(max_outer=2, cg_max_iter=30, refine_max_iter=6)
+    calls = _count_refines(monkeypatch)
+    real_energy = solver.total_energy
+    seen = [0]
+
+    def favour_refined(C, *args, **kwargs):
+        out = real_energy(C, *args, **kwargs)
+        if len(calls) > seen[0] and C is calls[-1][1]:
+            seen[0] = len(calls)
+            out = dataclasses.replace(out, total=out.total - 1e12)
+        return out
+
+    monkeypatch.setattr(solver, "total_energy", favour_refined)
+    ref = _alternate_reference(prob, params, small_pair["phi"], opts)
+    n_ref = len(calls)
+    got = alternate(prob, params, small_pair["phi"], opts)
+    _assert_same_result(got, ref)
+    outer = len(got.energy_trace)
+    assert got.refine_accepted == [True] * outer
+    assert len(calls) - n_ref == n_ref == outer + 1
+    # The final refine starts from the refined C the safeguard accepted.
+    assert calls[-1][0].tobytes() == calls[-2][1].tobytes()

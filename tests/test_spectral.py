@@ -5,7 +5,8 @@ import scipy.linalg
 from pfmatch.bench import grid_mesh
 from pfmatch.laplacian import SpectralBasis, cotan_stiffness, eigensolve, mesh_basis
 from pfmatch.laplacian import LaplacianPair
-from pfmatch.spectral import (FunctionalMap, boundary_interaction, build_d_vector,
+from pfmatch.spectral import (PAIR_SKIP_REL_TOL, FunctionalMap,
+                              boundary_interaction, build_d_vector,
                               build_weight_matrix, eigenvalue_derivative,
                               eigenvector_derivative, estimate_rank, fourier_coeffs,
                               ground_truth_map, parametric_laplacian,
@@ -346,3 +347,46 @@ def test_boundary_interaction_degenerate_warning():
     basis = SpectralBasis(lam, Phi, np.ones(3))
     with pytest.warns(UserWarning, match="near-degenerate"):
         boundary_interaction(basis)
+
+
+def _boundary_interaction_loop(basis_part):
+    """Reference: the loop over the k^2 / 2 eigenpairs that the product
+    form replaced.  Returns (f, skipped pairs)."""
+    lam = basis_part.eigenvalues
+    Phi = basis_part.eigenvectors
+    k = basis_part.k
+    scale = max(abs(lam[-1]), 1e-300)
+    f = np.zeros(basis_part.n)
+    skipped = 0
+    for i in range(k):
+        for j in range(i + 1, k):
+            gap = lam[i] - lam[j]
+            if abs(gap) < PAIR_SKIP_REL_TOL * scale:
+                skipped += 1
+                continue
+            f += 2.0 * (Phi[:, i] * Phi[:, j] / gap) ** 2
+    return f, skipped
+
+
+@pytest.mark.parametrize("k", [2, 10, 30])
+def test_boundary_interaction_matches_loop(square_grid, k):
+    sub, _ = square_grid.submesh(left_half_ids(square_grid))
+    basis = mesh_basis(sub, k)
+    f_ref, skipped = _boundary_interaction_loop(basis)
+    assert skipped == 0
+    np.testing.assert_allclose(boundary_interaction(basis), f_ref,
+                               rtol=1e-12, atol=0.0)
+
+
+def test_boundary_interaction_skips_like_loop(rng):
+    # Two clusters of equal eigenvalues and one near-equal pair: the same
+    # pairs are skipped, counted and left out of f.
+    lam = np.array([0.0, 0.0, 1.0, 2.0, 2.0, 2.0, 3.0, 3.0 + 1e-12, 5.0])
+    Phi = rng.standard_normal((40, len(lam)))
+    basis = SpectralBasis(lam, Phi, np.ones(40))
+    f_ref, skipped = _boundary_interaction_loop(basis)
+    assert skipped == 5
+    with pytest.warns(UserWarning, match=f"skipped {skipped} near"):
+        f = boundary_interaction(basis)
+    np.testing.assert_allclose(f, f_ref, rtol=1e-12, atol=0.0)
+
