@@ -90,11 +90,11 @@ def run_match(args):
     radius = args.radius or descriptors.default_radius(mesh_full)
     desc_part = _load_descriptors(args.descriptors_part, mesh_part, radius)
     desc_full = _load_descriptors(args.descriptors_full, mesh_full, radius)
-    os.makedirs(args.out, exist_ok=True)  # only once the inputs have loaded
     params = _energy_params(args)
     prob, rank = solver.build_problem(basis_part, basis_full, desc_part,
                                       desc_full, mesh_full,
                                       mesh_part.total_area, params)
+    os.makedirs(args.out, exist_ok=True)  # only once the inputs are usable
     result = solver.alternate(prob, params, basis_part.eigenvectors,
                               _solver_options(args))
 

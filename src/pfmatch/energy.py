@@ -73,49 +73,92 @@ class MatchProblem:
     F: np.ndarray = None  # q-column descriptors of the partial shape
     # (E, F, G) of the full shape's triangles, for mumford_shah.
     metric: tuple = field(init=False, repr=False)
+    # Indices of the columns of G that are nonzero on some vertex, and those
+    # columns of G; every other column of G is zero.
+    support: np.ndarray = field(init=False, repr=False)
+    G_support: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.metric = triangle_metric(self.mesh_full)
+        self.support = np.flatnonzero(np.any(self.G != 0.0, axis=0))
+        self.G_support = self.G.take(self.support, axis=1)
 
 
 # -- saturation functions -----------------------------------------------------
+# Each is a function of th = tanh(2v - 1); an evaluation that needs several
+# of them computes th once.
 
 
 def eta(v):
     """Soft part membership: (tanh(2v - 1) + 1) / 2, in [0, 1]."""
-    return 0.5 * (np.tanh(2.0 * np.asarray(v) - 1.0) + 1.0)
+    return _eta(_th(v))
 
 
 def eta_prime(v):
-    return 1.0 - np.tanh(2.0 * np.asarray(v) - 1.0) ** 2
+    return _eta_prime(_th(v))
 
 
 def xi(v, sigma=DEFAULT_SIGMA_XI):
     """Bump concentrated where eta(v) = 1/2: exp(-tanh^2(2v-1) / (4 sigma^2))."""
-    return np.exp(-np.tanh(2.0 * np.asarray(v) - 1.0) ** 2 / (4.0 * sigma ** 2))
+    return _xi(_th(v), sigma)
 
 
 def xi_prime(v, sigma=DEFAULT_SIGMA_XI):
-    th = np.tanh(2.0 * np.asarray(v) - 1.0)
-    return xi(v, sigma) * (-th * (1.0 - th ** 2) / sigma ** 2)
+    th = _th(v)
+    return _xi_prime(th, _xi(th, sigma), sigma)
+
+
+def _th(v):
+    return np.tanh(2.0 * np.asarray(v) - 1.0)
+
+
+def _eta(th):
+    return 0.5 * (th + 1.0)
+
+
+def _eta_prime(th):
+    return 1.0 - th ** 2
+
+
+def _xi(th, sigma):
+    return np.exp(-th ** 2 / (4.0 * sigma ** 2))
+
+
+def _xi_prime(th, xi_th, sigma):
+    return xi_th * (-th * _eta_prime(th) / sigma ** 2)
 
 
 # -- individual terms ---------------------------------------------------------
 
 
-def data_term(C, A, Psi, mass, G, v):
-    """Column-sparse (L2,1) residual of C A - B(eta(v)) with B mass-weighted.
+def data_term(C, A, Psi, mass, G, v, support=slice(None), with_grads=True):
+    """Column-sparse (L2,1) residual of C A - B with B = Psi^T diag(mass
+    eta(v)) G.
 
-    Returns (value, grad_C, grad_v).
+    ``G`` holds the columns ``support`` of the descriptors (by default all
+    of them), and their other columns must be zero.  Those columns of B are
+    zero, so their residual C A_j does not depend on v, and both n-sized
+    products run over the support only.
+
+    Returns (value, grad_C, grad_v); without ``with_grads`` the gradients
+    are None and their products are not formed.
     """
-    ev = eta(v)
-    weighted = (mass * ev)[:, None] * G
-    B = Psi.T @ weighted
-    value, Hn = _smoothed_l21(C @ A - B, B)
+    th = _th(v)
+    B = _mask_coefficients(Psi, mass * _eta(th), G)
+    H = C @ A
+    H[:, support] -= B
+    value, Hn = _smoothed_l21(H, B)
+    if not with_grads:
+        return value, None, None
     grad_C = Hn @ A.T
-    U = Psi @ Hn
-    grad_v = -eta_prime(v) * mass * np.einsum("ij,ij->i", U, G)
+    U = G @ Hn[:, support].T
+    grad_v = -_eta_prime(th) * mass * np.einsum("ij,ij->i", Psi, U)
     return value, grad_C, grad_v
+
+
+def _mask_coefficients(Psi, w, G):
+    """B = Psi^T diag(w) G, formed by scaling the n x k Psi."""
+    return (Psi * w[:, None]).T @ G
 
 
 def _smoothed_l21(H, B):
@@ -131,9 +174,9 @@ def _smoothed_l21(H, B):
 
 def area_term(v, area_part, mass):
     """Squared mismatch between the part area and the soft-mask area."""
-    ev = eta(v)
-    diff = area_part - float(mass @ ev)
-    grad_v = -2.0 * diff * mass * eta_prime(v)
+    th = _th(v)
+    diff = area_part - float(mass @ _eta(th))
+    grad_v = -2.0 * diff * mass * _eta_prime(th)
     return diff ** 2, grad_v
 
 
@@ -158,12 +201,14 @@ def mumford_shah(v, mesh, sigma_xi=DEFAULT_SIGMA_XI, _cache=None):
     E, F, G = _cache if _cache is not None else triangle_metric(mesh)
     tri = mesh.triangles
     v = np.asarray(v)
+    th = _th(v)
+    xi_v = _xi(th, sigma_xi)
     v0, v1, v2 = v[tri[:, 0]], v[tri[:, 1]], v[tri[:, 2]]
     va = v1 - v0
     vb = v2 - v0
     D2 = va ** 2 * G - 2.0 * va * vb * F + vb ** 2 * E
     D = np.sqrt(np.maximum(D2, 0.0))
-    xs = xi(v0, sigma_xi) + xi(v1, sigma_xi) + xi(v2, sigma_xi)
+    xs = xi_v[tri[:, 0]] + xi_v[tri[:, 1]] + xi_v[tri[:, 2]]
     value = float(np.sum(D * xs)) / 6.0
 
     inv2D = np.where(D > 0.0, 1.0 / np.maximum(2.0 * D, 1e-300), 0.0)
@@ -171,10 +216,12 @@ def mumford_shah(v, mesh, sigma_xi=DEFAULT_SIGMA_XI, _cache=None):
     dD0 = (-2.0 * va * G + 2.0 * F * (va + vb) - 2.0 * vb * E) * inv2D
     dD1 = (2.0 * va * G - 2.0 * vb * F) * inv2D
     dD2 = (2.0 * vb * E - 2.0 * va * F) * inv2D
-    grad = np.zeros_like(v)
-    for corner, dD, vc in ((0, dD0, v0), (1, dD1, v1), (2, dD2, v2)):
-        contrib = xs * dD + D * xi_prime(vc, sigma_xi)
-        np.add.at(grad, tri[:, corner], contrib)
+    xi_p = _xi_prime(th, xi_v, sigma_xi)
+    # One sum over corners 0, 1, 2 in turn, each in triangle order.
+    contrib = [xs * dD + D * xi_p[tri[:, c]]
+               for c, dD in enumerate((dD0, dD1, dD2))]
+    grad = np.bincount(tri.T.ravel(), weights=np.concatenate(contrib),
+                       minlength=len(v))
     return value, grad / 6.0
 
 
@@ -199,7 +246,9 @@ def total_energy(C, v, prob, params, with_grads=True):
 
     Returns EnergyBreakdown or (EnergyBreakdown, grad_C, grad_v).
     """
-    data, gC_data, gv_data = data_term(C, prob.A, prob.Psi, prob.mass, prob.G, v)
+    data, gC_data, gv_data = data_term(C, prob.A, prob.Psi, prob.mass,
+                                       prob.G_support, v, prob.support,
+                                       with_grads)
     area, gv_area = area_term(v, prob.area_part, prob.mass)
     ms, gv_ms = mumford_shah(v, prob.mesh_full, params.sigma_xi, prob.metric)
     slant, gC_slant = slant_term(C, prob.W)

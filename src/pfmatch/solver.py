@@ -12,9 +12,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .energy import (EnergyParams, MatchProblem, _smoothed_l21, area_term,
-                     data_term, eta, mumford_shah, orthogonality_term,
-                     slant_term, total_energy)
+from .energy import (EnergyParams, MatchProblem, _mask_coefficients,
+                     _smoothed_l21, area_term, data_term, eta, mumford_shah,
+                     orthogonality_term, slant_term, total_energy)
 from .spectral import build_d_vector, build_weight_matrix, estimate_rank
 
 UNASSIGNED = -1
@@ -30,6 +30,8 @@ _MAX_GROW = 10.0  # largest growth of the trial step while extrapolating
 # _NN_BLOCK x n_points floats (1.8 MB at 1800 points; doubles, twice that,
 # where the search falls back to float64).
 _NN_BLOCK = 256
+# Full-shape rows per block of initial_mask's descriptor products.
+_MASK_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -202,7 +204,19 @@ def _line_search(fun_grad, x, f0, dphi0, d, alpha, opts):
 
 def build_problem(basis_part, basis_full, desc_part, desc_full, mesh_full,
                   area_part, params):
-    """Assemble the fixed matrices of a matching job (A, G, W, d)."""
+    """Assemble the fixed matrices of a matching job (A, G, W, d).
+
+    Raises ValueError when the shapes' descriptors differ in length, or
+    when every descriptor of a shape is zero, as when no vertex has enough
+    neighbours within the support radius.
+    """
+    if desc_part.dim != desc_full.dim:
+        raise ValueError(f"descriptor lengths differ: {desc_part.dim} on the "
+                         f"partial shape, {desc_full.dim} on the full shape")
+    for name, desc in (("partial", desc_part), ("full", desc_full)):
+        if not np.any(desc.values):
+            raise ValueError(f"every descriptor of the {name} shape is zero "
+                             f"(support radius {desc.radius:g})")
     k = min(params.k, basis_part.k, basis_full.k)
     bp = basis_part.truncated(k)
     bf = basis_full.truncated(k)
@@ -221,8 +235,9 @@ def build_problem(basis_part, basis_full, desc_part, desc_full, mesh_full,
 def c_step(prob, params, C0, v_fixed, opts=SolverOptions()):
     """Minimize the data + correspondence-regularizer energy over C."""
     k = C0.shape[0]
-    ev_weighted = (prob.mass * eta(v_fixed))[:, None] * prob.G
-    B = prob.Psi.T @ ev_weighted
+    B = np.zeros_like(prob.A)
+    B[:, prob.support] = _mask_coefficients(
+        prob.Psi, prob.mass * eta(v_fixed), prob.G_support)
 
     def fg(x):
         C = x.reshape(k, k)
@@ -244,7 +259,7 @@ def v_step(prob, params, C_fixed, v0, opts=SolverOptions()):
 
     def fg(v):
         d_val, _, d_gv = data_term(C_fixed, prob.A, prob.Psi, prob.mass,
-                                   prob.G, v)
+                                   prob.G_support, v, prob.support)
         a_val, a_gv = area_term(v, prob.area_part, prob.mass)
         m_val, m_gv = mumford_shah(v, prob.mesh_full, params.sigma_xi,
                                    prob.metric)
@@ -261,6 +276,8 @@ def nearest_columns(queries, points):
     Exact search: the returned row j minimises the float64 squared distance
     ``np.sum((q - points[j]) ** 2)``, and among equal distances it is the
     smallest such j, as ``np.argmin`` over every row would give.
+    ``queries`` is an array, or a :class:`_Queries` prepared from one to
+    search it against several point sets.
 
     A float32 screen decides most rows.  One GEMM per block of queries
     scores every point as S_j = |p_j|^2 - 2 q.p_j, the rows [q, 1] against
@@ -289,18 +306,20 @@ def nearest_columns(queries, points):
     or for k >= 2^16, the same search runs in float64, where the same E
     holds with no input rounding.
     """
-    queries = np.asarray(queries, dtype=np.float64)
+    if not isinstance(queries, _Queries):
+        queries = _Queries(queries)
     points = np.asarray(points, dtype=np.float64)
     k = points.shape[1]
-    dtype = _score_dtype(queries, points)
+    if queries.rows32 is not None and _score_dtype(points) is np.float32:
+        dtype, rows_q = np.float32, queries.rows32
+    else:
+        dtype, rows_q = np.float64, _score_rows(queries.x, np.float64)
     p_sq = np.einsum("ij,ij->i", points, points)
-    rows_q = np.ones((len(queries), k + 1), dtype=dtype)
-    rows_q[:, :k] = queries
     cols_p = np.vstack([-2.0 * points.T, p_sq]).astype(dtype)
     margin = 2 * (4 * k + 8) * np.finfo(dtype).eps * (
-        np.einsum("ij,ij->i", queries, queries) + p_sq.max(initial=0.0))
-    out = np.empty(len(queries), dtype=np.intp)
-    for start in range(0, len(queries), _NN_BLOCK):
+        queries.sq + p_sq.max(initial=0.0))
+    out = np.empty(len(rows_q), dtype=np.intp)
+    for start in range(0, len(rows_q), _NN_BLOCK):
         stop = start + _NN_BLOCK
         dist = rows_q[start:stop] @ cols_p
         rows = np.arange(len(dist))
@@ -312,23 +331,39 @@ def nearest_columns(queries, points):
         bound = margin[start:stop]
         for i in np.flatnonzero(runner_up - d_min <= bound):
             near = np.flatnonzero(dist[i] <= d_min[i] + bound[i])
-            exact = np.sum((points[near] - queries[start + i]) ** 2, axis=1)
+            exact = np.sum((points[near] - queries.x[start + i]) ** 2, axis=1)
             best[i] = near[np.argmin(exact)]
         out[start:stop] = best
     return out
 
 
-def _score_dtype(queries, points):
-    """float32 where the error bound of nearest_columns holds: k < 2^16,
-    no nonzero entry below 2^-63 in magnitude and 4 k max|x|^2 <= 2^127;
-    float64 otherwise."""
-    k = points.shape[1]
-    if k >= 2 ** 16:
-        return np.float64
-    for x in (queries, points):
+class _Queries:
+    """The query side of nearest_columns, which does not depend on the
+    points: the float64 queries ``x``, their squared norms ``sq`` and the
+    float32 score rows [q, 1], or None where the float32 bound fails."""
+
+    def __init__(self, queries):
+        self.x = np.asarray(queries, dtype=np.float64)
+        self.sq = np.einsum("ij,ij->i", self.x, self.x)
+        self.rows32 = (_score_rows(self.x, np.float32)
+                       if _score_dtype(self.x) is np.float32 else None)
+
+
+def _score_rows(queries, dtype):
+    rows = np.ones((len(queries), queries.shape[1] + 1), dtype=dtype)
+    rows[:, :-1] = queries
+    return rows
+
+
+def _score_dtype(*arrays):
+    """float32 where the error bound of nearest_columns holds for every
+    array: k < 2^16 columns, no nonzero entry below 2^-63 in magnitude and
+    4 k max|x|^2 <= 2^127; float64 otherwise."""
+    for x in arrays:
+        k = x.shape[1]
         mag = np.abs(x)
         big = float(mag.max(initial=0.0))
-        if not (4 * k * big * big <= 2.0 ** 127 and
+        if not (k < 2 ** 16 and 4 * k * big * big <= 2.0 ** 127 and
                 mag.min(where=mag > 0.0, initial=np.inf) >= 2.0 ** -63):
             return np.float64
     return np.float32
@@ -372,8 +407,9 @@ def refine(C, Phi, Psi, d, mu4_5, opts=SolverOptions()):
     k = C.shape[0]
     residuals = []
     pi = None
+    queries = _Queries(Psi)
     for _ in range(opts.refine_max_iter):
-        pi = nearest_columns(Psi, Phi @ C.T)
+        pi = nearest_columns(queries, Phi @ C.T)
         fg = _icp_objective(Phi[pi], Psi, C, d, mu4_5)
         resid = fg(C.reshape(-1))[0]
         residuals.append(resid)
@@ -397,8 +433,12 @@ def initial_mask(prob):
     if prob.F is None:
         return np.ones(prob.Psi.shape[0])
     # Unit descriptors: squared distance is 2 - 2 <g, f>, so the nearest
-    # partial descriptor is the one of largest inner product.
-    best = np.max(prob.G @ prob.F.T, axis=1)
+    # partial descriptor is the one of largest inner product.  The products
+    # run over the support of G, a block of rows at a time, so the
+    # n x n_part matrix never exists whole.
+    G, F = prob.G_support, prob.F.take(prob.support, axis=1)
+    best = np.concatenate([np.max(G[i:i + _MASK_BLOCK] @ F.T, axis=1)
+                           for i in range(0, len(G), _MASK_BLOCK)])
     dist = np.sqrt(np.maximum(2.0 - 2.0 * best, 0.0))
     lo, hi = dist.min(), dist.max()
     if hi - lo < 1e-12:

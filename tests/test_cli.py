@@ -6,7 +6,7 @@ import pytest
 
 from pfmatch.bench import grid_mesh, icosphere, load_ground_truth
 from pfmatch.cli import UsageError, _read_config, main
-from pfmatch.matio import load_matrix
+from pfmatch.matio import load_matrix, save_matrix
 from pfmatch.mesh import load_mesh, save_ply
 
 
@@ -233,6 +233,50 @@ def test_missing_mesh_exit_2(tmp_path):
                  "--full", str(tmp_path / "nope2.ply"), "--out", str(out)])
     assert code == 2
     assert not out.exists()  # nothing is created before the inputs load
+
+
+@pytest.mark.parametrize("shape", ["part", "full"])
+def test_match_all_zero_descriptors_exit_2(mesh_files, tmp_path, capsys,
+                                           shape):
+    # Descriptors of the other shape come from SHOT; this shape's are all
+    # zero, as when no vertex has enough neighbours in the support radius.
+    n = load_mesh(mesh_files[shape]).n_vertices
+    zeros = tmp_path / "zeros.bin"
+    save_matrix(str(zeros), np.zeros((n, 352)))
+    out = tmp_path / "out"
+    code = main(["match", "--part", mesh_files["part"],
+                 "--full", mesh_files["full"], f"--descriptors-{shape}",
+                 str(zeros), "--out", str(out)] + MATCH_FLAGS)
+    assert code == 2
+    name = {"part": "partial", "full": "full"}[shape]
+    assert f"every descriptor of the {name} shape is zero" in \
+        capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_match_descriptor_length_mismatch_exit_2(mesh_files, tmp_path,
+                                                 capsys):
+    n = load_mesh(mesh_files["full"]).n_vertices
+    short = tmp_path / "short.bin"
+    save_matrix(str(short), np.ones((n, 10)))
+    out = tmp_path / "out"
+    code = main(["match", "--part", mesh_files["part"],
+                 "--full", mesh_files["full"], "--descriptors-full",
+                 str(short), "--out", str(out)] + MATCH_FLAGS)
+    assert code == 2
+    assert "descriptor lengths differ: 352 on the partial shape, 10 on the " \
+        "full shape" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_match_tiny_radius_exit_2(mesh_files, tmp_path, capsys):
+    out = tmp_path / "out"
+    flags = MATCH_FLAGS[:2] + ["--radius", "1e-3"] + MATCH_FLAGS[4:]
+    code = main(["match", "--part", mesh_files["part"],
+                 "--full", mesh_files["full"], "--out", str(out)] + flags)
+    assert code == 2
+    assert "descriptor of the partial shape is zero" in \
+        capsys.readouterr().err
 
 
 def test_match_requires_inputs():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pfmatch.bench import grid_mesh
+from pfmatch.bench import bumpy_sphere, grid_mesh
 from pfmatch.energy import (EnergyBreakdown, EnergyParams, MatchProblem,
                             area_term, data_term, eta, eta_prime, mumford_shah,
                             orthogonality_term, slant_term, total_energy,
@@ -353,3 +353,107 @@ def test_total_energy_matches_terms(tiny_problem, rng):
     assert np.isclose(b.mumford_shah, mumford_shah(v, p.mesh_full)[0])
     assert np.isclose(b.slant, slant_term(C, p.W)[0])
     assert np.isclose(b.orthogonality, orthogonality_term(C, p.d)[0])
+
+
+# -- thin data-term products and the summed Mumford-Shah gradient -------------
+
+
+def _data_term_reference(C, A, Psi, mass, G, v):
+    """Reference: the data term as it was before it ran over the support of
+    G, with full-width n x k x q products."""
+    ev = eta(v)
+    weighted = (mass * ev)[:, None] * G
+    B = Psi.T @ weighted
+    H = C @ A - B
+    q = H.shape[1]
+    eps = max(1e-9 * np.linalg.norm(B) / np.sqrt(q), 1e-300)
+    colnorm = np.sqrt(np.einsum("ij,ij->j", H, H) + eps ** 2)
+    Hn = H / colnorm
+    U = Psi @ Hn
+    grad_v = -eta_prime(v) * mass * np.einsum("ij,ij->i", U, G)
+    return float(np.sum(colnorm - eps)), Hn @ A.T, grad_v
+
+
+def _mumford_shah_reference(v, mesh, sigma_xi=0.5):
+    """Reference: mumford_shah as it was, with per-corner saturations and
+    one np.add.at pass per corner."""
+    E, F, G = triangle_metric(mesh)
+    tri = mesh.triangles
+    v0, v1, v2 = v[tri[:, 0]], v[tri[:, 1]], v[tri[:, 2]]
+    va = v1 - v0
+    vb = v2 - v0
+    D2 = va ** 2 * G - 2.0 * va * vb * F + vb ** 2 * E
+    D = np.sqrt(np.maximum(D2, 0.0))
+    xs = xi(v0, sigma_xi) + xi(v1, sigma_xi) + xi(v2, sigma_xi)
+    value = float(np.sum(D * xs)) / 6.0
+    inv2D = np.where(D > 0.0, 1.0 / np.maximum(2.0 * D, 1e-300), 0.0)
+    dD0 = (-2.0 * va * G + 2.0 * F * (va + vb) - 2.0 * vb * E) * inv2D
+    dD1 = (2.0 * va * G - 2.0 * vb * F) * inv2D
+    dD2 = (2.0 * vb * E - 2.0 * va * F) * inv2D
+    grad = np.zeros_like(v)
+    for corner, dD, vc in ((0, dD0, v0), (1, dD1, v1), (2, dD2, v2)):
+        contrib = xs * dD + D * xi_prime(vc, sigma_xi)
+        np.add.at(grad, tri[:, corner], contrib)
+    return value, grad / 6.0
+
+
+def _problem(mesh, k, G, rng):
+    basis = mesh_basis(mesh, k)
+    return MatchProblem(A=rng.standard_normal((k, G.shape[1])),
+                        Psi=basis.eigenvectors, mass=basis.mass, G=G,
+                        mesh_full=mesh, area_part=0.4,
+                        W=build_weight_matrix(k, 3), d=build_d_vector(k, 3))
+
+
+@pytest.mark.parametrize("zero_cols", [0, 5, 30])
+def test_data_term_support_matches_reference(rng, zero_cols):
+    mesh = grid_mesh(9)
+    k, q = 12, 40
+    G = rng.standard_normal((mesh.n_vertices, q))
+    G[:, rng.permutation(q)[:zero_cols]] = 0.0
+    G[:3] = 0.0  # some all-zero descriptors as well
+    p = _problem(mesh, k, G, rng)
+    assert len(p.support) == q - zero_cols
+    assert np.array_equal(p.G_support, G[:, p.support])
+    C = rng.standard_normal((k, k))
+    for v in (rng.standard_normal(mesh.n_vertices),
+              np.full(mesh.n_vertices, -30.0)):  # eta = 0: B = 0
+        ref = _data_term_reference(C, p.A, p.Psi, p.mass, p.G, v)
+        got = data_term(C, p.A, p.Psi, p.mass, p.G_support, v, p.support)
+        for r, g in zip(ref, got):
+            assert np.abs(np.asarray(g) - r).max() <= \
+                1e-12 * max(np.abs(r).max(), 1e-300)
+        # The default support is every column.
+        full = data_term(C, p.A, p.Psi, p.mass, p.G, v)
+        for r, g in zip(ref, full):
+            assert np.abs(np.asarray(g) - r).max() <= \
+                1e-12 * max(np.abs(r).max(), 1e-300)
+
+
+def test_data_term_value_only_is_bit_equal(rng):
+    mesh = grid_mesh(7)
+    G = rng.standard_normal((mesh.n_vertices, 20))
+    G[:, ::3] = 0.0
+    p = _problem(mesh, 8, G, rng)
+    C = rng.standard_normal((8, 8))
+    v = rng.standard_normal(mesh.n_vertices)
+    value, grad_C, grad_v = data_term(C, p.A, p.Psi, p.mass, p.G_support, v,
+                                      p.support)
+    only = data_term(C, p.A, p.Psi, p.mass, p.G_support, v, p.support,
+                     with_grads=False)
+    assert only == (value, None, None)
+    params = EnergyParams(k=8)
+    assert total_energy(C, v, p, params, with_grads=False) == \
+        total_energy(C, v, p, params)[0]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_mumford_shah_matches_add_at_reference(rng, seed):
+    mesh = bumpy_sphere(2 + seed % 2, seed=seed)
+    for sigma in (0.3, 0.5):
+        v = 2.0 * rng.standard_normal(mesh.n_vertices)
+        v = np.minimum(v, 1.0)  # plateaus: D = 0 on some triangles
+        ref = _mumford_shah_reference(v, mesh, sigma)
+        got = mumford_shah(v, mesh, sigma, triangle_metric(mesh))
+        assert got[0] == ref[0]
+        assert np.array_equal(got[1], ref[1])

@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 
 import pfmatch.solver as solver
 from pfmatch.bench import grid_mesh
-from pfmatch.descriptors import shot_descriptors
-from pfmatch.energy import EnergyParams, eta, orthogonality_term
+from pfmatch.descriptors import DescriptorField, shot_descriptors
+from pfmatch.energy import EnergyParams, MatchProblem, eta, orthogonality_term
 from pfmatch.laplacian import mesh_basis
-from pfmatch.solver import (_NN_BLOCK, UNASSIGNED, MatchResult, SolverOptions,
-                            _icp_objective, _score_dtype, alternate,
+from pfmatch.solver import (_MASK_BLOCK, _NN_BLOCK, UNASSIGNED, MatchResult,
+                            SolverOptions, _icp_objective, _Queries,
+                            _score_dtype, alternate,
                             build_problem, c_step, initial_mask,
                             invert_assignment, nearest_columns, nonlinear_cg,
                             pointwise_map, refine, v_step)
@@ -168,6 +169,43 @@ def test_build_problem_shapes(small_pair):
     assert np.isclose(prob.d.sum(), r)
 
 
+@pytest.mark.parametrize("shape", ["partial", "full"])
+def test_build_problem_rejects_all_zero_descriptors(small_pair, shape):
+    full, part = small_pair["full"], small_pair["part"]
+    k = 8
+    descs = {"partial": shot_descriptors(part, radius=0.3),
+             "full": shot_descriptors(full, radius=0.3)}
+    values = np.zeros_like(descs[shape].values)
+    descs[shape] = DescriptorField(values, 1e-3,
+                                   np.ones(len(values), dtype=bool))
+    with pytest.raises(ValueError, match=f"of the {shape} shape is zero"):
+        build_problem(mesh_basis(part, k), mesh_basis(full, k),
+                      descs["partial"], descs["full"], full,
+                      part.total_area, EnergyParams(k=k))
+
+
+def test_initial_mask_blocks_match_unblocked(rng):
+    # Unit descriptors with all-zero columns and all-zero rows, over more
+    # rows than one block.
+    mesh = grid_mesh(24)
+    n, q = mesh.n_vertices, 30
+    assert n > 2 * _MASK_BLOCK
+    G = rng.random((n, q))
+    G[:, [0, 7, 8, 29]] = 0.0
+    G[::11] = 0.0
+    G /= np.maximum(np.linalg.norm(G, axis=1, keepdims=True), 1e-300)
+    F = rng.random((70, q))
+    F /= np.linalg.norm(F, axis=1, keepdims=True)
+    basis = mesh_basis(mesh, 5)
+    prob = MatchProblem(A=np.zeros((5, q)), Psi=basis.eigenvectors,
+                        mass=basis.mass, G=G, mesh_full=mesh, area_part=0.5,
+                        W=np.zeros((5, 5)), d=np.ones(5), F=F)
+    best = np.max(G @ F.T, axis=1)
+    dist = np.sqrt(np.maximum(2.0 - 2.0 * best, 0.0))
+    ref = 1.0 - (dist - dist.min()) / (dist.max() - dist.min())
+    assert np.abs(initial_mask(prob) - ref).max() <= 1e-12
+
+
 def test_c_step_decreases(small_pair, rng):
     prob, params = small_pair["prob"], small_pair["params"]
     k = prob.A.shape[0]
@@ -307,6 +345,51 @@ def test_score_dtype_limits():
     assert _score_dtype(tiny, ones) is np.float64
     assert _score_dtype(ones, 2.0 ** 62 * ones) is np.float64
     assert _score_dtype(ones, np.full((3, 4), np.nan)) is np.float64
+
+
+def test_prepared_queries_search_like_arrays(rng):
+    # One preparation serves point sets of every scale, including those
+    # that send the search to float64; queries that fail the float32 bound
+    # themselves are searched in float64 too.
+    for q_scale in (1.0, 1e-30):
+        queries, points = _near_tie_cloud(rng, 200, 5, q_scale)
+        prepared = _Queries(queries)
+        assert (prepared.rows32 is None) == (q_scale != 1.0)
+        for scale in (1.0, 1e3, 1e30, 1e-30):
+            pts = scale * points
+            assert np.array_equal(nearest_columns(prepared, pts),
+                                  nearest_columns(queries, pts))
+
+
+def _refine_reference(C, Phi, Psi, d, mu4_5, opts=SolverOptions()):
+    """Reference: refine as it was, searching the array Psi every round."""
+    k = C.shape[0]
+    residuals = []
+    pi = None
+    for _ in range(opts.refine_max_iter):
+        pi = nearest_columns(Psi, Phi @ C.T)
+        fg = _icp_objective(Phi[pi], Psi, C, d, mu4_5)
+        resid = fg(C.reshape(-1))[0]
+        residuals.append(resid)
+        if len(residuals) > 1 and (residuals[-2] - resid) <= \
+                opts.refine_rel_tol * max(abs(residuals[-2]), 1e-300):
+            break
+        res = nonlinear_cg(fg, C.reshape(-1), opts)
+        C = res.x.reshape(k, k)
+    return C, pi, residuals
+
+
+def test_refine_matches_reference(small_pair, rng):
+    prob, params = small_pair["prob"], small_pair["params"]
+    k = prob.A.shape[0]
+    C0 = np.eye(k) + 0.1 * rng.standard_normal((k, k))
+    opts = SolverOptions(refine_max_iter=6, cg_max_iter=30)
+    got = refine(C0, small_pair["phi"], prob.Psi, prob.d, params.mu4_5, opts)
+    ref = _refine_reference(C0, small_pair["phi"], prob.Psi, prob.d,
+                            params.mu4_5, opts)
+    assert np.array_equal(got[0], ref[0])
+    assert np.array_equal(got[1], ref[1])
+    assert got[2] == ref[2]
 
 
 def test_refine_recovers_permutation(rng):
