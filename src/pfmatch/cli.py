@@ -220,7 +220,6 @@ def run_perturb(args):
     part_ids = np.flatnonzero((mesh.vertices - point) @ nrm >= 0)
     setup = spectral.perturbation_setup(mesh, part_ids)
 
-    import scipy.linalg as sla
     import scipy.sparse as sp
 
     pair = laplacian.LaplacianPair(-setup.K_part, sp.diags(setup.mass_part))
@@ -229,9 +228,9 @@ def run_perturb(args):
 
     # Finite-difference check of the eigenvalue derivative formula.
     t = args.fd_step
-    S = np.diag(np.concatenate([setup.mass_part, setup.mass_comp]))
-    lam0 = sla.eigh(setup.stiffness(0.0).toarray(), S, eigvals_only=True)
-    lam1 = sla.eigh(setup.stiffness(t).toarray(), S, eigvals_only=True)
+    s = np.concatenate([setup.mass_part, setup.mass_comp])
+    lam0 = laplacian.dense_eigh(setup.stiffness(0.0), s, eigvals_only=True)
+    lam1 = laplacian.dense_eigh(setup.stiffness(t), s, eigvals_only=True)
     report = []
     for i in range(1, min(args.n_check + 1, kk)):
         pred = spectral.eigenvalue_derivative(basis, setup.P_part, i)

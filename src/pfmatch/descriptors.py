@@ -56,7 +56,7 @@ def _frames(diff, bounds, radius):
     Returns (c, 3, 3): rows (x, y, z) per centre, x and z the covariance
     eigenvectors of largest and smallest eigenvalue.
     """
-    w = radius - np.linalg.norm(diff, axis=1)
+    w = radius - _row_norms(diff)
     wd = diff * w[:, None]
     spans = list(zip(bounds[:-1], bounds[1:]))
     # BLAS products and numpy's pairwise sums stay per centre: on a flat or
@@ -77,17 +77,26 @@ def _frames(diff, bounds, radius):
     return np.stack([x_axis, np.cross(z_axis, x_axis), z_axis], axis=1)
 
 
+def _row_norms(x):
+    """Euclidean norms of the rows of an (m, 3) array, bit-equal to
+    ``np.linalg.norm(x, axis=1)``, which sums the same squares in the same
+    order but runs a slow three-element reduction per row."""
+    x0, x1, x2 = x.T
+    return np.sqrt((x0 * x0 + x1 * x1) + x2 * x2)
+
+
 def _neighbour_table(pts, radius):
     """CSR table of the points within ``radius`` of each point, itself left
     out: point v's neighbours are ``nbr[indptr[v]:indptr[v + 1]]``, in
     ascending index order."""
     n = len(pts)
-    pairs = cKDTree(pts).query_pairs(radius, output_type="ndarray")
-    centre = np.concatenate([pairs[:, 0], pairs[:, 1]])
-    nbr = np.concatenate([pairs[:, 1], pairs[:, 0]])
-    nbr = nbr[np.argsort(centre * n + nbr)]
+    i, j = cKDTree(pts).query_pairs(radius, output_type="ndarray").T
+    # Sorting the keys centre * n + neighbour orders the table by centre,
+    # then by neighbour.
+    nbr = np.sort(np.concatenate([i * n + j, j * n + i])) % n
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(centre, minlength=n), out=indptr[1:])
+    np.cumsum(np.bincount(i, minlength=n) + np.bincount(j, minlength=n),
+              out=indptr[1:])
     return indptr, nbr
 
 
@@ -109,7 +118,8 @@ def shot_descriptors(mesh, radius=None):
         if len(centres) == 0:
             continue
         hist = _histograms(centres, indptr, nbr, pts, normals, radius)
-        norm = np.array([np.linalg.norm(h) for h in hist])
+        # np.linalg.norm(h) without its per-call overhead: the same BLAS dot.
+        norm = np.sqrt([h.dot(h) for h in hist])
         good = norm > 0
         desc[centres[good]] = hist[good] / norm[good, None]
         flags[centres[~good]] = True
@@ -124,14 +134,16 @@ def _histograms(centres, indptr, nbr, pts, normals, radius):
     rows = np.repeat(indptr[centres] - bounds[:-1], cnt) + np.arange(bounds[-1])
     nb = nbr[rows]
     owner = np.repeat(np.arange(len(centres)), cnt)
-    diff = pts[nb] - pts[centres[owner]]
+    diff = pts[nb] - np.repeat(pts[centres], cnt, axis=0)
     frames = _frames(diff, bounds, radius)
     local = np.concatenate([diff[s:e] @ f.T for s, e, f in
                             zip(bounds[:-1], bounds[1:], frames)])
-    dist = np.linalg.norm(local, axis=1)
+    dist = _row_norms(local)
     ok = dist > 1e-12 * radius
-    local, dist, nb, owner = local[ok], dist[ok], nb[ok], owner[ok]
-    bounds = np.concatenate([[0], np.cumsum(np.bincount(owner, minlength=len(centres)))])
+    if not ok.all():  # a neighbour coincides with its centre
+        local, dist, nb, owner = local[ok], dist[ok], nb[ok], owner[ok]
+        bounds = np.concatenate(
+            [[0], np.cumsum(np.bincount(owner, minlength=len(centres)))])
 
     azimuth = np.arctan2(local[:, 1], local[:, 0])  # (-pi, pi]
     az_bin = np.minimum((azimuth + np.pi) / (2 * np.pi) * N_AZIMUTH,

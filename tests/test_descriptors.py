@@ -6,8 +6,9 @@ from scipy.spatial import cKDTree
 from pfmatch.bench import bumpy_sphere, grid_mesh, icosphere, plane_cut
 from pfmatch.descriptors import (DESCRIPTOR_DIM, MIN_NEIGHBORS, N_AZIMUTH,
                                  N_COS_BINS, N_ELEVATION, N_RADIAL, SHOT_BLOCK,
-                                 DescriptorField, default_radius,
-                                 local_reference_frame, shot_descriptors)
+                                 DescriptorField, _neighbour_table,
+                                 default_radius, local_reference_frame,
+                                 shot_descriptors)
 from pfmatch.mesh import TriangleMesh
 
 
@@ -75,6 +76,33 @@ def _shot_loop(mesh, radius):
         else:
             flags[v] = True
     return desc, flags
+
+
+def _neighbour_table_argsort(pts, radius):
+    """Reference: the neighbour table ordered by an argsort of the keys
+    centre * n + neighbour."""
+    n = len(pts)
+    pairs = cKDTree(pts).query_pairs(radius, output_type="ndarray")
+    centre = np.concatenate([pairs[:, 0], pairs[:, 1]])
+    nbr = np.concatenate([pairs[:, 1], pairs[:, 0]])
+    nbr = nbr[np.argsort(centre * n + nbr)]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(centre, minlength=n), out=indptr[1:])
+    return indptr, nbr
+
+
+def _folded_sheets():
+    """Two 8 x 8 grids folded at a right angle along their y = 0 edge, each
+    with its own vertex ids, so the 9 edge vertices of each sheet have a
+    coincident neighbour on the other."""
+    flat = grid_mesh(8)
+    x, y, _ = flat.vertices.T
+    angle = np.pi / 2
+    folded = np.column_stack([x, y * np.cos(angle), y * np.sin(angle)])
+    with pytest.warns(UserWarning, match="2 connected components"):
+        return TriangleMesh(np.vstack([flat.vertices, folded]),
+                            np.vstack([flat.triangles,
+                                       flat.triangles + flat.n_vertices]))
 
 
 def rotation_matrix(axis, angle):
@@ -185,8 +213,9 @@ def _cut_bumpy():
     (lambda: bumpy_sphere(3), 0.6),
     (_cut_bumpy, 0.3),               # boundary vertices
     (lambda: bumpy_sphere(3), 0.15),  # flagged and unflagged in one block
+    (_folded_sheets, 0.3),           # neighbours that coincide with a centre
 ], ids=["grid8-r0.3", "grid8-r0.05", "grid30-r0.1", "bumpy-r0.6",
-        "cut-r0.3", "bumpy-r0.15"])
+        "cut-r0.3", "bumpy-r0.15", "folded-r0.3"])
 def test_shot_matches_loop_exactly(make_mesh, radius):
     mesh = make_mesh()
     field = shot_descriptors(mesh, radius=radius)
@@ -209,3 +238,21 @@ def test_lrf_matches_loop_exactly(rng):
         center = rng.standard_normal(3) * 0.01
         assert np.array_equal(local_reference_frame(center, pts, 1.0),
                               _lrf_loop(center, pts, 1.0))
+
+
+def test_neighbour_table_matches_argsort():
+    sheets = _folded_sheets().vertices
+    # The last point has no neighbour within the radius.
+    lonely = np.vstack([sheets, [[5.0, 5.0, 5.0]]])
+    for pts, radius in ((lonely, 0.3), (bumpy_sphere(3).vertices, 0.15),
+                        (grid_mesh(30).vertices, 0.1)):
+        indptr, nbr = _neighbour_table(pts, radius)
+        ref_indptr, ref_nbr = _neighbour_table_argsort(pts, radius)
+        assert np.array_equal(indptr, ref_indptr)
+        assert np.array_equal(nbr, ref_nbr)
+    indptr, nbr = _neighbour_table(lonely, 0.3)
+    assert indptr[-1] == indptr[-2]
+    # The folded case reaches the filter on coincident neighbours.
+    owner = np.repeat(np.arange(len(lonely)), np.diff(indptr))
+    coincident = np.all(lonely[nbr] == lonely[owner], axis=1)
+    assert len(np.unique(owner[coincident])) == 18

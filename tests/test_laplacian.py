@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 
-from pfmatch.bench import grid_mesh, icosphere
-from pfmatch.laplacian import (DENSE_FALLBACK_N, cotan_stiffness, eigensolve,
+from pfmatch.bench import bumpy_sphere, grid_mesh, icosphere
+from pfmatch.laplacian import (DENSE_FALLBACK_N, _fix_signs, _order_ties,
+                               cotan_stiffness, dense_eigh, eigensolve,
                                laplacian_pair, mass_matrix, mesh_basis)
 from pfmatch.mesh import TriangleMesh
 
@@ -119,6 +121,32 @@ def test_sparse_dense_agreement(fine_grid, monkeypatch):
         if dense.eigenvalues[i] > 1e-8 and (
                 i + 1 == 10 or dense.eigenvalues[i + 1] - dense.eigenvalues[i] > 1e-6):
             assert np.allclose(a, b, atol=1e-6)
+
+
+def _generalized_reference(pair, k):
+    """Reference: the dense generalized solve with an n x n mass matrix that
+    the standard-form solve replaced, then eigensolve's sign and tie order."""
+    K = (-pair.stiffness).toarray()
+    S = np.diag(pair.mass.diagonal())
+    vals, vecs = scipy.linalg.eigh(K, S, subset_by_index=[0, k - 1])
+    return _order_ties(vals, _fix_signs(vecs))
+
+
+def test_dense_path_matches_generalized_solve():
+    mesh = bumpy_sphere(3)
+    assert mesh.n_vertices <= DENSE_FALLBACK_N
+    pair = laplacian_pair(mesh)
+    basis = eigensolve(pair, 50)
+    vals, vecs = _generalized_reference(pair, 50)
+    assert basis.eigenvalues[0] < 1e-12 and abs(vals[0]) < 1e-12
+    assert np.allclose(basis.eigenvalues[1:], vals[1:], rtol=1e-10, atol=0)
+    assert np.allclose(basis.eigenvectors, vecs, rtol=0, atol=1e-8)
+    # All eigenvalues, as the perturbation report uses them.
+    K, s = -pair.stiffness, pair.mass.diagonal()
+    every = dense_eigh(K, s, eigvals_only=True)
+    ref = scipy.linalg.eigh(K.toarray(), np.diag(s), eigvals_only=True)
+    assert every.shape == (mesh.n_vertices,)
+    assert np.allclose(every, ref, rtol=1e-10, atol=1e-12)
 
 
 def test_eigensolve_determinism(sphere):

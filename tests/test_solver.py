@@ -268,6 +268,27 @@ def test_nearest_columns_near_ties_match_float64_argmin(rng):
     assert np.array_equal(got, np.argmin(dists, axis=1))
 
 
+def test_nearest_columns_far_queries_near_ties(rng):
+    # Queries 1000 times farther out than the points: the float32 scores
+    # then carry rounding errors of order eps32 |q| |p|, far above
+    # eps32 max |p|^2, so only the |q|^2 part of the margin sends these
+    # near ties to the float64 re-ranking.  Each query q = 1000 u sees the
+    # unit point u and, 1e-6 farther, u moved by 1e-3 orthogonally to u.
+    k = 4
+    u = rng.standard_normal((200, k))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    step = rng.standard_normal((200, k))
+    step -= np.sum(step * u, axis=1, keepdims=True) * u
+    step *= 1e-3 / np.linalg.norm(step, axis=1, keepdims=True)
+    points = np.vstack([u + step, u])
+    queries = 1000.0 * u
+    assert _score_dtype(queries, points) is np.float32
+    dists = np.sum((queries[:, None, :] - points[None, :, :]) ** 2, axis=2)
+    assert np.array_equal(np.argmin(dists, axis=1), np.arange(200) + 200)
+    assert np.array_equal(nearest_columns(queries, points),
+                          np.arange(200) + 200)
+
+
 def _nearest_columns_f64(queries, points):
     """Reference: the float64 blocked search that the float32 screen
     replaced (scores |p|^2 - 2 q.p in float64, margin (4k + 8) eps m)."""
