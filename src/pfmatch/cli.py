@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 numerical failure, 2 usage or I/O error.
 Configuration files are flat ``key=value`` text; command-line flags override
-file values.  PFM_THREADS caps the parallelism of batch matching.
+file values.  ``--jobs N`` runs N jobs of a ``--pairs`` batch at a time.
 """
 
 import argparse
@@ -153,7 +153,6 @@ def _read_pairs(path):
 
 def run_match_batch(args):
     jobs = _read_pairs(args.pairs)
-    workers = int(os.environ.get("PFM_THREADS", args.jobs))
 
     def one(job):
         part, full, out = job
@@ -161,7 +160,7 @@ def run_match_batch(args):
         sub.part, sub.full, sub.out = part, full, out
         return run_match(sub)
 
-    with concurrent.futures.ThreadPoolExecutor(max_workers=max(workers, 1)) as ex:
+    with concurrent.futures.ThreadPoolExecutor(max_workers=max(args.jobs, 1)) as ex:
         codes = list(ex.map(one, jobs))
     return max(codes) if codes else 0
 

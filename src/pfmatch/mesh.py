@@ -126,9 +126,6 @@ class TriangleMesh:
         edges, counts, _ = self._edge_data()
         return edges[counts == 1]
 
-    def boundary_vertices(self):
-        return np.unique(self.boundary_edges)
-
     def is_closed(self):
         return len(self.boundary_edges) == 0
 

@@ -1,9 +1,11 @@
 """Nonlinear conjugate gradients, the alternating C/v scheme, and the
 ICP-like spectral refinement.
 
-Everything here is deterministic: no unseeded randomness, exact
-nearest-neighbor search with ties going to the smallest index, and a descent
-safeguard that never accepts an energy increase across outer iterations.
+Everything here is deterministic: no unseeded randomness, and exact
+nearest-neighbor search with ties going to the smallest index.  The outer
+energy trace is monotone by construction: the C-step objective is the total
+energy less its v-only terms and the v-step objective is the total energy
+less its C-only terms, so each step descends from where it starts.
 Each ICP round of the refinement forms its quadratic data term once in
 n-space; every objective evaluation after that is k x k work.
 """
@@ -23,6 +25,9 @@ UNASSIGNED = -1
 # SIGMA trades the accuracy of the search, which PR+ needs to stay conjugate,
 # against evaluations per step; CHANGES.md gives the measurements behind 0.3.
 _SIGMA = 0.3      # strong Wolfe curvature: |phi'(a)| <= SIGMA |phi'(0)|
+_ARMIJO_C = 1e-4  # sufficient decrease (Armijo constant c1)
+_BACKTRACK = 0.5  # bracket contraction; 1 / BACKTRACK grows a trial step
+_MAX_BACKTRACKS = 50  # objective evaluations of one search
 _EPS_F = 1e-12    # relative change of f below which f is not trusted
 _MAX_GROW = 10.0  # largest growth of the trial step while extrapolating
 
@@ -39,27 +44,16 @@ class SolverOptions:
     max_outer: int = 5
     cg_max_iter: int = 300
     cg_grad_tol: float = 1e-6
-    # Line search of nonlinear_cg: armijo_c is the sufficient-decrease
-    # constant c1; backtrack is the ratio by which a bracket contracts, and
-    # 1 / backtrack the one by which a trial step grows without a secant
-    # step; max_backtracks caps the objective evaluations of one search.
-    armijo_c: float = 1e-4
-    backtrack: float = 0.5
-    max_backtracks: int = 50
     refine_max_iter: int = 20
     refine_rel_tol: float = 1e-5
     outer_rel_tol: float = 1e-4
 
     def __post_init__(self):
-        if min(self.max_outer, self.cg_max_iter, self.refine_max_iter,
-               self.max_backtracks) < 1:
+        if min(self.max_outer, self.cg_max_iter, self.refine_max_iter) < 1:
             raise ValueError("iteration caps must be positive")
-        if min(self.cg_grad_tol, self.armijo_c, self.backtrack,
-               self.refine_rel_tol, self.outer_rel_tol) <= 0:
+        if min(self.cg_grad_tol, self.refine_rel_tol,
+               self.outer_rel_tol) <= 0:
             raise ValueError("tolerances must be positive")
-        if self.backtrack >= 1.0 or self.armijo_c >= _SIGMA:
-            raise ValueError("need backtrack < 1 and armijo_c < "
-                             f"{_SIGMA} (the curvature constant)")
 
 
 @dataclass
@@ -79,10 +73,8 @@ class MatchResult:
     pi: np.ndarray  # full-shape vertex -> partial-shape vertex (or -1)
     energy_trace: list
     rank_estimate: int
+    # One list of residuals per refine call; alternate makes exactly one.
     refine_residuals: list = field(default_factory=list)
-    # One safeguard decision per outer iteration: True where the refined C
-    # replaced the C-step's.
-    refine_accepted: list = field(default_factory=list)
 
 
 def nonlinear_cg(fun_grad, x0, opts=SolverOptions()):
@@ -95,7 +87,7 @@ def nonlinear_cg(fun_grad, x0, opts=SolverOptions()):
 
     Stops with ``converged`` once |g| <= cg_grad_tol |g0|.  Stops with
     ``line_search_failed`` when x cannot be moved: no acceptable step within
-    ``max_backtracks`` evaluations, or an accepted step that leaves x
+    MAX_BACKTRACKS evaluations, or an accepted step that leaves x
     unchanged in floating point.  Otherwise it runs to ``cg_max_iter``.
     """
     x = np.asarray(x0, dtype=np.float64).copy()
@@ -118,7 +110,7 @@ def nonlinear_cg(fun_grad, x0, opts=SolverOptions()):
             # First trial: the first-order decrease of the last step
             # (Nocedal & Wright, sec. 3.5).
             step = min(max(step * gd_prev / gd, 1e-12), 1e12)
-        found = _line_search(fun_grad, x, f, gd, d, step, opts)
+        found = _line_search(fun_grad, x, f, gd, d, step)
         if found is None:
             failed = True
             break
@@ -138,13 +130,13 @@ def nonlinear_cg(fun_grad, x0, opts=SolverOptions()):
                     line_search_failed=failed)
 
 
-def _line_search(fun_grad, x, f0, dphi0, d, alpha, opts):
+def _line_search(fun_grad, x, f0, dphi0, d, alpha):
     """Step along the descent direction ``d`` from x, for nonlinear_cg.
 
     With phi(a) = f(x + a d) and dphi0 = phi'(0) < 0, a step a is accepted
     when the strong Wolfe curvature condition |phi'(a)| <= SIGMA |phi'(0)|
     holds together with sufficient decrease, which is either
-    - Armijo: phi(a) <= phi(0) + armijo_c a phi'(0), or
+    - Armijo: phi(a) <= phi(0) + ARMIJO_C a phi'(0), or
     - once the decrease a |phi'(0)| is below what f resolves
       (EPS_F |phi(0)|), the approximate Wolfe test of Hager & Zhang (2005):
       phi(a) <= phi(0) + EPS_F |phi(0)|.  Near the floor the search then
@@ -153,12 +145,12 @@ def _line_search(fun_grad, x, f0, dphi0, d, alpha, opts):
     Trial steps are secant steps on phi'.  Until a trial fails sufficient
     decrease or has phi' >= 0, which closes a bracket [lo, hi], the secant
     extrapolates through the last two trials, by at most MAX_GROW times the
-    step (1 / backtrack times when phi' does not increase).  Inside the
+    step (1 / BACKTRACK times when phi' does not increase).  Inside the
     bracket the secant interpolates between lo and hi; when phi'(hi) < 0
     gives it no sign change, or the last trial did not shrink the bracket
-    by the factor ``backtrack``, the bracket contracts to
-    lo + backtrack (hi - lo) instead.  Returns (a, x + a d, phi(a), gradient),
-    or None when no step is accepted within ``max_backtracks`` evaluations
+    by the factor BACKTRACK, the bracket contracts to
+    lo + BACKTRACK (hi - lo) instead.  Returns (a, x + a d, phi(a), gradient),
+    or None when no step is accepted within MAX_BACKTRACKS evaluations
     or the bracket collapses in floating point.
     """
     resolved = _EPS_F * abs(f0)
@@ -166,7 +158,7 @@ def _line_search(fun_grad, x, f0, dphi0, d, alpha, opts):
     lo, dlo = 0.0, dphi0
     hi = dhi = None
     last_width = np.inf
-    for _ in range(opts.max_backtracks):
+    for _ in range(_MAX_BACKTRACKS):
         x_new = x + alpha * d
         f, g = fun_grad(x_new)
         dphi = g @ d
@@ -175,7 +167,7 @@ def _line_search(fun_grad, x, f0, dphi0, d, alpha, opts):
         elif alpha * -dphi0 <= resolved:
             decrease = f <= f_cap
         else:
-            decrease = f <= f0 + opts.armijo_c * alpha * dphi0
+            decrease = f <= f0 + _ARMIJO_C * alpha * dphi0
         if decrease and abs(dphi) <= -_SIGMA * dphi0:
             return alpha, x_new, f, g
         if decrease and dphi < 0:
@@ -184,14 +176,14 @@ def _line_search(fun_grad, x, f0, dphi0, d, alpha, opts):
                     nxt = min(alpha - dphi * (alpha - lo) / (dphi - dlo),
                               alpha * _MAX_GROW)
                 else:
-                    nxt = alpha / opts.backtrack
+                    nxt = alpha / _BACKTRACK
             lo, dlo = alpha, dphi
         else:
             hi, dhi = alpha, dphi
         if hi is not None:
             width = hi - lo
-            nxt = lo + opts.backtrack * width
-            if dhi >= 0 and width <= opts.backtrack * last_width:
+            nxt = lo + _BACKTRACK * width
+            if dhi >= 0 and width <= _BACKTRACK * last_width:
                 secant = lo - dlo * width / (dhi - dlo)
                 if lo < secant < hi:
                     nxt = secant
@@ -470,36 +462,20 @@ def invert_assignment(pi, n_part):
 
 
 def alternate(prob, params, phi_part, opts=SolverOptions()):
-    """Full alternating optimization.
+    """Full alternating optimization: C-step, then v-step, until the total
+    energy stops falling by ``outer_rel_tol`` or ``max_outer`` is reached.
 
-    ``phi_part`` holds the n_part x k partial-shape eigenvectors used by the
-    refinement pass after each C-step.  The refined C seeds the next v-step
-    only when it does not increase the total energy (descent safeguard
-    keeping the outer trace monotone); ``refine_accepted`` records each
-    decision.  The point-wise map always comes from a refinement of the
-    final C.  refine does not read v, so when the last safeguard rejected,
-    C is still the C that refinement started from and its result is used
-    again instead of being recomputed; only after an acceptance does a
-    final refine run from the refined C.
+    The ICP refinement then runs once, from the final C, and gives the
+    returned C and the point-wise map; ``phi_part`` holds the n_part x k
+    partial-shape eigenvectors it aligns.  Refine's objective has no
+    descriptor data term, so its C is not fed back into the alternation.
     """
     C = np.zeros_like(prob.W)
     v = initial_mask(prob)
     trace = []
-    refine_residuals = []
-    refine_accepted = []
     prev_total = np.inf
     for _ in range(opts.max_outer):
         C, _ = c_step(prob, params, C, v, opts)
-        C_ref, pi, resids = refine(C, phi_part, prob.Psi, prob.d,
-                                   params.mu4_5, opts)
-        refine_residuals.append(resids)
-        e_ref = total_energy(C_ref, v, prob, params, with_grads=False)
-        e_raw = total_energy(C, v, prob, params, with_grads=False)
-        accepted = bool(e_ref.total <= e_raw.total)
-        refine_accepted.append(accepted)
-        if accepted:
-            C = C_ref
-        kept = None if accepted else (C_ref, pi, resids)
         v, _ = v_step(prob, params, C, v, opts)
         breakdown = total_energy(C, v, prob, params, with_grads=False)
         trace.append(breakdown)
@@ -508,12 +484,8 @@ def alternate(prob, params, phi_part, opts=SolverOptions()):
             break
         prev_total = breakdown.total
 
-    if kept is None:
-        kept = refine(C, phi_part, prob.Psi, prob.d, params.mu4_5, opts)
-    C_out, pi, resids = kept
-    refine_residuals.append(list(resids))
+    C, pi, resids = refine(C, phi_part, prob.Psi, prob.d, params.mu4_5, opts)
     pi = pointwise_map(pi, eta(v))
     r = int(np.sum(prob.d))
-    return MatchResult(C=C_out, v=v, pi=pi, energy_trace=trace,
-                       rank_estimate=r, refine_residuals=refine_residuals,
-                       refine_accepted=refine_accepted)
+    return MatchResult(C=C, v=v, pi=pi, energy_trace=trace,
+                       rank_estimate=r, refine_residuals=[resids])

@@ -111,13 +111,13 @@ def test_match_deterministic(mesh_files, tmp_path):
         assert a == b, fname
 
 
-def test_match_batch(mesh_files, tmp_path, monkeypatch):
+def test_match_batch(mesh_files, tmp_path):
     manifest = tmp_path / "pairs.txt"
     manifest.write_text(
         f"{mesh_files['part']} {mesh_files['full']} {tmp_path / 'j1'}\n"
         f"{mesh_files['part']} {mesh_files['full']} {tmp_path / 'j2'}\n")
-    monkeypatch.setenv("PFM_THREADS", "2")
-    code = main(["match", "--pairs", str(manifest)] + MATCH_FLAGS)
+    code = main(["match", "--pairs", str(manifest), "--jobs", "2"]
+                + MATCH_FLAGS)
     assert code == 0
     assert os.path.exists(tmp_path / "j1" / "C.bin")
     assert os.path.exists(tmp_path / "j2" / "C.bin")
