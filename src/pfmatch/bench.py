@@ -237,10 +237,32 @@ def save_ground_truth(gt, path):
             w.writerow([i, int(y)])
 
 
-def load_ground_truth(path):
+def read_index_pairs(path):
+    """(line, a, b) for every row after the header of a CSV of two integer
+    columns; a ValueError names the path and line of a malformed row."""
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))[1:]
-    corr = np.empty(len(rows), dtype=np.int64)
-    for part, full in rows:
-        corr[int(part)] = int(full)
+    out = []
+    for line, row in enumerate(rows, 2):
+        try:
+            a, b = map(int, row)
+        except ValueError:
+            raise ValueError(f"{path}:{line}: expected two integers") from None
+        out.append((line, a, b))
+    return out
+
+
+def load_ground_truth(path, n_full=None):
+    """Read what save_ground_truth wrote.  A ValueError names the path and
+    line of the first row that does not give each of the n part vertices
+    once a full vertex in 0..n_full-1 (any nonnegative one by default)."""
+    rows = read_index_pairs(path)
+    corr = np.full(len(rows), -1, dtype=np.int64)
+    top = np.inf if n_full is None else n_full
+    for line, part, full in rows:
+        if not (0 <= part < len(rows) and corr[part] < 0 and 0 <= full < top):
+            raise ValueError(f"{path}:{line}: part vertex {part} repeats or "
+                             f"is outside 0..{len(rows) - 1}, or full vertex "
+                             f"{full} is outside 0..{top - 1}")
+        corr[part] = full
     return GroundTruth(corr)

@@ -12,6 +12,7 @@ import os
 import sys
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import bench, descriptors, laplacian, matio, solver, spectral
 from .energy import EnergyParams, eta
@@ -36,20 +37,6 @@ def _read_config(path):
             key, val = line.split("=", 1)
             values[key.strip().replace("-", "_")] = val.strip()
     return values
-
-
-def _apply_config(args, parser):
-    if getattr(args, "config", None):
-        file_vals = _read_config(args.config)
-        for key, val in file_vals.items():
-            if not hasattr(args, key):
-                raise UsageError(f"unknown config key {key!r}")
-            # CLI value wins when it differs from the parser default.
-            if getattr(args, key) == parser.get_default(key):
-                default = parser.get_default(key)
-                typ = type(default) if default is not None else str
-                setattr(args, key, typ(val))
-    return args
 
 
 def _energy_params(args):
@@ -167,13 +154,17 @@ def run_match_batch(args):
 
 def run_eval(args):
     mesh_full = load_mesh(args.full)
-    gt = bench.load_ground_truth(args.gt)
-    with open(args.pi, newline="") as fh:
-        rows = list(csv.reader(fh))[1:]
-    pi = np.full(mesh_full.n_vertices, solver.UNASSIGNED, dtype=np.int64)
-    for full_v, part_v in rows:
-        pi[int(full_v)] = int(part_v)
-    assignment = solver.invert_assignment(pi, len(gt.correspondence))
+    n_full = mesh_full.n_vertices
+    gt = bench.load_ground_truth(args.gt, n_full)
+    n_part = len(gt.correspondence)
+    pi = np.full(n_full, solver.UNASSIGNED, dtype=np.int64)
+    for line, full_v, part_v in bench.read_index_pairs(args.pi):
+        if not (0 <= full_v < n_full and solver.UNASSIGNED <= part_v < n_part):
+            raise UsageError(f"{args.pi}:{line}: full vertex {full_v} is "
+                             f"outside 0..{n_full - 1} or part vertex "
+                             f"{part_v} outside -1..{n_part - 1}")
+        pi[full_v] = part_v
+    assignment = solver.invert_assignment(pi, n_part)
     errors = bench.princeton_error(assignment, gt, mesh_full)
     thresholds = np.linspace(0.0, args.max_threshold, args.n_thresholds)
     curve = bench.cumulative_curve(errors, thresholds)
@@ -210,6 +201,20 @@ def run_gen(args):
     return 0
 
 
+def _spectrum_past(K, mass, value, m):
+    """Ascending eigenvalues of K phi = lambda S phi: the first m, with m
+    doubled until one lies above ``value`` or m is n - 1, the most that
+    eigensolve gives.  The nearest to ``value`` is then among them."""
+    pair = laplacian.LaplacianPair(-K, mass)
+    while True:
+        m = min(m, pair.n - 1)
+        # eigensolve orders near-ties by eigenvector; sort them by value
+        lam = np.sort(laplacian.eigensolve(pair, m).eigenvalues)
+        if lam[-1] > value or m == pair.n - 1:
+            return lam
+        m *= 2
+
+
 def run_perturb(args):
     mesh = load_mesh(args.mesh)
     os.makedirs(args.out, exist_ok=True)
@@ -218,20 +223,25 @@ def run_perturb(args):
     nrm = normal / np.linalg.norm(normal)
     part_ids = np.flatnonzero((mesh.vertices - point) @ nrm >= 0)
     setup = spectral.perturbation_setup(mesh, part_ids)
-
-    import scipy.sparse as sp
-
     pair = laplacian.LaplacianPair(-setup.K_part, sp.diags(setup.mass_part))
     kk = min(args.k, setup.n_part - 1)
     basis = laplacian.eigensolve(pair, kk)
 
-    # Finite-difference check of the eigenvalue derivative formula.
+    # Finite-difference check of the eigenvalue derivative formula.  Part
+    # eigenvalue i sits at position pos of the spectrum of K(0), the union
+    # of the part's and the complement's.  2 i + 4 eigenvalues reach past it
+    # while the complement's spectrum is no denser than the part's.
+    checked = range(1, min(args.n_check + 1, kk))
+    if not checked:
+        raise UsageError("perturb checks no eigenvalue: it needs --n-check "
+                         "of at least 1 and --k of at least 2")
     t = args.fd_step
-    s = np.concatenate([setup.mass_part, setup.mass_comp])
-    lam0 = laplacian.dense_eigh(setup.stiffness(0.0), s, eigvals_only=True)
-    lam1 = laplacian.dense_eigh(setup.stiffness(t), s, eigvals_only=True)
+    mass = sp.diags(np.concatenate([setup.mass_part, setup.mass_comp]))
+    lam0 = _spectrum_past(setup.stiffness(0.0), mass,
+                          basis.eigenvalues[checked[-1]], 2 * checked[-1] + 4)
+    lam1 = _spectrum_past(setup.stiffness(t), mass, -np.inf, len(lam0))
     report = []
-    for i in range(1, min(args.n_check + 1, kk)):
+    for i in checked:
         pred = spectral.eigenvalue_derivative(basis, setup.P_part, i)
         pos = int(np.argmin(np.abs(lam0 - basis.eigenvalues[i])))
         fd = (lam1[pos] - lam0[pos]) / t
@@ -326,20 +336,22 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        args = _apply_config(args, parser.subcommands[args.command])
+        if getattr(args, "config", None):
+            # File values become defaults, typed by argparse; flags win.
+            values = _read_config(args.config)
+            for key in values:
+                if key in ("command", "config") or not hasattr(args, key):
+                    raise UsageError(f"unknown config key {key!r}")
+            parser.subcommands[args.command].set_defaults(**values)
+            args = parser.parse_args(argv)
         if args.command == "match":
             if args.pairs:
                 return run_match_batch(args)
             if not args.part or not args.full:
                 raise UsageError("match requires --part and --full (or --pairs)")
             return run_match(args)
-        if args.command == "eval":
-            return run_eval(args)
-        if args.command == "gen":
-            return run_gen(args)
-        if args.command == "perturb":
-            return run_perturb(args)
-        raise UsageError(f"unknown command {args.command}")
+        run = {"eval": run_eval, "gen": run_gen, "perturb": run_perturb}
+        return run[args.command](args)
     except (UsageError, MeshError, FileNotFoundError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

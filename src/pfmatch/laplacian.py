@@ -137,34 +137,13 @@ def _order_ties(vals, vecs, rel_tol=1e-9):
     return vals[order], vecs[:, order]
 
 
-def dense_eigh(K, s, k=None, eigvals_only=False):
-    """Smallest eigenpairs of K phi = lambda diag(s) phi, densely.
-
-    K is a sparse symmetric matrix and s the positive diagonal of the mass
-    matrix.  Because the mass matrix is diagonal, the pencil reduces to the
-    standard problem (S^-1/2 K S^-1/2) y = lambda y with phi = S^-1/2 y, so
-    the eigenvectors come out S-orthonormal.  Returns the first ``k``
-    eigenpairs in ascending order (all of them when ``k`` is None), or only
-    their eigenvalues.
-    """
-    r = 1.0 / np.sqrt(s)
-    A = K.toarray()
-    A *= r[:, None]
-    A *= r
-    subset = None if k is None else [0, k - 1]
-    out = scipy.linalg.eigh(A, subset_by_index=subset, driver="evr",
-                            eigvals_only=eigvals_only, overwrite_a=True)
-    if eigvals_only:
-        return out
-    vals, y = out
-    return vals, y * r[:, None]
-
-
 def eigensolve(pair, k):
     """First k eigenpairs of the generalized problem -W phi = lambda S phi.
 
-    Shift-invert Lanczos for large meshes, a dense solve of the equivalent
-    standard problem (:func:`dense_eigh`) for n <= 1500.
+    Shift-invert Lanczos for large meshes.  For n <= 1500 a dense solve:
+    the mass matrix is diagonal, so the pencil reduces to the standard
+    problem (S^-1/2 K S^-1/2) y = lambda y with phi = S^-1/2 y, whose
+    eigenvectors come out S-orthonormal.
     """
     n = pair.n
     if k >= n:
@@ -177,7 +156,13 @@ def eigensolve(pair, k):
         raise ValueError("mass diagonal must be strictly positive")
 
     if n <= DENSE_FALLBACK_N:
-        vals, vecs = dense_eigh(K, s, k)
+        r = 1.0 / np.sqrt(s)
+        A = K.toarray()
+        A *= r[:, None]
+        A *= r
+        vals, y = scipy.linalg.eigh(A, subset_by_index=[0, k - 1],
+                                    driver="evr", overwrite_a=True)
+        vecs = y * r[:, None]
     else:
         v0 = np.full(n, 1.0 / np.sqrt(n))  # deterministic start vector
         try:

@@ -1,13 +1,11 @@
 """Nonlinear conjugate gradients, the alternating C/v scheme, and the
-ICP-like spectral refinement.
+ICP spectral refinement.
 
 Everything here is deterministic: no unseeded randomness, and exact
 nearest-neighbor search with ties going to the smallest index.  The outer
 energy trace is monotone by construction: the C-step objective is the total
 energy less its v-only terms and the v-step objective is the total energy
 less its C-only terms, so each step descends from where it starts.
-Each ICP round of the refinement forms its quadratic data term once in
-n-space; every objective evaluation after that is k x k work.
 """
 
 from dataclasses import dataclass, field
@@ -45,14 +43,12 @@ class SolverOptions:
     cg_max_iter: int = 300
     cg_grad_tol: float = 1e-6
     refine_max_iter: int = 20
-    refine_rel_tol: float = 1e-5
     outer_rel_tol: float = 1e-4
 
     def __post_init__(self):
         if min(self.max_outer, self.cg_max_iter, self.refine_max_iter) < 1:
             raise ValueError("iteration caps must be positive")
-        if min(self.cg_grad_tol, self.refine_rel_tol,
-               self.outer_rel_tol) <= 0:
+        if min(self.cg_grad_tol, self.outer_rel_tol) <= 0:
             raise ValueError("tolerances must be positive")
 
 
@@ -361,55 +357,36 @@ def _score_dtype(*arrays):
     return np.float32
 
 
-def _icp_objective(Phi_a, Psi, C0, d, mu4_5):
-    """``fun_grad`` of one ICP re-fit: |Phi_a C^T - Psi|^2 + mu4_5 orth(C).
+def _procrustes(M):
+    """[U V^T, 0], k x k, for the thin SVD U S V^T of the k x r matrix M: the
+    C with C^T C = diag(r ones, k - r zeros) nearest to [M, 0]."""
+    U, _, Vt = np.linalg.svd(M, full_matrices=False)
+    C = np.zeros((len(M), len(M)))
+    C[:, :M.shape[1]] = U @ Vt
+    return C
 
-    The data part is quadratic in C.  With R0 = Phi_a C0^T - Psi,
-    G0 = R0^T Phi_a, M = Phi_a^T Phi_a and D = C - C0 it equals
-    |R0|^2 + <D, 2 G0 + D M>, with gradient 2 (G0 + D M), so an evaluation
-    is k x k work.  Expanding around C0 keeps |R0|^2 exact; the form
-    tr(C M C^T) - 2 <C, Psi^T Phi_a> + |Psi|^2 cancels to rounding noise
-    near a good fit.
+
+def refine(C, Phi, Psi, d, opts=SolverOptions()):
+    """ICP alignment of the spectral embeddings (Ovsjanikov et al. 2012).
+
+    Each round maps every full-shape point (row of Psi) to its nearest
+    partial-shape image point (row of Phi C^T), pi, then sets C to the
+    exact minimiser of |Phi[pi] C^T - Psi|^2 over C^T C = diag(d), with r
+    ones in d: _procrustes(Psi^T Phi[pi][:, :r]).  C starts on that set, at
+    _procrustes(C[:, :r]), so the residuals never increase.  Stops once pi
+    repeats, a fixed point, or after ``refine_max_iter`` rounds.  Returns
+    (C, pi, residuals), pi mapping full-shape to partial-shape vertices.
     """
-    k = C0.shape[0]
-    R0 = Phi_a @ C0.T - Psi
-    r0 = float(np.sum(R0 ** 2))
-    G0 = R0.T @ Phi_a
-    M = Phi_a.T @ Phi_a
-
-    def fg(x):
-        C = x.reshape(k, k)
-        D = C - C0
-        DM = D @ M
-        o_val, o_grad = orthogonality_term(C, d)
-        return (r0 + float(np.sum(D * (2.0 * G0 + DM))) + mu4_5 * o_val,
-                (2.0 * (G0 + DM) + mu4_5 * o_grad).reshape(-1))
-
-    return fg
-
-
-def refine(C, Phi, Psi, d, mu4_5, opts=SolverOptions()):
-    """ICP-like alignment of the spectral embeddings.
-
-    Alternates (a) assignment of every full-shape embedded point (row of Psi)
-    to its nearest partial-shape image point (row of Phi C^T) and (b) re-fit
-    of C under the semi-orthogonality penalty.  Returns (C, pi, residuals)
-    with pi mapping full-shape vertices to partial-shape vertices.
-    """
-    k = C.shape[0]
-    residuals = []
-    pi = None
+    r = int(np.count_nonzero(d))
+    C = _procrustes(C[:, :r])
+    residuals, pi = [], None
     queries = _Queries(Psi)
     for _ in range(opts.refine_max_iter):
-        pi = nearest_columns(queries, Phi @ C.T)
-        fg = _icp_objective(Phi[pi], Psi, C, d, mu4_5)
-        resid = fg(C.reshape(-1))[0]
-        residuals.append(resid)
-        if len(residuals) > 1 and (residuals[-2] - resid) <= \
-                opts.refine_rel_tol * max(abs(residuals[-2]), 1e-300):
+        pi_prev, pi = pi, nearest_columns(queries, Phi @ C.T)
+        residuals.append(float(np.sum((Phi[pi] @ C.T - Psi) ** 2)))
+        if np.array_equal(pi, pi_prev):
             break
-        res = nonlinear_cg(fg, C.reshape(-1), opts)
-        C = res.x.reshape(k, k)
+        C = _procrustes(Psi.T @ Phi[pi, :r])
     return C, pi, residuals
 
 
@@ -484,7 +461,7 @@ def alternate(prob, params, phi_part, opts=SolverOptions()):
             break
         prev_total = breakdown.total
 
-    C, pi, resids = refine(C, phi_part, prob.Psi, prob.d, params.mu4_5, opts)
+    C, pi, resids = refine(C, phi_part, prob.Psi, prob.d, opts)
     pi = pointwise_map(pi, eta(v))
     r = int(np.sum(prob.d))
     return MatchResult(C=C, v=v, pi=pi, energy_trace=trace,

@@ -3,11 +3,14 @@ import os
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from pfmatch import cli
 from pfmatch.bench import grid_mesh, icosphere, load_ground_truth
 from pfmatch.cli import UsageError, _read_config, main
 from pfmatch.matio import load_matrix, save_matrix
 from pfmatch.mesh import load_mesh, save_ply
+from pfmatch.spectral import perturbation_setup
 
 
 @pytest.fixture(scope="module")
@@ -172,6 +175,69 @@ def test_eval_perfect(mesh_files, tmp_path):
     assert float(rows[1][1]) == 1.0  # all errors are zero
 
 
+def _write_rows(path, header, rows):
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows([header] + rows)
+
+
+@pytest.mark.parametrize("name, row", [
+    ("gt", "0,{full}"),            # part vertex 0 repeats
+    ("gt", "-1,{full}"),           # negative part vertex
+    ("gt", "{n_part},{full}"),     # part vertex past the last
+    ("gt", "1,-1"),                # negative full vertex
+    ("gt", "1,{n_full}"),          # full vertex past the full mesh
+    ("pi", "-1,0"),                # negative full vertex
+    ("pi", "{n_full},0"),          # full vertex past the full mesh
+    ("pi", "0,{n_part}"),          # part vertex past the part
+    ("pi", "0,-2"),                # part vertex below -1 (unassigned)
+])
+def test_eval_rejects_bad_index(mesh_files, tmp_path, capsys, name, row):
+    # The second data row (line 3) of one file is replaced by ``row``.
+    full = load_mesh(mesh_files["sphere"])
+    gt_rows = [[p, f] for p, f in
+               enumerate(range(0, 2 * (full.n_vertices // 3), 2))]
+    pi_rows = [[f, -1] for f in range(full.n_vertices)]
+    for p, f in gt_rows:
+        pi_rows[f][1] = p
+    rows = {"gt": gt_rows, "pi": pi_rows}
+    rows[name][1] = row.format(full=gt_rows[1][1], n_part=len(gt_rows),
+                               n_full=full.n_vertices).split(",")
+    paths = {"gt": tmp_path / "gt.csv", "pi": tmp_path / "pi.csv"}
+    _write_rows(paths["gt"], ["part_vertex", "full_vertex"], rows["gt"])
+    _write_rows(paths["pi"], ["full_vertex", "part_vertex"], rows["pi"])
+    code = main(["eval", "--pi", str(paths["pi"]), "--gt", str(paths["gt"]),
+                 "--full", mesh_files["sphere"],
+                 "--out", str(tmp_path / "curve.csv")])
+    assert code == 2
+    assert f"{paths[name]}:3:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("plane_point", ["0,0,-0.6", "0,0,0.6"])
+def test_perturb_matches_dense_spectra(mesh_files, tmp_path, plane_point):
+    # Cuts keeping about 80% and 20% of the sphere's area; the finite
+    # differences equal those of every eigenvalue of K(0) and K(t).
+    out = str(tmp_path / "perturb")
+    assert main(["perturb", "--mesh", mesh_files["sphere"], "--plane-point",
+                 plane_point, "--k", "12", "--n-check", "8",
+                 "--out", out]) == 0
+    fd = [float(r[2]) for r in read_rows(os.path.join(out,
+                                                      "eigenvalue_fd.csv"))[1:]]
+    mesh = load_mesh(mesh_files["sphere"])
+    point = np.array([float(x) for x in plane_point.split(",")])
+    setup = perturbation_setup(
+        mesh, np.flatnonzero((mesh.vertices - point)[:, 2] >= 0))
+    s = np.diag(np.concatenate([setup.mass_part, setup.mass_comp]))
+    lam_part = scipy.linalg.eigh(setup.K_part.toarray(),
+                                 np.diag(setup.mass_part), eigvals_only=True)
+    lam0, lam1 = (scipy.linalg.eigh(setup.stiffness(t).toarray(), s,
+                                    eigvals_only=True) for t in (0.0, 1e-4))
+    pos = [int(np.argmin(np.abs(lam0 - lam_part[i])))
+           for i in range(1, len(fd) + 1)]
+    assert len(fd) == 8
+    np.testing.assert_allclose(fd, (lam1[pos] - lam0[pos]) / 1e-4,
+                               rtol=1e-6)
+
+
 def test_perturb_report(mesh_files, tmp_path):
     out = str(tmp_path / "perturb")
     code = main(["perturb", "--mesh", mesh_files["sphere"],
@@ -210,6 +276,30 @@ def test_config_cli_override(mesh_files, tmp_path):
     assert code == 0
     rows = read_rows(os.path.join(out, "energy.csv"))
     assert len(rows) == 2
+
+
+def test_config_does_not_override_flag_at_default(mesh_files, tmp_path,
+                                                  monkeypatch):
+    # A flag given on the command line wins even when it equals its default.
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("k = 50\nmax-outer = 2\n")
+    seen = []
+    monkeypatch.setattr(cli, "run_match", lambda args: seen.append(args) or 0)
+    assert main(["match", "--part", mesh_files["part"],
+                 "--full", mesh_files["full"], "--k", "100",
+                 "--config", str(cfg)]) == 0
+    assert (seen[0].k, seen[0].max_outer) == (100, 2)
+
+
+@pytest.mark.parametrize("key", ["command", "config"])
+def test_config_rejects_parser_keys(mesh_files, tmp_path, key):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"{key} = eval\n")
+    out = tmp_path / "out"
+    assert main(["match", "--part", mesh_files["part"],
+                 "--full", mesh_files["full"], "--out", str(out),
+                 "--config", str(cfg)] + MATCH_FLAGS) == 2
+    assert not out.exists()
 
 
 def test_read_config_malformed(tmp_path):

@@ -5,7 +5,7 @@ import scipy.sparse as sp
 
 from pfmatch.bench import bumpy_sphere, grid_mesh, icosphere
 from pfmatch.laplacian import (DENSE_FALLBACK_N, _fix_signs, _order_ties,
-                               cotan_stiffness, dense_eigh, eigensolve,
+                               cotan_stiffness, eigensolve,
                                laplacian_pair, mass_matrix, mesh_basis)
 from pfmatch.mesh import TriangleMesh
 
@@ -141,12 +141,6 @@ def test_dense_path_matches_generalized_solve():
     assert basis.eigenvalues[0] < 1e-12 and abs(vals[0]) < 1e-12
     assert np.allclose(basis.eigenvalues[1:], vals[1:], rtol=1e-10, atol=0)
     assert np.allclose(basis.eigenvectors, vecs, rtol=0, atol=1e-8)
-    # All eigenvalues, as the perturbation report uses them.
-    K, s = -pair.stiffness, pair.mass.diagonal()
-    every = dense_eigh(K, s, eigvals_only=True)
-    ref = scipy.linalg.eigh(K.toarray(), np.diag(s), eigvals_only=True)
-    assert every.shape == (mesh.n_vertices,)
-    assert np.allclose(every, ref, rtol=1e-10, atol=1e-12)
 
 
 def test_eigensolve_determinism(sphere):

@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 import pfmatch.solver as solver
 from pfmatch.bench import grid_mesh
 from pfmatch.descriptors import DescriptorField, shot_descriptors
-from pfmatch.energy import EnergyParams, MatchProblem, eta, orthogonality_term
+from pfmatch.energy import EnergyParams, MatchProblem, eta
 from pfmatch.laplacian import mesh_basis
 from pfmatch.solver import (_MASK_BLOCK, _NN_BLOCK, UNASSIGNED, MatchResult,
-                            SolverOptions, _icp_objective, _Queries,
+                            SolverOptions, _Queries,
                             _score_dtype, alternate,
                             build_problem, c_step, initial_mask,
                             invert_assignment, nearest_columns, nonlinear_cg,
@@ -368,75 +368,60 @@ def test_prepared_queries_search_like_arrays(rng):
                                   nearest_columns(queries, pts))
 
 
-def _refine_reference(C, Phi, Psi, d, mu4_5, opts=SolverOptions()):
-    """Reference: refine as it was, searching the array Psi every round."""
-    k = C.shape[0]
-    residuals = []
-    pi = None
-    for _ in range(opts.refine_max_iter):
-        pi = nearest_columns(Psi, Phi @ C.T)
-        fg = _icp_objective(Phi[pi], Psi, C, d, mu4_5)
-        resid = fg(C.reshape(-1))[0]
-        residuals.append(resid)
-        if len(residuals) > 1 and (residuals[-2] - resid) <= \
-                opts.refine_rel_tol * max(abs(residuals[-2]), 1e-300):
-            break
-        res = nonlinear_cg(fg, C.reshape(-1), opts)
-        C = res.x.reshape(k, k)
-    return C, pi, residuals
-
-
-def test_refine_matches_reference(small_pair, rng):
-    prob, params = small_pair["prob"], small_pair["params"]
-    k = prob.A.shape[0]
-    C0 = np.eye(k) + 0.1 * rng.standard_normal((k, k))
-    opts = SolverOptions(refine_max_iter=6, cg_max_iter=30)
-    got = refine(C0, small_pair["phi"], prob.Psi, prob.d, params.mu4_5, opts)
-    ref = _refine_reference(C0, small_pair["phi"], prob.Psi, prob.d,
-                            params.mu4_5, opts)
-    assert np.array_equal(got[0], ref[0])
-    assert np.array_equal(got[1], ref[1])
-    assert got[2] == ref[2]
-
-
 def test_refine_recovers_permutation(rng):
     n, k = 30, 6
     Phi = rng.standard_normal((n, k))
     perm = rng.permutation(n)
     Psi = Phi[perm]
     d = np.ones(k)
-    C, pi, residuals = refine(np.eye(k), Phi, Psi, d, mu4_5=0.0,
+    C, pi, residuals = refine(np.eye(k), Phi, Psi, d,
                               opts=SolverOptions(refine_max_iter=5))
     assert np.array_equal(pi, perm)
     assert residuals[0] < 1e-20
 
 
-def test_icp_objective_matches_direct_form(rng):
-    # For a fixed pi the k-space objective equals the n-space one at any C.
-    n_part, n_full, k = 50, 80, 7
+def test_refine_fit_is_optimal(rng):
+    # One round: the re-fit for the round's assignment pi is the exact
+    # minimiser of |Phi_a C^T - Psi|^2 over C^T C = diag(d), Phi_a = Phi[pi].
+    n_part, n_full, k = 40, 60, 6
     Phi = rng.standard_normal((n_part, k))
     Psi = rng.standard_normal((n_full, k))
-    Phi_a = Phi[rng.integers(0, n_part, n_full)]
-    d = (np.arange(k) < 5).astype(float)
-    fg = _icp_objective(Phi_a, Psi, rng.standard_normal((k, k)), d, 3.0)
-    for _ in range(5):
-        C = rng.standard_normal((k, k))
-        R = Phi_a @ C.T - Psi
-        o_val, o_grad = orthogonality_term(C, d)
-        val, grad = fg(C.reshape(-1))
-        np.testing.assert_allclose(val, np.sum(R ** 2) + 3.0 * o_val,
-                                   rtol=1e-10)
-        np.testing.assert_allclose(grad, (2.0 * R.T @ Phi_a
-                                          + 3.0 * o_grad).reshape(-1),
-                                   rtol=1e-10)
+    for r in (1, 4, k, *rng.integers(1, k + 1, 3)):
+        d = (np.arange(k) < r).astype(float)
+        C, pi, _ = refine(rng.standard_normal((k, k)), Phi, Psi, d,
+                          SolverOptions(refine_max_iter=1))
+        np.testing.assert_allclose(C.T @ C, np.diag(d), rtol=0, atol=1e-12)
+        Phi_a = Phi[pi]
+        fitted = np.sum((Phi_a @ C.T - Psi) ** 2)
+        for _ in range(100):
+            X = np.zeros((k, k))
+            X[:, :r] = np.linalg.qr(rng.standard_normal((k, r)))[0]
+            assert fitted <= np.sum((Phi_a @ X.T - Psi) ** 2)
+
+
+def test_refine_stops_at_fixed_point(small_pair, rng):
+    # A refine that stops because pi repeated returns what a run capped one
+    # round earlier returns, and what a run allowed more rounds returns.
+    prob = small_pair["prob"]
+    k = prob.A.shape[0]
+    C0 = np.eye(k) + 0.3 * rng.standard_normal((k, k))
+    args = (C0, small_pair["phi"], prob.Psi, prob.d)
+    C, pi, residuals = refine(*args, SolverOptions(refine_max_iter=50))
+    rounds = len(residuals)
+    assert 2 < rounds < 50
+    for cap in (rounds - 1, 100):
+        C_cap, pi_cap, resid_cap = refine(*args,
+                                          SolverOptions(refine_max_iter=cap))
+        assert C_cap.tobytes() == C.tobytes()
+        assert pi_cap.tobytes() == pi.tobytes()
+        assert resid_cap == residuals[:cap]
 
 
 def test_refine_residuals_decrease(small_pair):
     prob = small_pair["prob"]
     k = prob.A.shape[0]
     C0 = prob.W + 0.5 * np.eye(k)
-    _, pi, residuals = refine(C0, small_pair["phi"], prob.Psi, prob.d,
-                              mu4_5=1e3)
+    _, pi, residuals = refine(C0, small_pair["phi"], prob.Psi, prob.d)
     assert all(residuals[i + 1] <= residuals[i] + 1e-9
                for i in range(len(residuals) - 1))
     assert pi.shape == (prob.Psi.shape[0],)
@@ -573,7 +558,7 @@ def _alternate_reference(prob, params, phi_part, opts=SolverOptions()):
     for _ in range(opts.max_outer):
         C, _ = solver.c_step(prob, params, C, v, opts)
         C_ref, pi, resids = solver.refine(C, phi_part, prob.Psi, prob.d,
-                                          params.mu4_5, opts)
+                                          opts)
         refine_residuals.append(resids)
         e_ref = solver.total_energy(C_ref, v, prob, params, with_grads=False)
         e_raw = solver.total_energy(C, v, prob, params, with_grads=False)
@@ -588,8 +573,7 @@ def _alternate_reference(prob, params, phi_part, opts=SolverOptions()):
             break
         prev_total = breakdown.total
 
-    C_out, pi, resids = solver.refine(C, phi_part, prob.Psi, prob.d,
-                                      params.mu4_5, opts)
+    C_out, pi, resids = solver.refine(C, phi_part, prob.Psi, prob.d, opts)
     refine_residuals.append(resids)
     pi = pointwise_map(pi, eta(v))
     r = int(np.sum(prob.d))
