@@ -158,12 +158,16 @@ def run_eval(args):
     gt = bench.load_ground_truth(args.gt, n_full)
     n_part = len(gt.correspondence)
     pi = np.full(n_full, solver.UNASSIGNED, dtype=np.int64)
+    listed = np.zeros(n_full, dtype=bool)
     for line, full_v, part_v in bench.read_index_pairs(args.pi):
         if not (0 <= full_v < n_full and solver.UNASSIGNED <= part_v < n_part):
             raise UsageError(f"{args.pi}:{line}: full vertex {full_v} is "
                              f"outside 0..{n_full - 1} or part vertex "
                              f"{part_v} outside -1..{n_part - 1}")
-        pi[full_v] = part_v
+        if listed[full_v]:
+            raise UsageError(f"{args.pi}:{line}: full vertex {full_v} is "
+                             "listed twice")
+        pi[full_v], listed[full_v] = part_v, True
     assignment = solver.invert_assignment(pi, n_part)
     errors = bench.princeton_error(assignment, gt, mesh_full)
     thresholds = np.linspace(0.0, args.max_threshold, args.n_thresholds)

@@ -71,17 +71,12 @@ class MatchProblem:
     W: np.ndarray
     d: np.ndarray
     F: np.ndarray = None  # q-column descriptors of the partial shape
+    dim: int = None  # descriptor length before all-zero bins were dropped
     # (E, F, G) of the full shape's triangles, for mumford_shah.
     metric: tuple = field(init=False, repr=False)
-    # Indices of the columns of G that are nonzero on some vertex, and those
-    # columns of G; every other column of G is zero.
-    support: np.ndarray = field(init=False, repr=False)
-    G_support: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.metric = triangle_metric(self.mesh_full)
-        self.support = np.flatnonzero(np.any(self.G != 0.0, axis=0))
-        self.G_support = self.G.take(self.support, axis=1)
 
 
 # -- saturation functions -----------------------------------------------------
@@ -131,27 +126,25 @@ def _xi_prime(th, xi_th, sigma):
 # -- individual terms ---------------------------------------------------------
 
 
-def data_term(C, A, Psi, mass, G, v, support=slice(None), with_grads=True):
+def data_term(C, A, Psi, mass, G, v, dim=None, with_grads=True):
     """Column-sparse (L2,1) residual of C A - B with B = Psi^T diag(mass
     eta(v)) G.
 
-    ``G`` holds the columns ``support`` of the descriptors (by default all
-    of them), and their other columns must be zero.  Those columns of B are
-    zero, so their residual C A_j does not depend on v, and both n-sized
-    products run over the support only.
+    ``A`` None means that ``C`` is the product C A itself; grad_C is then
+    None.  ``dim`` is the descriptor length before bins zero in both A and
+    G were dropped (by default G's column count); it sets eps.
 
     Returns (value, grad_C, grad_v); without ``with_grads`` the gradients
     are None and their products are not formed.
     """
     th = _th(v)
     B = _mask_coefficients(Psi, mass * _eta(th), G)
-    H = C @ A
-    H[:, support] -= B
-    value, Hn = _smoothed_l21(H, B)
+    H = (C if A is None else C @ A) - B
+    value, Hn = _smoothed_l21(H, B, dim)
     if not with_grads:
         return value, None, None
-    grad_C = Hn @ A.T
-    U = G @ Hn[:, support].T
+    grad_C = None if A is None else Hn @ A.T
+    U = (Hn @ G.T).T  # an n x k view: faster than G @ Hn.T, and no copy
     grad_v = -_eta_prime(th) * mass * np.einsum("ij,ij->i", Psi, U)
     return value, grad_C, grad_v
 
@@ -161,12 +154,12 @@ def _mask_coefficients(Psi, w, G):
     return (Psi * w[:, None]).T @ G
 
 
-def _smoothed_l21(H, B):
-    """Smoothed L2,1 norm of the residual H = C A - B, with eps scaled to B.
+def _smoothed_l21(H, B, dim=None):
+    """Smoothed L2,1 norm of H = C A - B, with eps scaled to B and ``dim``.
 
     Returns (value, H with each column divided by its smoothed norm).
     """
-    q = H.shape[1]
+    q = H.shape[1] if dim is None else dim
     eps = max(1e-9 * np.linalg.norm(B) / np.sqrt(q), 1e-300)
     colnorm = np.sqrt(np.einsum("ij,ij->j", H, H) + eps ** 2)
     return float(np.sum(colnorm - eps)), H / colnorm
@@ -199,16 +192,17 @@ def mumford_shah(v, mesh, sigma_xi=DEFAULT_SIGMA_XI, _cache=None):
     Returns (value, grad_v).
     """
     E, F, G = _cache if _cache is not None else triangle_metric(mesh)
-    tri = mesh.triangles
+    corners = np.ascontiguousarray(mesh.triangles.T)  # row c: corner c
     v = np.asarray(v)
     th = _th(v)
     xi_v = _xi(th, sigma_xi)
-    v0, v1, v2 = v[tri[:, 0]], v[tri[:, 1]], v[tri[:, 2]]
+    v0, v1, v2 = v[corners]
     va = v1 - v0
     vb = v2 - v0
     D2 = va ** 2 * G - 2.0 * va * vb * F + vb ** 2 * E
     D = np.sqrt(np.maximum(D2, 0.0))
-    xs = xi_v[tri[:, 0]] + xi_v[tri[:, 1]] + xi_v[tri[:, 2]]
+    x0, x1, x2 = xi_v[corners]
+    xs = x0 + x1 + x2
     value = float(np.sum(D * xs)) / 6.0
 
     inv2D = np.where(D > 0.0, 1.0 / np.maximum(2.0 * D, 1e-300), 0.0)
@@ -218,9 +212,8 @@ def mumford_shah(v, mesh, sigma_xi=DEFAULT_SIGMA_XI, _cache=None):
     dD2 = (2.0 * vb * E - 2.0 * va * F) * inv2D
     xi_p = _xi_prime(th, xi_v, sigma_xi)
     # One sum over corners 0, 1, 2 in turn, each in triangle order.
-    contrib = [xs * dD + D * xi_p[tri[:, c]]
-               for c, dD in enumerate((dD0, dD1, dD2))]
-    grad = np.bincount(tri.T.ravel(), weights=np.concatenate(contrib),
+    contrib = xs * np.array((dD0, dD1, dD2)) + D * xi_p[corners]
+    grad = np.bincount(corners.ravel(), weights=contrib.ravel(),
                        minlength=len(v))
     return value, grad / 6.0
 
@@ -247,8 +240,7 @@ def total_energy(C, v, prob, params, with_grads=True):
     Returns EnergyBreakdown or (EnergyBreakdown, grad_C, grad_v).
     """
     data, gC_data, gv_data = data_term(C, prob.A, prob.Psi, prob.mass,
-                                       prob.G_support, v, prob.support,
-                                       with_grads)
+                                       prob.G, v, prob.dim, with_grads)
     area, gv_area = area_term(v, prob.area_part, prob.mass)
     ms, gv_ms = mumford_shah(v, prob.mesh_full, params.sigma_xi, prob.metric)
     slant, gC_slant = slant_term(C, prob.W)

@@ -15,7 +15,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-DENSE_FALLBACK_N = 1500
+DENSE_FALLBACK_N = 1000
 SHIFT = -1e-8
 
 
@@ -140,10 +140,10 @@ def _order_ties(vals, vecs, rel_tol=1e-9):
 def eigensolve(pair, k):
     """First k eigenpairs of the generalized problem -W phi = lambda S phi.
 
-    Shift-invert Lanczos for large meshes.  For n <= 1500 a dense solve:
-    the mass matrix is diagonal, so the pencil reduces to the standard
-    problem (S^-1/2 K S^-1/2) y = lambda y with phi = S^-1/2 y, whose
-    eigenvectors come out S-orthonormal.
+    Shift-invert Lanczos for large meshes.  For n <= DENSE_FALLBACK_N a
+    dense solve: the mass matrix is diagonal, so the pencil reduces to the
+    standard problem (S^-1/2 K S^-1/2) y = lambda y with phi = S^-1/2 y,
+    whose eigenvectors come out S-orthonormal.
     """
     n = pair.n
     if k >= n:

@@ -194,6 +194,9 @@ def build_problem(basis_part, basis_full, desc_part, desc_full, mesh_full,
                   area_part, params):
     """Assemble the fixed matrices of a matching job (A, G, W, d).
 
+    A, G and F keep only the descriptor bins that are nonzero on either
+    shape; any other bin has a zero residual column for every C and v.
+
     Raises ValueError when the shapes' descriptors differ in length, or
     when every descriptor of a shape is zero, as when no vertex has enough
     neighbours within the support radius.
@@ -208,29 +211,30 @@ def build_problem(basis_part, basis_full, desc_part, desc_full, mesh_full,
     k = min(params.k, basis_part.k, basis_full.k)
     bp = basis_part.truncated(k)
     bf = basis_full.truncated(k)
-    A = bp.eigenvectors.T @ (bp.mass[:, None] * desc_part.values)
+    bins = np.flatnonzero(np.any(desc_part.values != 0.0, axis=0) |
+                          np.any(desc_full.values != 0.0, axis=0))
+    F = desc_part.values.take(bins, axis=1)
+    A = bp.eigenvectors.T @ (bp.mass[:, None] * F)
     r = estimate_rank(bp.eigenvalues, bf.eigenvalues, k)
     r = max(r, 1)
     W = build_weight_matrix(k, r, params.sigma_w)
     d = build_d_vector(k, r)
     prob = MatchProblem(A=A, Psi=bf.eigenvectors, mass=bf.mass,
-                        G=desc_full.values, mesh_full=mesh_full,
-                        area_part=area_part, W=W, d=d,
-                        F=desc_part.values)
+                        G=desc_full.values.take(bins, axis=1),
+                        mesh_full=mesh_full, area_part=area_part, W=W, d=d,
+                        F=F, dim=desc_part.dim)
     return prob, r
 
 
 def c_step(prob, params, C0, v_fixed, opts=SolverOptions()):
     """Minimize the data + correspondence-regularizer energy over C."""
     k = C0.shape[0]
-    B = np.zeros_like(prob.A)
-    B[:, prob.support] = _mask_coefficients(
-        prob.Psi, prob.mass * eta(v_fixed), prob.G_support)
+    B = _mask_coefficients(prob.Psi, prob.mass * eta(v_fixed), prob.G)
 
     def fg(x):
         C = x.reshape(k, k)
         # data term with v frozen, so B is fixed
-        val, Hn = _smoothed_l21(C @ prob.A - B, B)
+        val, Hn = _smoothed_l21(C @ prob.A - B, B, prob.dim)
         gC = Hn @ prob.A.T
         s_val, s_grad = slant_term(C, prob.W)
         o_val, o_grad = orthogonality_term(C, prob.d)
@@ -244,10 +248,11 @@ def c_step(prob, params, C0, v_fixed, opts=SolverOptions()):
 
 def v_step(prob, params, C_fixed, v0, opts=SolverOptions()):
     """Minimize the data + part-regularizer energy over v."""
+    CA = C_fixed @ prob.A
 
     def fg(v):
-        d_val, _, d_gv = data_term(C_fixed, prob.A, prob.Psi, prob.mass,
-                                   prob.G_support, v, prob.support)
+        d_val, _, d_gv = data_term(CA, None, prob.Psi, prob.mass, prob.G, v,
+                                   prob.dim)
         a_val, a_gv = area_term(v, prob.area_part, prob.mass)
         m_val, m_gv = mumford_shah(v, prob.mesh_full, params.sigma_xi,
                                    prob.metric)
@@ -402,10 +407,9 @@ def initial_mask(prob):
     if prob.F is None:
         return np.ones(prob.Psi.shape[0])
     # Unit descriptors: squared distance is 2 - 2 <g, f>, so the nearest
-    # partial descriptor is the one of largest inner product.  The products
-    # run over the support of G, a block of rows at a time, so the
-    # n x n_part matrix never exists whole.
-    G, F = prob.G_support, prob.F.take(prob.support, axis=1)
+    # partial descriptor is the one of largest inner product, taken a block
+    # of rows at a time so that the n x n_part matrix never exists whole.
+    G, F = prob.G, prob.F
     best = np.concatenate([np.max(G[i:i + _MASK_BLOCK] @ F.T, axis=1)
                            for i in range(0, len(G), _MASK_BLOCK)])
     dist = np.sqrt(np.maximum(2.0 - 2.0 * best, 0.0))

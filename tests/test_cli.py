@@ -190,6 +190,7 @@ def _write_rows(path, header, rows):
     ("pi", "{n_full},0"),          # full vertex past the full mesh
     ("pi", "0,{n_part}"),          # part vertex past the part
     ("pi", "0,-2"),                # part vertex below -1 (unassigned)
+    ("pi", "0,-1"),                # full vertex 0 repeats
 ])
 def test_eval_rejects_bad_index(mesh_files, tmp_path, capsys, name, row):
     # The second data row (line 3) of one file is replaced by ``row``.

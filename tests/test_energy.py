@@ -359,8 +359,8 @@ def test_total_energy_matches_terms(tiny_problem, rng):
 
 
 def _data_term_reference(C, A, Psi, mass, G, v):
-    """Reference: the data term as it was before it ran over the support of
-    G, with full-width n x k x q products."""
+    """Reference: the data term over every descriptor bin, with full-width
+    n x k x q products."""
     ev = eta(v)
     weighted = (mass * ev)[:, None] * G
     B = Psi.T @ weighted
@@ -368,7 +368,8 @@ def _data_term_reference(C, A, Psi, mass, G, v):
     q = H.shape[1]
     eps = max(1e-9 * np.linalg.norm(B) / np.sqrt(q), 1e-300)
     colnorm = np.sqrt(np.einsum("ij,ij->j", H, H) + eps ** 2)
-    Hn = H / colnorm
+    # A zero column has a zero gradient, also where eps ** 2 underflows.
+    Hn = np.divide(H, colnorm, out=np.zeros_like(H), where=colnorm > 0.0)
     U = Psi @ Hn
     grad_v = -eta_prime(v) * mass * np.einsum("ij,ij->i", U, G)
     return float(np.sum(colnorm - eps)), Hn @ A.T, grad_v
@@ -407,40 +408,48 @@ def _problem(mesh, k, G, rng):
 
 @pytest.mark.parametrize("zero_cols", [0, 5, 30])
 def test_data_term_support_matches_reference(rng, zero_cols):
+    # Bins that are zero in both A and G leave the energy and both
+    # gradients as they are once dropped, with eps still set by all q bins.
     mesh = grid_mesh(9)
     k, q = 12, 40
     G = rng.standard_normal((mesh.n_vertices, q))
-    G[:, rng.permutation(q)[:zero_cols]] = 0.0
     G[:3] = 0.0  # some all-zero descriptors as well
     p = _problem(mesh, k, G, rng)
-    assert len(p.support) == q - zero_cols
-    assert np.array_equal(p.G_support, G[:, p.support])
+    zero = rng.permutation(q)[:zero_cols]
+    G[:, zero] = 0.0
+    p.A[:, zero] = 0.0
+    keep = np.setdiff1d(np.arange(q), zero)
+    r = _problem(mesh, k, G[:, keep], rng)
+    r.A, r.dim = p.A[:, keep], q
+    params = EnergyParams(k=k)
     C = rng.standard_normal((k, k))
-    for v in (rng.standard_normal(mesh.n_vertices),
-              np.full(mesh.n_vertices, -30.0)):  # eta = 0: B = 0
-        ref = _data_term_reference(C, p.A, p.Psi, p.mass, p.G, v)
-        got = data_term(C, p.A, p.Psi, p.mass, p.G_support, v, p.support)
-        for r, g in zip(ref, got):
-            assert np.abs(np.asarray(g) - r).max() <= \
-                1e-12 * max(np.abs(r).max(), 1e-300)
-        # The default support is every column.
-        full = data_term(C, p.A, p.Psi, p.mass, p.G, v)
-        for r, g in zip(ref, full):
-            assert np.abs(np.asarray(g) - r).max() <= \
-                1e-12 * max(np.abs(r).max(), 1e-300)
+    v = rng.standard_normal(mesh.n_vertices)
+    for w in (v, np.full(mesh.n_vertices, -30.0)):  # eta = 0: B = 0
+        ref = _data_term_reference(C, p.A, p.Psi, p.mass, G, w)
+        got = data_term(C, r.A, r.Psi, r.mass, r.G, w, r.dim)
+        for x, y in zip(ref, got):
+            assert np.abs(y - x).max() <= 1e-12 * max(np.abs(x).max(), 1e-300)
+        # C A given as one product: the same value and grad_v, no grad_C.
+        pre = data_term(C @ r.A, None, r.Psi, r.mass, r.G, w, r.dim)
+        assert pre[0] == got[0] and pre[1] is None
+        assert np.array_equal(pre[2], got[2])
+    # The whole objective, through total_energy.
+    e_ref = total_energy(C, v, p, params)
+    e_got = total_energy(C, v, r, params)
+    assert abs(e_got[0].total - e_ref[0].total) <= 1e-12 * abs(e_ref[0].total)
+    for x, y in zip(e_ref[1:], e_got[1:]):
+        assert np.abs(y - x).max() <= 1e-12 * np.abs(x).max()
 
 
 def test_data_term_value_only_is_bit_equal(rng):
     mesh = grid_mesh(7)
     G = rng.standard_normal((mesh.n_vertices, 20))
-    G[:, ::3] = 0.0
     p = _problem(mesh, 8, G, rng)
+    p.dim = 30  # as if 10 bins that are zero on both shapes were dropped
     C = rng.standard_normal((8, 8))
     v = rng.standard_normal(mesh.n_vertices)
-    value, grad_C, grad_v = data_term(C, p.A, p.Psi, p.mass, p.G_support, v,
-                                      p.support)
-    only = data_term(C, p.A, p.Psi, p.mass, p.G_support, v, p.support,
-                     with_grads=False)
+    value, grad_C, grad_v = data_term(C, p.A, p.Psi, p.mass, p.G, v, p.dim)
+    only = data_term(C, p.A, p.Psi, p.mass, p.G, v, p.dim, with_grads=False)
     assert only == (value, None, None)
     params = EnergyParams(k=8)
     assert total_energy(C, v, p, params, with_grads=False) == \

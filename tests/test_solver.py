@@ -155,6 +155,37 @@ def test_build_problem_shapes(small_pair):
     assert np.isclose(prob.d.sum(), r)
 
 
+def test_build_problem_drops_bins_zero_on_both_shapes(small_pair):
+    full, part = small_pair["full"], small_pair["part"]
+    k = 8
+    desc_full = shot_descriptors(full, radius=0.3)
+    desc_part = shot_descriptors(part, radius=0.3)
+    both = np.flatnonzero(np.any(desc_full.values != 0.0, axis=0) &
+                          np.any(desc_part.values != 0.0, axis=0))
+    assert len(both) >= 4
+    # One bin used by the full shape only, one by the partial shape only,
+    # and one zero on both.
+    only_full, only_part, neither = both[:3]
+    desc_part.values[:, only_full] = 0.0
+    desc_full.values[:, only_part] = 0.0
+    desc_part.values[:, neither] = desc_full.values[:, neither] = 0.0
+    basis_part, basis_full = mesh_basis(part, k), mesh_basis(full, k)
+    prob, _ = build_problem(basis_part, basis_full, desc_part, desc_full,
+                            full, part.total_area, EnergyParams(k=k))
+    used = (np.any(desc_full.values != 0.0, axis=0) |
+            np.any(desc_part.values != 0.0, axis=0))
+    keep = np.flatnonzero(used)
+    assert only_full in keep and only_part in keep and neither not in keep
+    assert prob.dim == desc_full.dim == 352
+    assert np.array_equal(prob.G, desc_full.values[:, keep])
+    assert np.array_equal(prob.F, desc_part.values[:, keep])
+    assert prob.A.shape == (k, len(keep))
+    A_all = basis_part.eigenvectors.T @ (basis_part.mass[:, None] *
+                                         desc_part.values)
+    assert not np.any(A_all[:, ~used])
+    assert np.allclose(prob.A, A_all[:, keep], rtol=1e-12, atol=1e-15)
+
+
 @pytest.mark.parametrize("shape", ["partial", "full"])
 def test_build_problem_rejects_all_zero_descriptors(small_pair, shape):
     full, part = small_pair["full"], small_pair["part"]
