@@ -134,7 +134,8 @@ def _histograms(centres, indptr, nbr, pts, normals, radius):
     rows = np.repeat(indptr[centres] - bounds[:-1], cnt) + np.arange(bounds[-1])
     nb = nbr[rows]
     owner = np.repeat(np.arange(len(centres)), cnt)
-    diff = pts[nb] - np.repeat(pts[centres], cnt, axis=0)
+    diff = (pts.take(nb, axis=0)
+            - pts.take(centres, axis=0).repeat(cnt, axis=0))
     frames = _frames(diff, bounds, radius)
     local = np.concatenate([diff[s:e] @ f.T for s, e, f in
                             zip(bounds[:-1], bounds[1:], frames)])
@@ -152,7 +153,7 @@ def _histograms(centres, indptr, nbr, pts, normals, radius):
     rad_bin = (dist >= radius / 2.0).astype(np.int64)
     sector = (az_bin * N_ELEVATION + el_bin) * N_RADIAL + rad_bin
 
-    nb_normals = normals[nb]
+    nb_normals = normals.take(nb, axis=0)
     cosang = np.concatenate([nb_normals[s:e] @ normals[v] for s, e, v in
                              zip(bounds[:-1], bounds[1:], centres)])
     cosang = np.clip(cosang, -1.0, 1.0)

@@ -162,7 +162,13 @@ def _smoothed_l21(H, B, dim=None):
     q = H.shape[1] if dim is None else dim
     eps = max(1e-9 * np.linalg.norm(B) / np.sqrt(q), 1e-300)
     colnorm = np.sqrt(np.einsum("ij,ij->j", H, H) + eps ** 2)
-    return float(np.sum(colnorm - eps)), H / colnorm
+    if colnorm.all():
+        return float(np.sum(colnorm - eps)), H / colnorm
+    # B = 0 made eps**2 underflow, and the squares of some column of H did
+    # too: such a column has smoothed norm 0 and adds 0 to both results.
+    live = colnorm > 0
+    return (float(np.sum(colnorm[live] - eps)),
+            np.divide(H, colnorm, out=np.zeros_like(H), where=live))
 
 
 def area_term(v, area_part, mass):

@@ -14,13 +14,16 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dpbtrf, dpbtrs
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 DENSE_FALLBACK_N = 1000
 SHIFT = -1e-8
 
 
 class EigensolveError(RuntimeError):
-    """Eigensolver failed to converge within its iteration cap."""
+    """Eigensolver failed: ARPACK did not converge within its iteration cap,
+    or the shifted stiffness could not be factored."""
 
 
 @dataclass(frozen=True)
@@ -140,10 +143,12 @@ def _order_ties(vals, vecs, rel_tol=1e-9):
 def eigensolve(pair, k):
     """First k eigenpairs of the generalized problem -W phi = lambda S phi.
 
-    Shift-invert Lanczos for large meshes.  For n <= DENSE_FALLBACK_N a
-    dense solve: the mass matrix is diagonal, so the pencil reduces to the
-    standard problem (S^-1/2 K S^-1/2) y = lambda y with phi = S^-1/2 y,
-    whose eigenvectors come out S-orthonormal.
+    The mass matrix is diagonal, so the pencil reduces to the standard
+    problem (S^-1/2 K S^-1/2) y = lambda y with phi = S^-1/2 y, whose
+    eigenvectors come out S-orthonormal.  For n <= DENSE_FALLBACK_N it is
+    solved densely.  Larger meshes run shift-invert Lanczos on it in a
+    reverse Cuthill-McKee ordering, where A - SHIFT I is a narrow band:
+    one banded Cholesky factor serves every solve.
     """
     n = pair.n
     if k >= n:
@@ -154,9 +159,9 @@ def eigensolve(pair, k):
     s = pair.mass.diagonal()
     if np.any(s <= 0):
         raise ValueError("mass diagonal must be strictly positive")
+    r = 1.0 / np.sqrt(s)
 
     if n <= DENSE_FALLBACK_N:
-        r = 1.0 / np.sqrt(s)
         A = K.toarray()
         A *= r[:, None]
         A *= r
@@ -164,15 +169,36 @@ def eigensolve(pair, k):
                                     driver="evr", overwrite_a=True)
         vecs = y * r[:, None]
     else:
+        A = sp.diags(r) @ K @ sp.diags(r)
+        perm = reverse_cuthill_mckee(A.tocsr(), symmetric_mode=True)
+        rank = np.argsort(perm)  # new position of each vertex
+        A = A.tocoo()
+        A = sp.coo_matrix((A.data, (rank[A.row], rank[A.col])), shape=(n, n))
+        # Lower band storage of A - SHIFT I: band[i - j, j] = A[i, j].
+        low = A.row >= A.col
+        offset = A.row[low] - A.col[low]
+        band = np.zeros((offset.max() + 1, n), order="F")
+        band[offset, A.col[low]] = A.data[low]
+        band[0] -= SHIFT
+        factor, info = dpbtrf(band, lower=1, overwrite_ab=1)
+        if info != 0:
+            raise EigensolveError(
+                "banded Cholesky factorization of A - SHIFT I failed "
+                f"(LAPACK dpbtrf info={info}): the shifted stiffness is "
+                "not positive definite")
+        OPinv = spla.LinearOperator(
+            (n, n), dtype=np.float64,
+            matvec=lambda b: dpbtrs(factor, b, lower=1)[0])
         v0 = np.full(n, 1.0 / np.sqrt(n))  # deterministic start vector
         try:
-            vals, vecs = spla.eigsh(K, k=k, M=sp.diags(s), sigma=SHIFT,
-                                    which="LM", v0=v0)
+            vals, y = spla.eigsh(A, k=k, sigma=SHIFT, which="LM", v0=v0,
+                                 OPinv=OPinv)
         except spla.ArpackNoConvergence as exc:
             raise EigensolveError(
                 f"ARPACK failed to converge: {exc}") from exc
         order = np.argsort(vals)
-        vals, vecs = vals[order], vecs[:, order]
+        vals = vals[order]
+        vecs = y[np.ix_(rank, order)] * r[:, None]
 
     vals = np.maximum(vals, 0.0) if vals[0] > -1e-8 * max(vals[-1], 1) else vals
     vecs = _fix_signs(vecs)

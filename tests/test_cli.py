@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg
 
 from pfmatch import cli
 from pfmatch.bench import grid_mesh, icosphere, load_ground_truth
@@ -324,6 +325,21 @@ def test_missing_mesh_exit_2(tmp_path):
                  "--full", str(tmp_path / "nope2.ply"), "--out", str(out)])
     assert code == 2
     assert not out.exists()  # nothing is created before the inputs load
+
+
+def test_match_eigensolve_failure_exit_1(mesh_files, tmp_path, monkeypatch,
+                                         capsys):
+    def no_convergence(*args, **kwargs):
+        raise scipy.sparse.linalg.ArpackNoConvergence("no convergence",
+                                                      None, None)
+
+    monkeypatch.setattr("pfmatch.laplacian.DENSE_FALLBACK_N", 10)
+    monkeypatch.setattr("scipy.sparse.linalg.eigsh", no_convergence)
+    code = main(["match", "--part", mesh_files["part"],
+                 "--full", mesh_files["full"], "--out",
+                 str(tmp_path / "out")] + MATCH_FLAGS)
+    assert code == 1
+    assert "ARPACK failed to converge" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("shape", ["part", "full"])

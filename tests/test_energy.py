@@ -92,6 +92,22 @@ def test_data_term_zero_residual(tiny_problem, rng):
     assert np.all(np.isfinite(grad_C))
 
 
+def test_data_term_empty_mask_zero_map(tiny_problem):
+    # eta(-30) = 0 makes B = 0, so eps falls to its floor and eps**2
+    # underflows; with C = 0 every residual column is zero as well.
+    p = tiny_problem
+    k = p.A.shape[0]
+    C = np.zeros((k, k))
+    v = np.full(p.mesh_full.n_vertices, -30.0)
+    value, grad_C, grad_v = data_term(C, p.A, p.Psi, p.mass, p.G, v)
+    assert np.isfinite(value) and value >= 0
+    assert np.all(np.isfinite(grad_C)) and np.all(np.isfinite(grad_v))
+    b, grad_C, grad_v = total_energy(C, v, p, EnergyParams(k=k))
+    assert np.isfinite(b.data) and b.data >= 0
+    assert np.isfinite(b.total) and b.total >= 0
+    assert np.all(np.isfinite(grad_C)) and np.all(np.isfinite(grad_v))
+
+
 def test_data_term_grad_C(tiny_problem, rng):
     p = tiny_problem
     k = p.A.shape[0]

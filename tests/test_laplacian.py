@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from pfmatch.bench import bumpy_sphere, grid_mesh, icosphere
-from pfmatch.laplacian import (DENSE_FALLBACK_N, _fix_signs, _order_ties,
+from pfmatch.laplacian import (DENSE_FALLBACK_N, EigensolveError,
+                               LaplacianPair, _fix_signs, _order_ties,
                                cotan_stiffness, eigensolve,
                                laplacian_pair, mass_matrix, mesh_basis)
 from pfmatch.mesh import TriangleMesh
@@ -110,10 +112,22 @@ def test_truncated_basis(sphere):
         small.truncated(6)
 
 
-def test_sparse_dense_agreement(fine_grid, monkeypatch):
-    pair = laplacian_pair(fine_grid)
+def _grid_and_ball():
+    """Two components: a 20 x 20 grid beside a bumpy sphere (1083 vertices)."""
+    grid, ball = grid_mesh(20), bumpy_sphere(3)
+    with pytest.warns(UserWarning, match="2 connected components"):
+        return TriangleMesh(
+            np.vstack([grid.vertices, ball.vertices + [3.0, 0.0, 0.0]]),
+            np.vstack([grid.triangles, ball.triangles + grid.n_vertices]))
+
+
+@pytest.mark.parametrize("make", [lambda: grid_mesh(30), _grid_and_ball],
+                         ids=["grid", "two_components"])
+def test_sparse_dense_agreement(make, monkeypatch):
+    pair = laplacian_pair(make())
+    monkeypatch.setattr("pfmatch.laplacian.DENSE_FALLBACK_N", pair.n)
     dense = eigensolve(pair, 10)
-    monkeypatch.setattr("pfmatch.laplacian.DENSE_FALLBACK_N", 10)
+    monkeypatch.setattr("pfmatch.laplacian.DENSE_FALLBACK_N", pair.n - 1)
     sparse = eigensolve(pair, 10)
     assert np.allclose(dense.eigenvalues, sparse.eigenvalues, atol=1e-8)
     for i in range(10):
@@ -121,6 +135,22 @@ def test_sparse_dense_agreement(fine_grid, monkeypatch):
         if dense.eigenvalues[i] > 1e-8 and (
                 i + 1 == 10 or dense.eigenvalues[i + 1] - dense.eigenvalues[i] > 1e-6):
             assert np.allclose(a, b, atol=1e-6)
+
+
+def test_sparse_eigensolve_errors(square_grid, monkeypatch):
+    monkeypatch.setattr("pfmatch.laplacian.DENSE_FALLBACK_N", 10)
+    pair = laplacian_pair(square_grid)
+    # A negated stiffness makes K negative semi-definite: A - SHIFT I then
+    # has no Cholesky factor.
+    with pytest.raises(EigensolveError, match="dpbtrf"):
+        eigensolve(LaplacianPair(-pair.stiffness, pair.mass), 5)
+
+    def no_convergence(*args, **kwargs):
+        raise spla.ArpackNoConvergence("no convergence", None, None)
+
+    monkeypatch.setattr("scipy.sparse.linalg.eigsh", no_convergence)
+    with pytest.raises(EigensolveError, match="ARPACK"):
+        eigensolve(pair, 5)
 
 
 def _generalized_reference(pair, k):
@@ -172,6 +202,5 @@ def test_bad_k(square_grid):
 def test_nonpositive_mass_rejected(square_grid):
     pair = laplacian_pair(square_grid)
     bad_mass = sp.diags(np.zeros(square_grid.n_vertices))
-    from pfmatch.laplacian import LaplacianPair
     with pytest.raises(ValueError):
         eigensolve(LaplacianPair(pair.stiffness, bad_mass), 3)
