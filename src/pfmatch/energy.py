@@ -160,15 +160,11 @@ def _smoothed_l21(H, B, dim=None):
     Returns (value, H with each column divided by its smoothed norm).
     """
     q = H.shape[1] if dim is None else dim
-    eps = max(1e-9 * np.linalg.norm(B) / np.sqrt(q), 1e-300)
+    # The floor's square is a normal double, so every colnorm is positive:
+    # with B = 0 a zero column of H adds 0 to the value and to Hn.
+    eps = max(1e-9 * np.linalg.norm(B) / np.sqrt(q), 1e-150)
     colnorm = np.sqrt(np.einsum("ij,ij->j", H, H) + eps ** 2)
-    if colnorm.all():
-        return float(np.sum(colnorm - eps)), H / colnorm
-    # B = 0 made eps**2 underflow, and the squares of some column of H did
-    # too: such a column has smoothed norm 0 and adds 0 to both results.
-    live = colnorm > 0
-    return (float(np.sum(colnorm[live] - eps)),
-            np.divide(H, colnorm, out=np.zeros_like(H), where=live))
+    return float(np.sum(colnorm - eps)), H / colnorm
 
 
 def area_term(v, area_part, mass):

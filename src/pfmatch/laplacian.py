@@ -140,6 +140,29 @@ def _order_ties(vals, vecs, rel_tol=1e-9):
     return vals[order], vecs[:, order]
 
 
+def _shifted_band_factor(A):
+    """Banded Cholesky factor of A - SHIFT I in a reverse Cuthill-McKee
+    ordering, and the new position of each vertex in that ordering."""
+    n = A.shape[0]
+    perm = reverse_cuthill_mckee(A.tocsr(), symmetric_mode=True)
+    rank = np.argsort(perm)
+    A = A.tocoo()
+    row, col = rank[A.row], rank[A.col]
+    # Lower band storage of A - SHIFT I: band[i - j, j] = A[i, j].
+    low = row >= col
+    offset = row[low] - col[low]
+    band = np.zeros((offset.max() + 1, n), order="F")
+    band[offset, col[low]] = A.data[low]
+    band[0] -= SHIFT
+    factor, info = dpbtrf(band, lower=1, overwrite_ab=1)
+    if info != 0:
+        raise EigensolveError(
+            "banded Cholesky factorization of A - SHIFT I failed "
+            f"(LAPACK dpbtrf info={info}): the shifted stiffness is "
+            "not positive definite")
+    return factor, rank
+
+
 def eigensolve(pair, k):
     """First k eigenpairs of the generalized problem -W phi = lambda S phi.
 
@@ -169,29 +192,15 @@ def eigensolve(pair, k):
                                     driver="evr", overwrite_a=True)
         vecs = y * r[:, None]
     else:
-        A = sp.diags(r) @ K @ sp.diags(r)
-        perm = reverse_cuthill_mckee(A.tocsr(), symmetric_mode=True)
-        rank = np.argsort(perm)  # new position of each vertex
-        A = A.tocoo()
-        A = sp.coo_matrix((A.data, (rank[A.row], rank[A.col])), shape=(n, n))
-        # Lower band storage of A - SHIFT I: band[i - j, j] = A[i, j].
-        low = A.row >= A.col
-        offset = A.row[low] - A.col[low]
-        band = np.zeros((offset.max() + 1, n), order="F")
-        band[offset, A.col[low]] = A.data[low]
-        band[0] -= SHIFT
-        factor, info = dpbtrf(band, lower=1, overwrite_ab=1)
-        if info != 0:
-            raise EigensolveError(
-                "banded Cholesky factorization of A - SHIFT I failed "
-                f"(LAPACK dpbtrf info={info}): the shifted stiffness is "
-                "not positive definite")
+        factor, rank = _shifted_band_factor(sp.diags(r) @ K @ sp.diags(r))
         OPinv = spla.LinearOperator(
             (n, n), dtype=np.float64,
             matvec=lambda b: dpbtrs(factor, b, lower=1)[0])
         v0 = np.full(n, 1.0 / np.sqrt(n))  # deterministic start vector
         try:
-            vals, y = spla.eigsh(A, k=k, sigma=SHIFT, which="LM", v0=v0,
+            # In shift-invert mode eigsh reads only the shape of its first
+            # argument, so the permuted A need not outlive the factor.
+            vals, y = spla.eigsh(OPinv, k=k, sigma=SHIFT, which="LM", v0=v0,
                                  OPinv=OPinv)
         except spla.ArpackNoConvergence as exc:
             raise EigensolveError(
