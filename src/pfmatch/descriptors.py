@@ -45,43 +45,46 @@ def local_reference_frame(center, neighbors, radius):
 
     Returns a 3x3 matrix with rows (x, y, z) of the local frame.
     """
-    diff = neighbors - center
-    return _frames(diff, np.array([0, len(diff)]), radius)[0]
+    return _frames([(neighbors - center)[None]], radius)[0]
 
 
-def _frames(diff, bounds, radius):
-    """Local reference frames of ``len(bounds) - 1`` centres at once.
+def _frames(stacks, radius):
+    """Local reference frames of the centres of a list of stacks.
 
-    Centre i owns the neighbour offsets ``diff[bounds[i]:bounds[i + 1]]``.
-    Returns (c, 3, 3): rows (x, y, z) per centre, x and z the covariance
-    eigenvectors of largest and smallest eigenvalue.
+    Stack i (c_i, m_i, 3) holds the neighbour offsets of c_i centres with
+    m_i neighbours each.  Returns (sum c_i, 3, 3) in stack order: rows
+    (x, y, z) per centre, x and z the covariance eigenvectors of largest
+    and smallest eigenvalue.
     """
-    w = radius - _row_norms(diff)
-    wd = diff * w[:, None]
-    spans = list(zip(bounds[:-1], bounds[1:]))
-    # BLAS products and numpy's pairwise sums stay per centre: on a flat or
+    # A stacked matmul makes per centre the BLAS call of the 2-D product,
+    # and sum(axis=1) the pairwise sum of one centre's weights: on a flat or
     # symmetric support one ulp of w.sum() rotates the degenerate
     # eigenvectors, and the in-plane signs below sit at rounding level.
-    cov = np.array([wd[s:e].T @ diff[s:e] / w[s:e].sum() for s, e in spans])
-    evecs = np.linalg.eigh(cov)[1]  # eigenvalues ascending
-    owner = np.repeat(np.arange(len(spans)), np.diff(bounds))
+    cov = []
+    for d in stacks:
+        w = radius - _row_norms(d)
+        cov.append((d * w[..., None]).transpose(0, 2, 1) @ d
+                   / w.sum(axis=1)[:, None, None])
+    evecs = np.linalg.eigh(np.concatenate(cov))[1]  # eigenvalues ascending
+    sizes = [len(d) for d in stacks]
+    half = np.repeat([d.shape[1] / 2.0 for d in stacks], sizes)
     axes = []
     for col in (2, 0):
         axis = evecs[:, :, col]
-        proj = np.concatenate([diff[s:e] @ a for (s, e), a in zip(spans, axis)])
         # Sign disambiguation: majority of neighbors on the positive side.
-        n_pos = np.bincount(owner[proj >= 0], minlength=len(spans))
-        flip = n_pos < np.diff(bounds) / 2.0
-        axes.append(np.where(flip[:, None], -axis, axis))
+        n_pos = np.concatenate([
+            (d @ a[:, :, None] >= 0)[:, :, 0].sum(axis=1)
+            for d, a in zip(stacks, np.split(axis, np.cumsum(sizes[:-1])))])
+        axes.append(np.where((n_pos < half)[:, None], -axis, axis))
     x_axis, z_axis = axes
     return np.stack([x_axis, np.cross(z_axis, x_axis), z_axis], axis=1)
 
 
 def _row_norms(x):
-    """Euclidean norms of the rows of an (m, 3) array, bit-equal to
-    ``np.linalg.norm(x, axis=1)``, which sums the same squares in the same
-    order but runs a slow three-element reduction per row."""
-    x0, x1, x2 = x.T
+    """Euclidean norms along the last axis of an (..., 3) array, bit-equal
+    to ``np.linalg.norm(x, axis=-1)``, which sums the same squares in the
+    same order but runs a slow three-element reduction per row."""
+    x0, x1, x2 = x[..., 0], x[..., 1], x[..., 2]
     return np.sqrt((x0 * x0 + x1 * x1) + x2 * x2)
 
 
@@ -112,14 +115,17 @@ def shot_descriptors(mesh, radius=None):
 
     n = mesh.n_vertices
     desc = np.zeros((n, DESCRIPTOR_DIM))
-    flags = np.diff(indptr) < MIN_NEIGHBORS
-    for first in range(0, n, SHOT_BLOCK):
-        centres = first + np.flatnonzero(~flags[first:first + SHOT_BLOCK])
-        if len(centres) == 0:
-            continue
+    cnt = np.diff(indptr)
+    flags = cnt < MIN_NEIGHBORS
+    # Visiting centres by neighbour count puts those of equal count next to
+    # each other, so each such run stacks into (c, m, 3) arrays.
+    order = np.flatnonzero(~flags)
+    order = order[np.argsort(cnt[order], kind="stable")]
+    for first in range(0, len(order), SHOT_BLOCK):
+        centres = order[first:first + SHOT_BLOCK]
         hist = _histograms(centres, indptr, nbr, pts, normals, radius)
-        # np.linalg.norm(h) without its per-call overhead: the same BLAS dot.
-        norm = np.sqrt([h.dot(h) for h in hist])
+        # np.linalg.norm(h) per row: the same BLAS dot, stacked.
+        norm = np.sqrt((hist[:, None, :] @ hist[:, :, None]).ravel())
         good = norm > 0
         desc[centres[good]] = hist[good] / norm[good, None]
         flags[centres[~good]] = True
@@ -127,8 +133,9 @@ def shot_descriptors(mesh, radius=None):
 
 
 def _histograms(centres, indptr, nbr, pts, normals, radius):
-    """Unnormalised (len(centres), 352) histograms of a block of centres,
-    from their rows of the neighbour table."""
+    """Unnormalised (len(centres), 352) histograms of a block of centres in
+    ascending order of neighbour count, from their rows of the neighbour
+    table."""
     cnt = np.diff(indptr)[centres]
     bounds = np.concatenate([[0], np.cumsum(cnt)])
     rows = np.repeat(indptr[centres] - bounds[:-1], cnt) + np.arange(bounds[-1])
@@ -136,15 +143,24 @@ def _histograms(centres, indptr, nbr, pts, normals, radius):
     owner = np.repeat(np.arange(len(centres)), cnt)
     diff = (pts.take(nb, axis=0)
             - pts.take(centres, axis=0).repeat(cnt, axis=0))
-    frames = _frames(diff, bounds, radius)
-    local = np.concatenate([diff[s:e] @ f.T for s, e, f in
-                            zip(bounds[:-1], bounds[1:], frames)])
+    # Centres of equal count m come in runs, each one (c, m, 3) stack and
+    # one stacked product per step, bit-equal to a product per centre.
+    edges = np.flatnonzero(np.diff(cnt, prepend=-1, append=-1))
+    runs = [(a, b, slice(bounds[a], bounds[b]))
+            for a, b in zip(edges[:-1], edges[1:])]
+    stacks = [diff[span].reshape(b - a, -1, 3) for a, b, span in runs]
+    frames = _frames(stacks, radius)
+    nb_normals = normals.take(nb, axis=0)
+    local = np.empty_like(diff)
+    cosang = np.empty(len(nb))
+    for (a, b, span), d in zip(runs, stacks):
+        local[span] = (d @ frames[a:b].transpose(0, 2, 1)).reshape(-1, 3)
+        cosang[span] = (nb_normals[span].reshape(d.shape)
+                        @ normals[centres[a:b], :, None]).ravel()
     dist = _row_norms(local)
     ok = dist > 1e-12 * radius
     if not ok.all():  # a neighbour coincides with its centre
-        local, dist, nb, owner = local[ok], dist[ok], nb[ok], owner[ok]
-        bounds = np.concatenate(
-            [[0], np.cumsum(np.bincount(owner, minlength=len(centres)))])
+        local, dist, cosang, owner = local[ok], dist[ok], cosang[ok], owner[ok]
 
     azimuth = np.arctan2(local[:, 1], local[:, 0])  # (-pi, pi]
     az_bin = np.minimum((azimuth + np.pi) / (2 * np.pi) * N_AZIMUTH,
@@ -153,9 +169,6 @@ def _histograms(centres, indptr, nbr, pts, normals, radius):
     rad_bin = (dist >= radius / 2.0).astype(np.int64)
     sector = (az_bin * N_ELEVATION + el_bin) * N_RADIAL + rad_bin
 
-    nb_normals = normals.take(nb, axis=0)
-    cosang = np.concatenate([nb_normals[s:e] @ normals[v] for s, e, v in
-                             zip(bounds[:-1], bounds[1:], centres)])
     cosang = np.clip(cosang, -1.0, 1.0)
     # Soft assignment across the two adjacent cosine bins.
     pos = (cosang + 1.0) / 2.0 * N_COS_BINS - 0.5

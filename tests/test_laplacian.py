@@ -5,9 +5,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from pfmatch.bench import bumpy_sphere, grid_mesh, icosphere
-from pfmatch.laplacian import (DENSE_FALLBACK_N, EigensolveError,
-                               LaplacianPair, _fix_signs, _order_ties,
-                               cotan_stiffness, eigensolve,
+from pfmatch.laplacian import (EigensolveError, LaplacianPair, _fix_signs,
+                               _order_ties, cotan_stiffness, eigensolve,
                                laplacian_pair, mass_matrix, mesh_basis)
 from pfmatch.mesh import TriangleMesh
 
@@ -162,15 +161,64 @@ def _generalized_reference(pair, k):
     return _order_ties(vals, _fix_signs(vecs))
 
 
-def test_dense_path_matches_generalized_solve():
-    mesh = bumpy_sphere(3)
-    assert mesh.n_vertices <= DENSE_FALLBACK_N
-    pair = laplacian_pair(mesh)
-    basis = eigensolve(pair, 50)
+def test_dense_path_matches_generalized_solve(monkeypatch):
+    # Both paths, each forced, against the dense generalized solve.
+    pair = laplacian_pair(bumpy_sphere(3))
     vals, vecs = _generalized_reference(pair, 50)
-    assert basis.eigenvalues[0] < 1e-12 and abs(vals[0]) < 1e-12
-    assert np.allclose(basis.eigenvalues[1:], vals[1:], rtol=1e-10, atol=0)
-    assert np.allclose(basis.eigenvectors, vecs, rtol=0, atol=1e-8)
+    assert abs(vals[0]) < 1e-12
+    for threshold in (pair.n, pair.n - 1):  # dense, then banded
+        monkeypatch.setattr("pfmatch.laplacian.DENSE_FALLBACK_N", threshold)
+        basis = eigensolve(pair, 50)
+        assert basis.eigenvalues[0] < 1e-12
+        assert np.allclose(basis.eigenvalues[1:], vals[1:], rtol=1e-10, atol=0)
+        assert np.allclose(basis.eigenvectors, vecs, rtol=0, atol=1e-8)
+
+
+def _fix_signs_loop(vecs):
+    """Reference sign rule: one column at a time."""
+    out = vecs.copy()
+    for c in range(out.shape[1]):
+        v = out[:, c]
+        sig = np.flatnonzero(np.abs(v) > 1e-6 * np.abs(v).max())
+        lead = v[sig[0]] if len(sig) else 1.0
+        if lead < 0:
+            out[:, c] = -v
+    return out
+
+
+def _order_ties_loop(vals, vecs, rel_tol=1e-9):
+    """Reference tie order: sort keys (first significant row, minus its
+    entry) built one column at a time."""
+    order = np.arange(len(vals))
+    scale = max(abs(vals[-1]), 1e-300)
+    i = 0
+    while i < len(vals):
+        j = i + 1
+        while j < len(vals) and abs(vals[j] - vals[i]) <= rel_tol * scale:
+            j += 1
+        keys = []
+        for c in range(i, j):
+            v = vecs[:, c]
+            sig = np.flatnonzero(np.abs(v) > 1e-6 * np.abs(v).max())
+            first = int(sig[0]) if len(sig) else 0
+            keys.append((first, -v[first]))
+        sub = sorted(range(j - i), key=lambda q: keys[q])
+        order[i:j] = order[i:j][np.asarray(sub)]
+        i = j
+    return vals[order], vecs[:, order]
+
+
+def test_sign_and_tie_rule_matches_loop(rng):
+    vecs = rng.standard_normal((30, 8))
+    vecs[:3, 1] = 1e-9 * vecs[:3, 1]  # first significant entry below row 0
+    vecs[:, 2] = 0.0                  # no significant entry
+    vecs[:, 6] = -vecs[:, 5]          # ties with equal first rows
+    vecs[4:, 7] = 0.0
+    vals = np.array([0.0, 1.0, 1.0, 1.0, 2.0, 3.0, 3.0, 3.0])
+    fixed = _fix_signs(vecs)
+    assert fixed.tobytes() == _fix_signs_loop(vecs).tobytes()
+    for a, b in zip(_order_ties(vals, fixed), _order_ties_loop(vals, fixed)):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_eigensolve_determinism(sphere):
