@@ -102,15 +102,19 @@ def bumpy_sphere(subdivisions=4, n_bumps=8, amplitude=0.25, width=0.45,
 # -- partiality generators ----------------------------------------------------
 
 
+def _positive_side(mesh, point, normal):
+    """Vertices on the positive side of the plane, boundary included."""
+    normal = np.asarray(normal, dtype=np.float64)
+    normal = normal / np.linalg.norm(normal)
+    return (mesh.vertices - np.asarray(point)) @ normal >= 0.0
+
+
 def plane_cut(mesh, point, normal):
     """Keep triangles entirely on the positive side of the plane.
 
     Returns (partial mesh, GroundTruth).
     """
-    normal = np.asarray(normal, dtype=np.float64)
-    normal = normal / np.linalg.norm(normal)
-    side = (mesh.vertices - np.asarray(point)) @ normal >= 0.0
-    keep_ids = np.flatnonzero(side)
+    keep_ids = np.flatnonzero(_positive_side(mesh, point, normal))
     if len(keep_ids) == 0:
         raise ValueError("plane cut removes the entire mesh")
     sub, vertex_map = mesh.submesh(keep_ids)
@@ -119,7 +123,8 @@ def plane_cut(mesh, point, normal):
 
 def plane_offset_for_area(mesh, normal, keep_fraction, tol=0.01):
     """Bisect the plane offset along ``normal`` so the cut keeps roughly the
-    requested fraction of the surface area."""
+    requested fraction of the surface area.  The kept area is summed over
+    the triangles plane_cut would keep, without building the cut mesh."""
     normal = np.asarray(normal, dtype=np.float64)
     normal = normal / np.linalg.norm(normal)
     proj = mesh.vertices @ normal
@@ -127,11 +132,9 @@ def plane_offset_for_area(mesh, normal, keep_fraction, tol=0.01):
     total = mesh.total_area
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        try:
-            sub, _ = plane_cut(mesh, mid * normal, normal)
-            frac = sub.total_area / total
-        except ValueError:
-            frac = 0.0
+        side = _positive_side(mesh, mid * normal, normal)
+        kept = side[mesh.triangles].all(axis=1)
+        frac = float(mesh.triangle_areas[kept].sum()) / total
         if abs(frac - keep_fraction) < tol:
             return mid * normal
         if frac > keep_fraction:

@@ -8,11 +8,11 @@ file values.  ``--jobs N`` runs N jobs of a ``--pairs`` batch at a time.
 import argparse
 import concurrent.futures
 import csv
+import dataclasses
 import os
 import sys
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import bench, descriptors, laplacian, matio, solver, spectral
 from .energy import EnergyParams, eta
@@ -39,16 +39,15 @@ def _read_config(path):
     return values
 
 
-def _energy_params(args):
-    return EnergyParams(mu1=args.mu1, mu2=args.mu2, mu3=args.mu3,
-                        mu4_5=args.mu4_5, sigma_w=args.sigma_w,
-                        sigma_xi=args.sigma_xi, k=args.k)
+# Match settings that are also flags; their defaults are the dataclasses'.
+_SETTING_FLAGS = {
+    EnergyParams: tuple(f.name for f in dataclasses.fields(EnergyParams)),
+    SolverOptions: ("max_outer", "cg_max_iter", "cg_grad_tol"),
+}
 
 
-def _solver_options(args):
-    return SolverOptions(max_outer=args.max_outer,
-                         cg_max_iter=args.cg_max_iter,
-                         cg_grad_tol=args.cg_grad_tol)
+def _settings(cls, args):
+    return cls(**{name: getattr(args, name) for name in _SETTING_FLAGS[cls]})
 
 
 def _load_descriptors(path, mesh, radius):
@@ -77,13 +76,13 @@ def run_match(args):
     radius = args.radius or descriptors.default_radius(mesh_full)
     desc_part = _load_descriptors(args.descriptors_part, mesh_part, radius)
     desc_full = _load_descriptors(args.descriptors_full, mesh_full, radius)
-    params = _energy_params(args)
+    params = _settings(EnergyParams, args)
     prob, rank = solver.build_problem(basis_part, basis_full, desc_part,
                                       desc_full, mesh_full,
                                       mesh_part.total_area, params)
     os.makedirs(args.out, exist_ok=True)  # only once the inputs are usable
     result = solver.alternate(prob, params, basis_part.eigenvectors,
-                              _solver_options(args))
+                              _settings(SolverOptions, args))
 
     matio.save_matrix(os.path.join(args.out, "C.bin"), result.C)
     with open(os.path.join(args.out, "v.csv"), "w", newline="") as fh:
@@ -209,7 +208,7 @@ def _spectrum_past(K, mass, value, m):
     """Ascending eigenvalues of K phi = lambda S phi: the first m, with m
     doubled until one lies above ``value`` or m is n - 1, the most that
     eigensolve gives.  The nearest to ``value`` is then among them."""
-    pair = laplacian.LaplacianPair(-K, mass)
+    pair = laplacian.LaplacianPair(K, mass)
     while True:
         m = min(m, pair.n - 1)
         # eigensolve orders near-ties by eigenvector; sort them by value
@@ -227,7 +226,7 @@ def run_perturb(args):
     nrm = normal / np.linalg.norm(normal)
     part_ids = np.flatnonzero((mesh.vertices - point) @ nrm >= 0)
     setup = spectral.perturbation_setup(mesh, part_ids)
-    pair = laplacian.LaplacianPair(-setup.K_part, sp.diags(setup.mass_part))
+    pair = laplacian.LaplacianPair(setup.K_part, setup.mass_part)
     kk = min(args.k, setup.n_part - 1)
     basis = laplacian.eigensolve(pair, kk)
 
@@ -240,7 +239,7 @@ def run_perturb(args):
         raise UsageError("perturb checks no eigenvalue: it needs --n-check "
                          "of at least 1 and --k of at least 2")
     t = args.fd_step
-    mass = sp.diags(np.concatenate([setup.mass_part, setup.mass_comp]))
+    mass = np.concatenate([setup.mass_part, setup.mass_comp])
     lam0 = _spectrum_past(setup.stiffness(0.0), mass,
                           basis.eigenvalues[checked[-1]], 2 * checked[-1] + 4)
     lam1 = _spectrum_past(setup.stiffness(t), mass, -np.inf, len(lam0))
@@ -289,20 +288,16 @@ def build_parser():
     m.add_argument("--pairs", help="batch manifest: part full outdir per line")
     m.add_argument("--out", default="match_out")
     m.add_argument("--config", help="key=value configuration file")
-    m.add_argument("--k", type=int, default=100)
     m.add_argument("--radius", type=float, default=0.0,
                    help="descriptor support radius (0 = 7%% of sqrt(area))")
     m.add_argument("--descriptors-part", default="")
     m.add_argument("--descriptors-full", default="")
-    m.add_argument("--mu1", type=float, default=1.0)
-    m.add_argument("--mu2", type=float, default=1e2)
-    m.add_argument("--mu3", type=float, default=1.0)
-    m.add_argument("--mu4-5", dest="mu4_5", type=float, default=1e3)
-    m.add_argument("--sigma-w", type=float, default=0.03)
-    m.add_argument("--sigma-xi", type=float, default=0.5)
-    m.add_argument("--max-outer", type=int, default=5)
-    m.add_argument("--cg-max-iter", type=int, default=300)
-    m.add_argument("--cg-grad-tol", type=float, default=1e-6)
+    for cls, names in _SETTING_FLAGS.items():
+        defaults = cls()
+        for name in names:
+            value = getattr(defaults, name)
+            m.add_argument("--" + name.replace("_", "-"), type=type(value),
+                           default=value)
     m.add_argument("--jobs", type=int, default=1)
 
     e = sub.add_parser("eval", help="evaluate a match against ground truth")

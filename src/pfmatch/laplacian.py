@@ -1,14 +1,14 @@
 """Cotangent Laplace-Beltrami discretization and truncated eigendecomposition.
 
-The stiffness matrix W follows the cotangent formula with positive
-off-diagonal weights and diagonal -sum(row), so W itself is negative
-semi-definite and the generalized eigenproblem is solved for the positive
-semi-definite pair (-W, S):  -W phi = lambda S phi,  lambda >= 0 ascending.
-Boundary edges receive the single-cotangent branch, which realizes natural
-(Neumann) boundary conditions.
+One convention throughout: K phi = lambda S phi, lambda >= 0 ascending.  The
+stiffness K is positive semi-definite, with off-diagonal entries minus the
+cotangent weights and the row sum of the weights on the diagonal.  The lumped
+mass S is kept as the vector of vertex areas.  Boundary edges receive the
+single-cotangent branch, which realizes natural (Neumann) boundary
+conditions.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -28,10 +28,10 @@ class EigensolveError(RuntimeError):
 
 @dataclass(frozen=True)
 class LaplacianPair:
-    """Stiffness W (sparse symmetric, negative semi-definite) and lumped
-    diagonal mass matrix S of a mesh."""
+    """Stiffness K (sparse symmetric, positive semi-definite) and lumped
+    mass S (vertex areas) of a mesh."""
     stiffness: sp.csr_matrix
-    mass: sp.dia_matrix
+    mass: np.ndarray  # (n,)
 
     @property
     def n(self):
@@ -40,16 +40,15 @@ class LaplacianPair:
 
 @dataclass(frozen=True)
 class SpectralBasis:
-    """First k eigenpairs of (-W, S): ascending eigenvalues and S-orthonormal
+    """First k eigenpairs of (K, S): ascending eigenvalues and S-orthonormal
     eigenvectors with a deterministic sign convention."""
     eigenvalues: np.ndarray  # (k,)
     eigenvectors: np.ndarray  # (n, k)
-    mass: np.ndarray  # (n,) diagonal of S
-    k: int = field(default=0)
+    mass: np.ndarray  # (n,) vertex areas
 
-    def __post_init__(self):
-        if self.k == 0:
-            object.__setattr__(self, "k", len(self.eigenvalues))
+    @property
+    def k(self):
+        return len(self.eigenvalues)
 
     @property
     def n(self):
@@ -63,9 +62,9 @@ class SpectralBasis:
 
 
 def cotan_stiffness(mesh):
-    """Sparse cotangent stiffness matrix per the classical formula.
+    """Sparse cotangent stiffness matrix K per the classical formula.
 
-    Interior edges get (cot a + cot b)/2, boundary edges (cot a)/2, and the
+    Interior edges get -(cot a + cot b)/2, boundary edges -(cot a)/2, and the
     diagonal is the negated off-diagonal row sum.
     """
     t = mesh.triangles
@@ -83,17 +82,11 @@ def cotan_stiffness(mesh):
     cols = np.concatenate(cols)
     vals = np.concatenate(vals)
     W = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-    W = W - sp.diags(np.asarray(W.sum(axis=1)).ravel())
-    return W.tocsr()
-
-
-def mass_matrix(mesh):
-    """Diagonal lumped mass matrix; trace equals the total surface area."""
-    return sp.diags(mesh.vertex_areas())
+    return (sp.diags(np.asarray(W.sum(axis=1)).ravel()) - W).tocsr()
 
 
 def laplacian_pair(mesh):
-    return LaplacianPair(cotan_stiffness(mesh), mass_matrix(mesh))
+    return LaplacianPair(cotan_stiffness(mesh), mesh.vertex_areas())
 
 
 def _leading_entries(vecs):
@@ -161,7 +154,7 @@ def _shifted_band_factor(A):
 
 
 def eigensolve(pair, k):
-    """First k eigenpairs of the generalized problem -W phi = lambda S phi.
+    """First k eigenpairs of the generalized problem K phi = lambda S phi.
 
     The mass matrix is diagonal, so the pencil reduces to the standard
     problem (S^-1/2 K S^-1/2) y = lambda y with phi = S^-1/2 y, whose
@@ -177,10 +170,12 @@ def eigensolve(pair, k):
         raise ValueError(f"k={k} must be smaller than n={n}")
     if k < 1:
         raise ValueError("k must be positive")
-    K = (-pair.stiffness).tocsc()
-    s = pair.mass.diagonal()
+    # CSC sorts the indices: the reverse Cuthill-McKee ordering breaks ties
+    # in stored index order, which K0 + t P leaves unsorted.
+    K = pair.stiffness.tocsc()
+    s = pair.mass
     if np.any(s <= 0):
-        raise ValueError("mass diagonal must be strictly positive")
+        raise ValueError("vertex areas must be strictly positive")
     r = 1.0 / np.sqrt(s)
 
     if n <= DENSE_FALLBACK_N:

@@ -447,9 +447,10 @@ def alternate(prob, params, phi_part, opts=SolverOptions()):
     energy stops falling by ``outer_rel_tol`` or ``max_outer`` is reached.
 
     The ICP refinement then runs once, from the final C, and gives the
-    returned C and the point-wise map; ``phi_part`` holds the n_part x k
-    partial-shape eigenvectors it aligns.  Refine's objective has no
-    descriptor data term, so its C is not fed back into the alternation.
+    returned C and the point-wise map; it aligns the first k columns of
+    ``phi_part``, the partial-shape eigenvectors, with k the problem's.
+    Refine's objective has no descriptor data term, so its C is not fed
+    back into the alternation.
     """
     C = np.zeros_like(prob.W)
     v = initial_mask(prob)
@@ -465,7 +466,8 @@ def alternate(prob, params, phi_part, opts=SolverOptions()):
             break
         prev_total = breakdown.total
 
-    C, pi, resids = refine(C, phi_part, prob.Psi, prob.d, opts)
+    k = prob.Psi.shape[1]
+    C, pi, resids = refine(C, phi_part[:, :k], prob.Psi, prob.d, opts)
     pi = pointwise_map(pi, eta(v))
     r = int(np.sum(prob.d))
     return MatchResult(C=C, v=v, pi=pi, energy_trace=trace,

@@ -6,11 +6,11 @@ Conventions
 The functional map C is stored so that C @ a maps coefficients in the partial
 shape's basis (columns) to coefficients in the full shape's basis (rows).
 
-Perturbation blocks are expressed for the positive semi-definite operator
-K = -W (W being the stored cotangent stiffness), with the full-shape mass
-held fixed: the parametric family is K(t) = blockdiag(K_N, K_Nc) + t * P_full
-under the part-first vertex ordering, and eigenpairs are taken from
-K(t) phi = lambda S phi.
+Stiffness matrices are the positive semi-definite cotangent K of
+``laplacian`` and masses the vectors S of vertex areas, so eigenpairs solve
+K phi = lambda S phi.  The perturbation laboratory holds the full-shape mass
+fixed: under the part-first vertex ordering the parametric family is
+K(t) = K0 + t P, with K0 = blockdiag(K_N, K_Nc) and P the perturbation.
 """
 
 import warnings
@@ -115,14 +115,16 @@ def ground_truth_map(basis_part, basis_full, correspondence, k=None):
 class PerturbationSetup:
     """Block decomposition of the cut stiffness under part-first ordering.
 
-    All matrices use the positive semi-definite convention K = -W.  ``order``
-    maps position in the reordered full matrix to the original full-mesh
-    vertex index (part vertices first).
+    ``K0`` is blockdiag(K_part, K_comp) and ``P`` the whole perturbation, of
+    which ``P_part`` and ``P_cross`` are the part and part-complement
+    blocks.  ``order`` maps position in the reordered full matrix to the
+    original full-mesh vertex index (part vertices first).
     """
     K_part: sp.csr_matrix
     K_comp: sp.csr_matrix
+    K0: sp.csr_matrix
+    P: sp.csr_matrix
     P_part: sp.csr_matrix
-    P_comp: sp.csr_matrix
     P_cross: sp.csr_matrix
     mass_part: np.ndarray
     mass_comp: np.ndarray
@@ -138,26 +140,17 @@ class PerturbationSetup:
     def n_comp(self):
         return self.K_comp.shape[0]
 
-    def full_perturbation(self):
-        return sp.bmat([[self.P_part, self.P_cross],
-                        [self.P_cross.T, self.P_comp]], format="csr")
-
-    def block_diagonal(self):
-        return sp.block_diag([self.K_part, self.K_comp], format="csr")
-
     def stiffness(self, t):
         """K(t); at t = 1 this is exactly the reordered full-shape stiffness."""
-        if t == 1.0:
-            return self.block_diagonal() + self.full_perturbation()
-        return self.block_diagonal() + t * self.full_perturbation()
+        return self.K0 + t * self.P
 
 
 def perturbation_setup(full_mesh, part_vertex_ids):
     """Split a mesh by a vertex set and extract the boundary perturbation.
 
-    The perturbation blocks are computed numerically as the difference
-    between the reordered full stiffness and the block diagonal of the two
-    submesh stiffnesses, which guarantees K(1) = K_M exactly.  Masses are the
+    The perturbation is computed numerically as the difference between the
+    reordered full stiffness and the block diagonal of the two submesh
+    stiffnesses, which guarantees K(1) = K_M exactly.  Masses are the
     full-shape ones, restricted to each block.
     """
     part_ids = np.asarray(part_vertex_ids, dtype=np.int64)
@@ -173,35 +166,25 @@ def perturbation_setup(full_mesh, part_vertex_ids):
         raise ValueError("vertex set leaves isolated vertices in a submesh")
     order = np.concatenate([map_p, map_c])
 
-    K_full = (-cotan_stiffness(full_mesh)).tocsr()[order][:, order]
-    K_p = (-cotan_stiffness(sub_p)).tocsr()
-    K_c = (-cotan_stiffness(sub_c)).tocsr()
-    P = (K_full - sp.block_diag([K_p, K_c], format="csr")).tocsr()
+    K_full = cotan_stiffness(full_mesh)[order][:, order]
+    K_p = cotan_stiffness(sub_p)
+    K_c = cotan_stiffness(sub_c)
+    K0 = sp.block_diag([K_p, K_c], format="csr")
+    P = K_full - K0
     P.eliminate_zeros()
     n = len(map_p)
     P_part = P[:n, :n].tocsr()
-    P_comp = P[n:, n:].tocsr()
     P_cross = P[:n, n:].tocsr()
 
     s_full = full_mesh.vertex_areas()
     # Boundary bands: vertices touched by any perturbation entry.
     b_part = np.unique(np.concatenate([P_part.nonzero()[0],
                                        P_cross.nonzero()[0]]))
-    b_comp = np.unique(np.concatenate([P_comp.nonzero()[0],
+    b_comp = np.unique(np.concatenate([P[n:, n:].nonzero()[0],
                                        P_cross.nonzero()[1]]))
-    return PerturbationSetup(K_p, K_c, P_part, P_comp, P_cross,
+    return PerturbationSetup(K_p, K_c, K0, P, P_part, P_cross,
                              s_full[map_p], s_full[map_c], order,
                              b_part, b_comp)
-
-
-def parametric_laplacian(full_mesh, part_vertex_ids, t):
-    """Stiffness family L(t) in the stored (negative semi-definite) sign,
-    under part-first vertex ordering.  L(0) is block diagonal; L(1) equals
-    the reordered full-shape cotangent stiffness."""
-    if not 0.0 <= t <= 1.0:
-        raise ValueError("t must lie in [0, 1]")
-    setup = perturbation_setup(full_mesh, part_vertex_ids)
-    return -setup.stiffness(t)
 
 
 def eigenvalue_derivative(basis_part, P_part, i):

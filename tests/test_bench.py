@@ -71,6 +71,41 @@ def test_plane_offset_hits_fraction(sphere):
         assert abs(part.total_area / sphere.total_area - frac) < 0.03
 
 
+def _offset_by_cutting(mesh, normal, keep_fraction, tol=0.01):
+    """The search as it was first written: one plane_cut mesh per step."""
+    normal = np.asarray(normal, dtype=np.float64)
+    normal = normal / np.linalg.norm(normal)
+    proj = mesh.vertices @ normal
+    lo, hi = proj.min() - 1e-9, proj.max() + 1e-9
+    total = mesh.total_area
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        try:
+            sub, _ = plane_cut(mesh, mid * normal, normal)
+            frac = sub.total_area / total
+        except ValueError:
+            frac = 0.0
+        if abs(frac - keep_fraction) < tol:
+            return mid * normal
+        if frac > keep_fraction:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi) * normal
+
+
+def test_plane_offset_matches_cutting_loop():
+    rng = np.random.default_rng(3)
+    for mesh in (bumpy_sphere(subdivisions=3), bumpy_sphere(subdivisions=4)):
+        for _ in range(4):
+            normal = rng.normal(size=3)
+            frac = rng.uniform(0.25, 0.7)
+            for tol in (0.01, 1e-6):
+                got = plane_offset_for_area(mesh, normal, frac, tol)
+                ref = _offset_by_cutting(mesh, normal, frac, tol)
+                assert got.tobytes() == ref.tobytes()
+
+
 def test_erode_holes_budget(sphere):
     part, gt = erode_holes(sphere, seed_count=4, area_budget=0.7)
     frac = part.total_area / sphere.total_area

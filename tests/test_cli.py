@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import os
 
 import numpy as np
@@ -8,9 +9,11 @@ import scipy.sparse.linalg
 
 from pfmatch import cli
 from pfmatch.bench import grid_mesh, icosphere, load_ground_truth
-from pfmatch.cli import UsageError, _read_config, main
+from pfmatch.cli import UsageError, _read_config, build_parser, main
+from pfmatch.energy import EnergyParams
 from pfmatch.matio import load_matrix, save_matrix
 from pfmatch.mesh import load_mesh, save_ply
+from pfmatch.solver import SolverOptions
 from pfmatch.spectral import perturbation_setup
 
 
@@ -291,6 +294,15 @@ def test_config_does_not_override_flag_at_default(mesh_files, tmp_path,
                  "--full", mesh_files["full"], "--k", "100",
                  "--config", str(cfg)]) == 0
     assert (seen[0].k, seen[0].max_outer) == (100, 2)
+
+
+def test_match_flag_defaults_are_the_library_defaults():
+    args = build_parser().parse_args(["match"])
+    energy = {f.name: getattr(args, f.name)
+              for f in dataclasses.fields(EnergyParams)}
+    assert EnergyParams(**energy) == EnergyParams()
+    for name in ("max_outer", "cg_max_iter", "cg_grad_tol"):
+        assert getattr(args, name) == getattr(SolverOptions(), name)
 
 
 @pytest.mark.parametrize("key", ["command", "config"])

@@ -1,22 +1,21 @@
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from pfmatch.bench import bumpy_sphere, grid_mesh, icosphere
 from pfmatch.laplacian import (EigensolveError, LaplacianPair, _fix_signs,
                                _order_ties, cotan_stiffness, eigensolve,
-                               laplacian_pair, mass_matrix, mesh_basis)
+                               laplacian_pair, mesh_basis)
 from pfmatch.mesh import TriangleMesh
 
 
 def test_stiffness_equilateral(equilateral):
     # All angles are 60 degrees, so each boundary-edge weight is cot(60)/2.
-    W = cotan_stiffness(equilateral).toarray()
+    K = cotan_stiffness(equilateral).toarray()
     off = 1.0 / (2.0 * np.sqrt(3.0))
-    expected = np.full((3, 3), off) - np.diag([3 * off] * 3)
-    assert np.allclose(W, expected)
+    expected = np.diag([3 * off] * 3) - np.full((3, 3), off)
+    assert np.allclose(K, expected)
 
 
 def test_stiffness_right_isoceles_square():
@@ -24,35 +23,38 @@ def test_stiffness_right_isoceles_square():
     # two right angles, cot(90) = 0, so its weight vanishes.
     v = np.array([[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]], dtype=float)
     mesh = TriangleMesh(v, [[0, 1, 2], [0, 2, 3]])
-    W = cotan_stiffness(mesh).toarray()
-    assert np.isclose(W[0, 2], 0.0)
-    assert np.isclose(W[0, 1], 0.5)
-    assert np.isclose(W[1, 2], 0.5)
+    K = cotan_stiffness(mesh).toarray()
+    assert np.isclose(K[0, 2], 0.0)
+    assert np.isclose(K[0, 1], -0.5)
+    assert np.isclose(K[1, 2], -0.5)
 
 
 def test_stiffness_row_sums_zero(square_grid, sphere):
     for mesh in (square_grid, sphere):
-        W = cotan_stiffness(mesh)
-        assert np.allclose(np.asarray(W.sum(axis=1)).ravel(), 0.0, atol=1e-12)
+        K = cotan_stiffness(mesh)
+        assert np.allclose(np.asarray(K.sum(axis=1)).ravel(), 0.0, atol=1e-12)
 
 
 def test_stiffness_symmetric(bumpy):
-    W = cotan_stiffness(bumpy)
-    assert abs(W - W.T).max() < 1e-12
+    K = cotan_stiffness(bumpy)
+    assert abs(K - K.T).max() < 1e-12
 
 
-def test_stiffness_negative_semidefinite(square_grid, rng):
-    # Dirichlet energy -f'Wf must be nonnegative for arbitrary functions.
-    W = cotan_stiffness(square_grid)
+def test_stiffness_positive_semidefinite(square_grid, rng):
+    # Dirichlet energy f'Kf must be nonnegative for arbitrary functions.
+    K = cotan_stiffness(square_grid)
     for _ in range(20):
         f = rng.standard_normal(square_grid.n_vertices)
-        assert -f @ (W @ f) >= -1e-10
+        assert f @ (K @ f) >= -1e-10
 
 
 def test_mass_matrix_trace(equilateral, square_grid, sphere):
-    assert np.isclose(mass_matrix(equilateral).diagonal().sum(), np.sqrt(3) / 4)
-    assert np.isclose(mass_matrix(square_grid).diagonal().sum(), 1.0)
-    assert abs(mass_matrix(sphere).diagonal().sum() - 4 * np.pi) < 0.01 * 4 * np.pi
+    def area(mesh):
+        return laplacian_pair(mesh).mass.sum()
+
+    assert np.isclose(area(equilateral), np.sqrt(3) / 4)
+    assert np.isclose(area(square_grid), 1.0)
+    assert abs(area(sphere) - 4 * np.pi) < 0.01 * 4 * np.pi
 
 
 def test_first_eigenpair_constant(square_grid):
@@ -77,7 +79,7 @@ def test_s_orthonormality(square_grid):
 def test_eigen_residual(square_grid):
     pair = laplacian_pair(square_grid)
     basis = eigensolve(pair, 10)
-    K = -pair.stiffness
+    K = pair.stiffness
     for i in range(10):
         r = K @ basis.eigenvectors[:, i] - \
             basis.eigenvalues[i] * basis.mass * basis.eigenvectors[:, i]
@@ -155,8 +157,8 @@ def test_sparse_eigensolve_errors(square_grid, monkeypatch):
 def _generalized_reference(pair, k):
     """Reference: the dense generalized solve with an n x n mass matrix that
     the standard-form solve replaced, then eigensolve's sign and tie order."""
-    K = (-pair.stiffness).toarray()
-    S = np.diag(pair.mass.diagonal())
+    K = pair.stiffness.toarray()
+    S = np.diag(pair.mass)
     vals, vecs = scipy.linalg.eigh(K, S, subset_by_index=[0, k - 1])
     return _order_ties(vals, _fix_signs(vecs))
 
@@ -249,6 +251,6 @@ def test_bad_k(square_grid):
 
 def test_nonpositive_mass_rejected(square_grid):
     pair = laplacian_pair(square_grid)
-    bad_mass = sp.diags(np.zeros(square_grid.n_vertices))
+    bad_mass = np.zeros(square_grid.n_vertices)
     with pytest.raises(ValueError):
         eigensolve(LaplacianPair(pair.stiffness, bad_mass), 3)

@@ -530,6 +530,26 @@ def test_alternate_deterministic(small_pair):
     assert np.array_equal(a.pi, b.pi)
 
 
+def test_alternate_truncates_a_wider_basis():
+    # build_problem truncates to params.k; alternate must align only the
+    # first k partial eigenvectors even when handed the wider basis.
+    full = grid_mesh(8)
+    part, _ = full.submesh(np.flatnonzero(full.vertices[:, 0] <= 0.5 + 1e-9))
+    basis_full, basis_part = mesh_basis(full, 12), mesh_basis(part, 12)
+    params = EnergyParams(k=8)
+    prob, _ = build_problem(basis_part, basis_full,
+                            shot_descriptors(part, radius=0.3),
+                            shot_descriptors(full, radius=0.3), full,
+                            part.total_area, params)
+    opts = SolverOptions(max_outer=2, cg_max_iter=30)
+    phi = basis_part.eigenvectors
+    wide = alternate(prob, params, phi, opts)
+    narrow = alternate(prob, params, phi[:, :8], opts)
+    assert wide.C.tobytes() == narrow.C.tobytes()
+    assert wide.v.tobytes() == narrow.v.tobytes()
+    assert np.array_equal(wide.pi, narrow.pi)
+
+
 def test_alternate_recovers_part_region(small_pair):
     # The left half of the grid should be matched onto itself: recovered
     # membership must be high inside the part's footprint and the assignment

@@ -1,17 +1,16 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 
 from pfmatch.bench import grid_mesh
-from pfmatch.laplacian import SpectralBasis, cotan_stiffness, eigensolve, mesh_basis
-from pfmatch.laplacian import LaplacianPair
+from pfmatch.laplacian import (LaplacianPair, SpectralBasis, cotan_stiffness,
+                               eigensolve, mesh_basis)
 from pfmatch.spectral import (PAIR_SKIP_REL_TOL, FunctionalMap,
                               boundary_interaction, build_d_vector,
                               build_weight_matrix, eigenvalue_derivative,
                               eigenvector_derivative, estimate_rank, fourier_coeffs,
-                              ground_truth_map, parametric_laplacian,
-                              perturbation_setup)
-import scipy.sparse as sp
+                              ground_truth_map, perturbation_setup)
 
 
 def left_half_ids(mesh):
@@ -19,12 +18,12 @@ def left_half_ids(mesh):
 
 
 def part_basis(setup, k):
-    pair = LaplacianPair((-setup.K_part).tocsr(), sp.diags(setup.mass_part))
+    pair = LaplacianPair(setup.K_part, setup.mass_part)
     return eigensolve(pair, k)
 
 
 def comp_basis(setup, k):
-    pair = LaplacianPair((-setup.K_comp).tocsr(), sp.diags(setup.mass_comp))
+    pair = LaplacianPair(setup.K_comp, setup.mass_comp)
     return eigensolve(pair, k)
 
 
@@ -166,25 +165,22 @@ def test_ground_truth_transfers_coefficients(square_grid):
 def test_parametric_endpoints(square_grid):
     ids = left_half_ids(square_grid)
     setup = perturbation_setup(square_grid, ids)
-    W_full = cotan_stiffness(square_grid)
-    W_perm = W_full[setup.order][:, setup.order]
+    K_full = cotan_stiffness(square_grid)
+    K_perm = K_full[setup.order][:, setup.order]
 
-    L1 = parametric_laplacian(square_grid, ids, 1.0)
-    assert abs(L1 - W_perm).max() == 0.0
+    K1 = setup.stiffness(1.0)
+    assert abs(K1 - K_perm).max() == 0.0
 
-    L0 = parametric_laplacian(square_grid, ids, 0.0)
+    K0 = setup.stiffness(0.0)
     n = setup.n_part
-    assert abs(L0[:n, n:]).max() == 0.0
-    assert abs((-L0[:n, :n]) - setup.K_part).max() == 0.0
-
-    with pytest.raises(ValueError):
-        parametric_laplacian(square_grid, ids, 1.5)
+    assert abs(K0[:n, n:]).max() == 0.0
+    assert abs(K0[:n, :n] - setup.K_part).max() == 0.0
 
 
 def test_perturbation_symmetric_and_local(square_grid):
     ids = left_half_ids(square_grid)
     setup = perturbation_setup(square_grid, ids)
-    P = setup.full_perturbation()
+    P = setup.P
     assert abs(P - P.T).max() < 1e-14
     # The perturbation only touches vertices adjacent to the cut: every
     # vertex in the part band must lie on the dividing line x = 0.5.
@@ -221,7 +217,7 @@ def test_eigenvalue_derivative_fd():
     h = 1e-6
 
     def spectrum(t):
-        K = setup.block_diagonal().toarray() + t * setup.full_perturbation().toarray()
+        K = setup.stiffness(t).toarray()
         return scipy.linalg.eigh(K, np.diag(S), eigvals_only=True)
 
     lam_plus = spectrum(h)
@@ -283,7 +279,7 @@ def test_eigenvector_derivative_fd():
     h = 1e-6
 
     def eigvec_at(t, pos, reference):
-        K = setup.block_diagonal().toarray() + t * setup.full_perturbation().toarray()
+        K = setup.stiffness(t).toarray()
         vals, vecs = scipy.linalg.eigh(K, np.diag(S))
         v = vecs[:, pos]
         if v @ (S * reference) < 0:
