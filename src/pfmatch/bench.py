@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .matio import save_csv
 from .mesh import TriangleMesh
 
 GEODESIC_BLOCK = 64  # Dijkstra sources per call in princeton_error
@@ -102,10 +103,17 @@ def bumpy_sphere(subdivisions=4, n_bumps=8, amplitude=0.25, width=0.45,
 # -- partiality generators ----------------------------------------------------
 
 
-def _positive_side(mesh, point, normal):
-    """Vertices on the positive side of the plane, boundary included."""
+def _unit_normal(normal):
     normal = np.asarray(normal, dtype=np.float64)
-    normal = normal / np.linalg.norm(normal)
+    length = np.linalg.norm(normal)
+    if length == 0.0:
+        raise ValueError("the plane normal is the zero vector")
+    return normal / length
+
+
+def positive_side(mesh, point, normal):
+    """Vertices on the positive side of the plane, boundary included."""
+    normal = _unit_normal(normal)
     return (mesh.vertices - np.asarray(point)) @ normal >= 0.0
 
 
@@ -114,7 +122,7 @@ def plane_cut(mesh, point, normal):
 
     Returns (partial mesh, GroundTruth).
     """
-    keep_ids = np.flatnonzero(_positive_side(mesh, point, normal))
+    keep_ids = np.flatnonzero(positive_side(mesh, point, normal))
     if len(keep_ids) == 0:
         raise ValueError("plane cut removes the entire mesh")
     sub, vertex_map = mesh.submesh(keep_ids)
@@ -125,14 +133,15 @@ def plane_offset_for_area(mesh, normal, keep_fraction, tol=0.01):
     """Bisect the plane offset along ``normal`` so the cut keeps roughly the
     requested fraction of the surface area.  The kept area is summed over
     the triangles plane_cut would keep, without building the cut mesh."""
-    normal = np.asarray(normal, dtype=np.float64)
-    normal = normal / np.linalg.norm(normal)
+    if not 0.0 < keep_fraction < 1.0:
+        raise ValueError("keep fraction must be in (0, 1)")
+    normal = _unit_normal(normal)
     proj = mesh.vertices @ normal
     lo, hi = proj.min() - 1e-9, proj.max() + 1e-9
     total = mesh.total_area
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        side = _positive_side(mesh, mid * normal, normal)
+        side = positive_side(mesh, mid * normal, normal)
         kept = side[mesh.triangles].all(axis=1)
         frac = float(mesh.triangle_areas[kept].sum()) / total
         if abs(frac - keep_fraction) < tol:
@@ -233,11 +242,8 @@ def cumulative_curve(errors, thresholds):
 
 
 def save_ground_truth(gt, path):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["part_vertex", "full_vertex"])
-        for i, y in enumerate(gt.correspondence):
-            w.writerow([i, int(y)])
+    save_csv(path, ["part_vertex", "full_vertex"],
+             ([i, int(y)] for i, y in enumerate(gt.correspondence)))
 
 
 def read_index_pairs(path):

@@ -7,7 +7,6 @@ file values.  ``--jobs N`` runs N jobs of a ``--pairs`` batch at a time.
 
 import argparse
 import concurrent.futures
-import csv
 import dataclasses
 import os
 import sys
@@ -85,22 +84,19 @@ def run_match(args):
                               _settings(SolverOptions, args))
 
     matio.save_matrix(os.path.join(args.out, "C.bin"), result.C)
-    with open(os.path.join(args.out, "v.csv"), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["vertex", "value", "eta"])
-        for i, (val, e) in enumerate(zip(result.v, eta(result.v))):
-            w.writerow([i, repr(float(val)), repr(float(e))])
-    with open(os.path.join(args.out, "pi.csv"), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["full_vertex", "part_vertex"])
-        for i, p in enumerate(result.pi):
-            w.writerow([i, int(p)])
-    with open(os.path.join(args.out, "energy.csv"), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["iteration", "data", "area", "mumford_shah", "slant",
-                    "orthogonality", "total"])
-        for it, bd in enumerate(result.energy_trace):
-            w.writerow([it] + [repr(float(x)) for x in bd.as_row()])
+    matio.save_csv(os.path.join(args.out, "v.csv"),
+                   ["vertex", "value", "eta"],
+                   ([i, repr(float(val)), repr(float(e))]
+                    for i, (val, e) in enumerate(zip(result.v,
+                                                     eta(result.v)))))
+    matio.save_csv(os.path.join(args.out, "pi.csv"),
+                   ["full_vertex", "part_vertex"],
+                   ([i, int(p)] for i, p in enumerate(result.pi)))
+    matio.save_csv(os.path.join(args.out, "energy.csv"),
+                   ["iteration", "data", "area", "mumford_shah", "slant",
+                    "orthogonality", "total"],
+                   ([it] + [repr(float(x)) for x in bd.as_row()]
+                    for it, bd in enumerate(result.energy_trace)))
     # Correspondence visualization: full-shape coordinate colors carried to
     # the partial shape through the point-wise map.
     colors_full = _coordinate_colors(mesh_full)
@@ -171,26 +167,38 @@ def run_eval(args):
     errors = bench.princeton_error(assignment, gt, mesh_full)
     thresholds = np.linspace(0.0, args.max_threshold, args.n_thresholds)
     curve = bench.cumulative_curve(errors, thresholds)
-    with open(args.out, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["threshold", "fraction"])
-        for t, f in zip(thresholds, curve):
-            w.writerow([repr(float(t)), repr(float(f))])
+    matio.save_csv(args.out, ["threshold", "fraction"],
+                   ([repr(float(t)), repr(float(f))]
+                    for t, f in zip(thresholds, curve)))
     finite = errors[np.isfinite(errors)]
     mean = float(finite.mean()) if len(finite) else float("nan")
     print(f"eval: {len(finite)}/{len(errors)} assigned, mean error {mean:.5f}")
     return 0
 
 
+def _plane_vectors(args):
+    """(point, normal) of ``--plane-point`` and ``--plane-normal``."""
+    out = []
+    for flag, text in (("--plane-point", args.plane_point),
+                       ("--plane-normal", args.plane_normal)):
+        try:
+            vec = np.array([float(x) for x in text.split(",")])
+        except ValueError:
+            vec = np.empty(0)
+        if vec.shape != (3,) or not np.isfinite(vec).all():
+            raise UsageError(f"{flag} {text!r}: expected three finite "
+                             "numbers x,y,z")
+        out.append(vec)
+    return out
+
+
 def run_gen(args):
     mesh = load_mesh(args.mesh)
     if args.kind == "cut":
-        normal = np.asarray([float(x) for x in args.plane_normal.split(",")])
+        point, normal = _plane_vectors(args)
         if args.keep_fraction is not None:
             point = bench.plane_offset_for_area(mesh, normal,
                                                 args.keep_fraction)
-        else:
-            point = np.asarray([float(x) for x in args.plane_point.split(",")])
         partial, gt = bench.plane_cut(mesh, point, normal)
     else:
         partial, gt = bench.erode_holes(mesh, args.seeds, args.area_budget)
@@ -220,11 +228,9 @@ def _spectrum_past(K, mass, value, m):
 
 def run_perturb(args):
     mesh = load_mesh(args.mesh)
+    point, normal = _plane_vectors(args)
+    part_ids = np.flatnonzero(bench.positive_side(mesh, point, normal))
     os.makedirs(args.out, exist_ok=True)
-    normal = np.asarray([float(x) for x in args.plane_normal.split(",")])
-    point = np.asarray([float(x) for x in args.plane_point.split(",")])
-    nrm = normal / np.linalg.norm(normal)
-    part_ids = np.flatnonzero((mesh.vertices - point) @ nrm >= 0)
     setup = spectral.perturbation_setup(mesh, part_ids)
     pair = laplacian.LaplacianPair(setup.K_part, setup.mass_part)
     kk = min(args.k, setup.n_part - 1)
@@ -250,20 +256,15 @@ def run_perturb(args):
         fd = (lam1[pos] - lam0[pos]) / t
         denom = max(abs(fd), 1e-300)
         report.append((i, pred, fd, abs(pred - fd) / denom))
-    with open(os.path.join(args.out, "eigenvalue_fd.csv"), "w",
-              newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["index", "formula", "finite_difference", "rel_error"])
-        for row in report:
-            w.writerow([row[0]] + [repr(float(x)) for x in row[1:]])
+    matio.save_csv(os.path.join(args.out, "eigenvalue_fd.csv"),
+                   ["index", "formula", "finite_difference", "rel_error"],
+                   ([row[0]] + [repr(float(x)) for x in row[1:]]
+                    for row in report))
 
     f = spectral.boundary_interaction(basis)
-    with open(os.path.join(args.out, "boundary_interaction.csv"), "w",
-              newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["vertex", "f"])
-        for i, val in enumerate(f):
-            w.writerow([i, repr(float(val))])
+    matio.save_csv(os.path.join(args.out, "boundary_interaction.csv"),
+                   ["vertex", "f"],
+                   ([i, repr(float(val))] for i, val in enumerate(f)))
     sub, _ = mesh.submesh(part_ids)
     fn = f / f.max() if f.max() > 0 else f
     colors = np.zeros((len(f), 3), dtype=np.uint8)

@@ -1,12 +1,15 @@
 """Objective terms of the partial-correspondence energy and their gradients.
 
-Every gradient here is verified against central finite differences in the
-test suite; that suite is the authority on the sign and scaling conventions
-below.  The L2,1 data norm is smoothed per column as sqrt(|col|^2 + eps^2) -
-eps so the gradient exists at zero residual columns.
+Each term returns its value and its gradient, except the data term, the one
+term that couples C and v: it returns its value and Hn, from which
+``solver.c_objective`` forms its C-gradient and ``solver.v_objective`` its
+v-gradient.  Every gradient is verified against central finite differences
+in the test suite; that suite is the authority on the sign and scaling
+conventions below.  The L2,1 data norm is smoothed per column as
+sqrt(|col|^2 + eps^2) - eps so the gradient exists at zero residual columns.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,13 +73,8 @@ class MatchProblem:
     area_part: float
     W: np.ndarray
     d: np.ndarray
-    F: np.ndarray = None  # q-column descriptors of the partial shape
-    dim: int = None  # descriptor length before all-zero bins were dropped
-    # (E, F, G) of the full shape's triangles, for mumford_shah.
-    metric: tuple = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.metric = triangle_metric(self.mesh_full)
+    F: np.ndarray  # q-column descriptors of the partial shape
+    dim: int  # descriptor length before all-zero bins were dropped
 
 
 # -- saturation functions -----------------------------------------------------
@@ -126,45 +124,25 @@ def _xi_prime(th, xi_th, sigma):
 # -- individual terms ---------------------------------------------------------
 
 
-def data_term(C, A, Psi, mass, G, v, dim=None, with_grads=True):
-    """Column-sparse (L2,1) residual of C A - B with B = Psi^T diag(mass
-    eta(v)) G.
+def data_term(CA, B, dim):
+    """Smoothed L2,1 norm of the residual H = C A - B, with eps scaled to B
+    and to ``dim``, the descriptor length before bins zero in both A and G
+    were dropped.
 
-    ``A`` None means that ``C`` is the product C A itself; grad_C is then
-    None.  ``dim`` is the descriptor length before bins zero in both A and
-    G were dropped (by default G's column count); it sets eps.
-
-    Returns (value, grad_C, grad_v); without ``with_grads`` the gradients
-    are None and their products are not formed.
+    Returns (value, Hn), Hn being H with each column divided by its
+    smoothed norm.
     """
-    th = _th(v)
-    B = _mask_coefficients(Psi, mass * _eta(th), G)
-    H = (C if A is None else C @ A) - B
-    value, Hn = _smoothed_l21(H, B, dim)
-    if not with_grads:
-        return value, None, None
-    grad_C = None if A is None else Hn @ A.T
-    U = (Hn @ G.T).T  # an n x k view: faster than G @ Hn.T, and no copy
-    grad_v = -_eta_prime(th) * mass * np.einsum("ij,ij->i", Psi, U)
-    return value, grad_C, grad_v
-
-
-def _mask_coefficients(Psi, w, G):
-    """B = Psi^T diag(w) G, formed by scaling the n x k Psi."""
-    return (Psi * w[:, None]).T @ G
-
-
-def _smoothed_l21(H, B, dim=None):
-    """Smoothed L2,1 norm of H = C A - B, with eps scaled to B and ``dim``.
-
-    Returns (value, H with each column divided by its smoothed norm).
-    """
-    q = H.shape[1] if dim is None else dim
+    H = CA - B
     # The floor's square is a normal double, so every colnorm is positive:
     # with B = 0 a zero column of H adds 0 to the value and to Hn.
-    eps = max(1e-9 * np.linalg.norm(B) / np.sqrt(q), 1e-150)
+    eps = max(1e-9 * np.linalg.norm(B) / np.sqrt(dim), 1e-150)
     colnorm = np.sqrt(np.einsum("ij,ij->j", H, H) + eps ** 2)
     return float(np.sum(colnorm - eps)), H / colnorm
+
+
+def mask_coefficients(prob, v):
+    """B = Psi^T diag(mass eta(v)) G, formed by scaling the n x k Psi."""
+    return (prob.Psi * (prob.mass * eta(v))[:, None]).T @ prob.G
 
 
 def area_term(v, area_part, mass):
@@ -175,25 +153,14 @@ def area_term(v, area_part, mass):
     return diff ** 2, grad_v
 
 
-def triangle_metric(mesh):
-    """Per-triangle first fundamental form coefficients (E, F, G)."""
-    p = mesh.vertices[mesh.triangles]
-    e1 = p[:, 1] - p[:, 0]
-    e2 = p[:, 2] - p[:, 0]
-    E = np.einsum("ij,ij->i", e1, e1)
-    F = np.einsum("ij,ij->i", e1, e2)
-    G = np.einsum("ij,ij->i", e2, e2)
-    return E, F, G
-
-
-def mumford_shah(v, mesh, sigma_xi=DEFAULT_SIGMA_XI, _cache=None):
+def mumford_shah(v, mesh, sigma_xi=DEFAULT_SIGMA_XI):
     """Soft boundary length: (1/6) sum_j D_j (xi(v1) + xi(v2) + xi(v3)).
 
     D_j is the integrated gradient magnitude sqrt(va^2 G - 2 va vb F + vb^2 E)
     over triangle j, taken as zero on triangles with constant v.
     Returns (value, grad_v).
     """
-    E, F, G = _cache if _cache is not None else triangle_metric(mesh)
+    E, F, G = mesh.triangle_metric
     corners = np.ascontiguousarray(mesh.triangles.T)  # row c: corner c
     v = np.asarray(v)
     th = _th(v)
@@ -236,20 +203,11 @@ def orthogonality_term(C, d):
     return value, grad
 
 
-def total_energy(C, v, prob, params, with_grads=True):
-    """Weighted sum of all terms; optionally returns combined gradients.
-
-    Returns EnergyBreakdown or (EnergyBreakdown, grad_C, grad_v).
-    """
-    data, gC_data, gv_data = data_term(C, prob.A, prob.Psi, prob.mass,
-                                       prob.G, v, prob.dim, with_grads)
-    area, gv_area = area_term(v, prob.area_part, prob.mass)
-    ms, gv_ms = mumford_shah(v, prob.mesh_full, params.sigma_xi, prob.metric)
-    slant, gC_slant = slant_term(C, prob.W)
-    orth, gC_orth = orthogonality_term(C, prob.d)
-    breakdown = EnergyBreakdown.combine(data, area, ms, slant, orth, params)
-    if not with_grads:
-        return breakdown
-    grad_C = gC_data + params.mu3 * gC_slant + params.mu4_5 * gC_orth
-    grad_v = gv_data + params.mu1 * gv_area + params.mu2 * gv_ms
-    return breakdown, grad_C, grad_v
+def total_energy(C, v, prob, params):
+    """Weighted sum of all terms, as an EnergyBreakdown."""
+    data, _ = data_term(C @ prob.A, mask_coefficients(prob, v), prob.dim)
+    area, _ = area_term(v, prob.area_part, prob.mass)
+    ms, _ = mumford_shah(v, prob.mesh_full, params.sigma_xi)
+    slant, _ = slant_term(C, prob.W)
+    orth, _ = orthogonality_term(C, prob.d)
+    return EnergyBreakdown.combine(data, area, ms, slant, orth, params)

@@ -1,9 +1,11 @@
-"""Binary matrix container used for all persisted dense matrices.
+"""Binary matrix container used for all persisted dense matrices, and the
+writer of every CSV table.
 
 Layout: 8-byte magic ``PFMMAT01``, then rows and cols as unsigned 64-bit
 little-endian integers, then the row-major IEEE-754 double payload.
 """
 
+import csv
 import struct
 
 import numpy as np
@@ -35,3 +37,11 @@ def load_matrix(path):
     if len(payload) != rows * cols * 8:
         raise ValueError(f"{path}: truncated payload")
     return np.frombuffer(payload, dtype="<f8").reshape(rows, cols).copy()
+
+
+def save_csv(path, header, rows):
+    """Write a CSV table: the ``header`` row, then each of ``rows``."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)

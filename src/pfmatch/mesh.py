@@ -1,9 +1,10 @@
 """Triangle mesh representation, OFF/PLY I/O and geometric primitives.
 
 A :class:`TriangleMesh` is immutable after construction and caches derived
-structure (edge table, areas, geodesic graph) lazily.  Geodesic distances
-use Dijkstra on the edge graph augmented with edge-midpoint Steiner points,
-which keeps the graph-metric error small enough for evaluation purposes.
+structure (edge table, triangle metric, areas, geodesic graph) lazily.
+Geodesic distances use Dijkstra on the edge graph augmented with
+edge-midpoint Steiner points, which keeps the graph-metric error small
+enough for evaluation purposes.
 """
 
 import warnings
@@ -60,6 +61,7 @@ class TriangleMesh:
         self.triangles.setflags(write=False)
 
         self._edges = None
+        self._metric = None
         self._geo_graph = None
         self._validate_geometry()
 
@@ -128,6 +130,16 @@ class TriangleMesh:
 
     def is_closed(self):
         return len(self.boundary_edges) == 0
+
+    @property
+    def triangle_metric(self):
+        """Per-triangle first fundamental form coefficients (E, F, G)."""
+        if self._metric is None:
+            p = self.vertices[self.triangles]
+            e1, e2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+            self._metric = tuple(np.einsum("ij,ij->i", a, b)
+                                 for a, b in ((e1, e1), (e1, e2), (e2, e2)))
+        return self._metric
 
     # -- geodesics ----------------------------------------------------------
 

@@ -3,17 +3,17 @@ ICP spectral refinement.
 
 Everything here is deterministic: no unseeded randomness, and exact
 nearest-neighbor search with ties going to the smallest index.  The outer
-energy trace is monotone by construction: the C-step objective is the total
-energy less its v-only terms and the v-step objective is the total energy
-less its C-only terms, so each step descends from where it starts.
+energy trace is monotone by construction: ``c_objective`` is the total
+energy less its v-only terms and ``v_objective`` is the total energy less
+its C-only terms, so each step descends from where it starts.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .energy import (EnergyParams, MatchProblem, _mask_coefficients,
-                     _smoothed_l21, area_term, data_term, eta, mumford_shah,
+from .energy import (EnergyParams, MatchProblem, area_term, data_term, eta,
+                     eta_prime, mask_coefficients, mumford_shah,
                      orthogonality_term, slant_term, total_energy)
 from .spectral import build_d_vector, build_weight_matrix, estimate_rank
 
@@ -226,40 +226,52 @@ def build_problem(basis_part, basis_full, desc_part, desc_full, mesh_full,
     return prob, r
 
 
-def c_step(prob, params, C0, v_fixed, opts=SolverOptions()):
-    """Minimize the data + correspondence-regularizer energy over C."""
-    k = C0.shape[0]
-    B = _mask_coefficients(prob.Psi, prob.mass * eta(v_fixed), prob.G)
+def c_objective(prob, params, v):
+    """fun_grad of the flattened C: the data, slant and orthogonality terms
+    of total_energy at the fixed mask v, whose B is formed once."""
+    k = prob.A.shape[0]
+    B = mask_coefficients(prob, v)
 
-    def fg(x):
+    def fun_grad(x):
         C = x.reshape(k, k)
-        # data term with v frozen, so B is fixed
-        val, Hn = _smoothed_l21(C @ prob.A - B, B, prob.dim)
-        gC = Hn @ prob.A.T
+        d_val, Hn = data_term(C @ prob.A, B, prob.dim)
         s_val, s_grad = slant_term(C, prob.W)
         o_val, o_grad = orthogonality_term(C, prob.d)
-        total = val + params.mu3 * s_val + params.mu4_5 * o_val
-        grad = gC + params.mu3 * s_grad + params.mu4_5 * o_grad
-        return total, grad.reshape(-1)
+        val = d_val + params.mu3 * s_val + params.mu4_5 * o_val
+        grad = Hn @ prob.A.T + params.mu3 * s_grad + params.mu4_5 * o_grad
+        return val, grad.reshape(-1)
 
-    res = nonlinear_cg(fg, C0.reshape(-1), opts)
-    return res.x.reshape(k, k), res
+    return fun_grad
+
+
+def v_objective(prob, params, C):
+    """fun_grad of v: the data, area and Mumford-Shah terms of total_energy
+    at the fixed map C, whose C A is formed once."""
+    CA = C @ prob.A
+
+    def fun_grad(v):
+        d_val, Hn = data_term(CA, mask_coefficients(prob, v), prob.dim)
+        U = (Hn @ prob.G.T).T  # n x k view: faster than G @ Hn.T, no copy
+        d_grad = -eta_prime(v) * prob.mass * np.einsum("ij,ij->i",
+                                                       prob.Psi, U)
+        a_val, a_grad = area_term(v, prob.area_part, prob.mass)
+        m_val, m_grad = mumford_shah(v, prob.mesh_full, params.sigma_xi)
+        val = d_val + params.mu1 * a_val + params.mu2 * m_val
+        return val, d_grad + params.mu1 * a_grad + params.mu2 * m_grad
+
+    return fun_grad
+
+
+def c_step(prob, params, C0, v_fixed, opts=SolverOptions()):
+    """Minimize c_objective over C, from C0."""
+    res = nonlinear_cg(c_objective(prob, params, v_fixed), C0.reshape(-1),
+                       opts)
+    return res.x.reshape(C0.shape), res
 
 
 def v_step(prob, params, C_fixed, v0, opts=SolverOptions()):
-    """Minimize the data + part-regularizer energy over v."""
-    CA = C_fixed @ prob.A
-
-    def fg(v):
-        d_val, _, d_gv = data_term(CA, None, prob.Psi, prob.mass, prob.G, v,
-                                   prob.dim)
-        a_val, a_gv = area_term(v, prob.area_part, prob.mass)
-        m_val, m_gv = mumford_shah(v, prob.mesh_full, params.sigma_xi,
-                                   prob.metric)
-        val = d_val + params.mu1 * a_val + params.mu2 * m_val
-        return val, d_gv + params.mu1 * a_gv + params.mu2 * m_gv
-
-    res = nonlinear_cg(fg, v0, opts)
+    """Minimize v_objective over v, from v0."""
+    res = nonlinear_cg(v_objective(prob, params, C_fixed), v0, opts)
     return res.x, res
 
 
@@ -404,8 +416,6 @@ def initial_mask(prob):
     the per-vertex distance to the closest partial-shape descriptor gives a
     non-constant, data-driven start instead.
     """
-    if prob.F is None:
-        return np.ones(prob.Psi.shape[0])
     # Unit descriptors: squared distance is 2 - 2 <g, f>, so the nearest
     # partial descriptor is the one of largest inner product, taken a block
     # of rows at a time so that the n x n_part matrix never exists whole.
@@ -459,7 +469,7 @@ def alternate(prob, params, phi_part, opts=SolverOptions()):
     for _ in range(opts.max_outer):
         C, _ = c_step(prob, params, C, v, opts)
         v, _ = v_step(prob, params, C, v, opts)
-        breakdown = total_energy(C, v, prob, params, with_grads=False)
+        breakdown = total_energy(C, v, prob, params)
         trace.append(breakdown)
         if np.isfinite(prev_total) and prev_total - breakdown.total <= \
                 opts.outer_rel_tol * max(abs(prev_total), 1e-300):

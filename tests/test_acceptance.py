@@ -15,13 +15,13 @@ import scipy.linalg
 from pfmatch.bench import (GroundTruth, bumpy_sphere, grid_mesh, icosphere,
                            plane_cut, plane_offset_for_area, princeton_error)
 from pfmatch.descriptors import shot_descriptors
-from pfmatch.energy import (EnergyParams, area_term, data_term, eta,
+from pfmatch.energy import (EnergyParams, MatchProblem, area_term, eta,
                             mumford_shah, orthogonality_term, slant_term)
 from pfmatch.laplacian import SpectralBasis, mesh_basis
 from pfmatch.matio import save_matrix
 from pfmatch.mesh import TriangleMesh
 from pfmatch.solver import (SolverOptions, alternate, build_problem,
-                            nearest_columns)
+                            c_objective, nearest_columns, v_objective)
 from pfmatch.spectral import (build_d_vector, build_weight_matrix,
                               eigenvalue_derivative, eigenvector_derivative,
                               estimate_rank, ground_truth_map,
@@ -151,12 +151,17 @@ def test_criterion_1_gradient_suite():
         d = build_d_vector(k, max(k // 2, 1))
         Psi, mass = basis.eigenvectors, basis.mass
 
-        _, gC, gv = data_term(C, A, Psi, mass, G, v)
-        worst = max(worst, rel_err(gC, fd_gradient(
-            lambda x: data_term(x.reshape(k, k), A, Psi, mass, G, v)[0],
-            C.ravel()).reshape(k, k)))
-        worst = max(worst, rel_err(gv, fd_gradient(
-            lambda x: data_term(C, A, Psi, mass, G, x)[0], v)))
+        # The data term alone, through the solver's objectives of C and v.
+        prob = MatchProblem(A=A, Psi=Psi, mass=mass, G=G, mesh_full=mesh,
+                            area_part=0.4, W=W, d=d, F=np.zeros((1, q)),
+                            dim=q)
+        data_only = EnergyParams(mu1=0.0, mu2=0.0, mu3=0.0, mu4_5=0.0, k=k)
+        f_C = c_objective(prob, data_only, v)
+        worst = max(worst, rel_err(f_C(C.ravel())[1], fd_gradient(
+            lambda x: f_C(x)[0], C.ravel())))
+        f_v = v_objective(prob, data_only, C)
+        worst = max(worst, rel_err(f_v(v)[1], fd_gradient(
+            lambda x: f_v(x)[0], v)))
 
         _, ga = area_term(v, 0.4, mass)
         worst = max(worst, rel_err(ga, fd_gradient(

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -69,6 +71,22 @@ def test_plane_offset_hits_fraction(sphere):
         point = plane_offset_for_area(sphere, [0.0, 0.0, 1.0], frac, tol=0.02)
         part, _ = plane_cut(sphere, point, [0.0, 0.0, 1.0])
         assert abs(part.total_area / sphere.total_area - frac) < 0.03
+
+
+@pytest.mark.parametrize("frac", [1.5, 1.0, 0.0, -0.2])
+def test_plane_offset_rejects_fraction_outside_unit_interval(sphere, frac):
+    with pytest.raises(ValueError, match="keep fraction"):
+        plane_offset_for_area(sphere, [0.0, 0.0, 1.0], frac)
+
+
+def test_plane_cuts_reject_zero_normal(sphere):
+    # A clear error, not a division by zero and an empty cut.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="normal is the zero vector"):
+            plane_cut(sphere, [0.0, 0.0, 0.0], [0.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match="normal is the zero vector"):
+            plane_offset_for_area(sphere, [0.0, 0.0, 0.0], 0.5)
 
 
 def _offset_by_cutting(mesh, normal, keep_fraction, tol=0.01):

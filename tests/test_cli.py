@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -61,6 +62,38 @@ def test_gen_cut_keep_fraction(mesh_files, tmp_path):
     part = load_mesh(prefix + "_part.ply")
     sphere = load_mesh(mesh_files["sphere"])
     assert abs(part.total_area / sphere.total_area - 0.6) < 0.05
+
+
+@pytest.mark.parametrize("frac", ["1.5", "1", "0", "-0.1"])
+def test_gen_rejects_keep_fraction_outside_unit_interval(mesh_files, tmp_path,
+                                                         capsys, frac):
+    code = main(["gen", "cut", "--mesh", mesh_files["sphere"],
+                 "--keep-fraction", frac,
+                 "--out-prefix", str(tmp_path / "frac")])
+    assert code == 2
+    assert "keep fraction must be in (0, 1)" in capsys.readouterr().err
+    assert not os.listdir(tmp_path)
+
+
+@pytest.mark.parametrize("command", ["gen", "perturb"])
+@pytest.mark.parametrize("flag, value", [
+    ("--plane-normal", "0,1"), ("--plane-normal", "0,0,z"),
+    ("--plane-point", "0,0,nan"), ("--plane-point", "0,0,0,1"),
+    ("--plane-normal", "0,0,0")])
+def test_plane_vectors_rejected(mesh_files, tmp_path, capsys, command, flag,
+                                value):
+    out = str(tmp_path / "out")
+    argv = {"gen": ["gen", "cut", "--out-prefix", out],
+            "perturb": ["perturb", "--k", "6", "--n-check", "2", "--out",
+                        out]}[command]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv + ["--mesh", mesh_files["sphere"], flag, value])
+    assert code == 2
+    message = ("the plane normal is the zero vector" if value == "0,0,0" else
+               f"{flag} {value!r}: expected three finite numbers x,y,z")
+    assert message in capsys.readouterr().err
+    assert not os.listdir(tmp_path)
 
 
 def test_gen_holes(mesh_files, tmp_path):

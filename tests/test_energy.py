@@ -1,13 +1,21 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from pfmatch.bench import bumpy_sphere, grid_mesh
 from pfmatch.energy import (EnergyBreakdown, EnergyParams, MatchProblem,
-                            area_term, data_term, eta, eta_prime, mumford_shah,
-                            orthogonality_term, slant_term, total_energy,
-                            triangle_metric, xi, xi_prime)
+                            area_term, data_term, eta, eta_prime,
+                            mask_coefficients, mumford_shah,
+                            orthogonality_term, slant_term, total_energy, xi,
+                            xi_prime)
 from pfmatch.laplacian import mesh_basis
+from pfmatch.mesh import TriangleMesh
+from pfmatch.solver import c_objective, v_objective
 from pfmatch.spectral import build_d_vector, build_weight_matrix
+
+# Weights that leave the data term alone in c_objective and v_objective.
+DATA_ONLY = dict(mu1=0.0, mu2=0.0, mu3=0.0, mu4_5=0.0)
 
 
 def fd_gradient(fun, x, h=1e-6):
@@ -36,7 +44,7 @@ def tiny_problem(rng):
     return MatchProblem(A=A, Psi=basis.eigenvectors, mass=basis.mass, G=G,
                         mesh_full=mesh, area_part=0.4,
                         W=build_weight_matrix(k, 3),
-                        d=build_d_vector(k, 3))
+                        d=build_d_vector(k, 3), F=np.zeros((1, q)), dim=q)
 
 
 # -- saturation functions -----------------------------------------------------
@@ -87,9 +95,9 @@ def test_data_term_zero_residual(tiny_problem, rng):
     v = rng.standard_normal(p.mesh_full.n_vertices)
     B = p.Psi.T @ ((p.mass * eta(v))[:, None] * G_sq)
     C = B @ np.linalg.inv(A_sq)
-    value, grad_C, _ = data_term(C, A_sq, p.Psi, p.mass, G_sq, v)
+    value, Hn = data_term(C @ A_sq, B, k)
     assert value < 1e-6
-    assert np.all(np.isfinite(grad_C))
+    assert np.all(np.isfinite(Hn @ A_sq.T))
 
 
 def test_data_term_empty_mask_zero_map(tiny_problem):
@@ -99,35 +107,43 @@ def test_data_term_empty_mask_zero_map(tiny_problem):
     k = p.A.shape[0]
     C = np.zeros((k, k))
     v = np.full(p.mesh_full.n_vertices, -30.0)
-    value, grad_C, grad_v = data_term(C, p.A, p.Psi, p.mass, p.G, v)
-    assert np.isfinite(value) and value >= 0
-    assert np.all(np.isfinite(grad_C)) and np.all(np.isfinite(grad_v))
-    b, grad_C, grad_v = total_energy(C, v, p, EnergyParams(k=k))
+    B = mask_coefficients(p, v)
+    assert not B.any()
+    value, Hn = data_term(C @ p.A, B, p.dim)
+    assert value == 0.0 and not Hn.any()
+    params = EnergyParams(k=k)
+    for fun_grad, x in ((c_objective(p, params, v), C.ravel()),
+                        (v_objective(p, params, C), v)):
+        value, grad = fun_grad(x)
+        assert np.isfinite(value) and value >= 0
+        assert np.all(np.isfinite(grad))
+    b = total_energy(C, v, p, params)
     assert np.isfinite(b.data) and b.data >= 0
     assert np.isfinite(b.total) and b.total >= 0
-    assert np.all(np.isfinite(grad_C)) and np.all(np.isfinite(grad_v))
 
 
 def test_data_term_grad_C(tiny_problem, rng):
+    # With every other weight zero, c_objective is the data term alone.
     p = tiny_problem
     k = p.A.shape[0]
     C = rng.standard_normal((k, k))
     v = rng.standard_normal(p.mesh_full.n_vertices)
-    _, grad_C, _ = data_term(C, p.A, p.Psi, p.mass, p.G, v)
-    num = fd_gradient(
-        lambda x: data_term(x.reshape(k, k), p.A, p.Psi, p.mass, p.G, v)[0],
-        C.ravel()).reshape(k, k)
-    assert_grad_close(grad_C, num)
+    fun_grad = c_objective(p, EnergyParams(k=k, **DATA_ONLY), v)
+    value, grad = fun_grad(C.ravel())
+    assert value == data_term(C @ p.A, mask_coefficients(p, v), p.dim)[0]
+    assert_grad_close(grad, fd_gradient(lambda x: fun_grad(x)[0], C.ravel()))
 
 
 def test_data_term_grad_v(tiny_problem, rng):
+    # With every other weight zero, v_objective is the data term alone.
     p = tiny_problem
     k = p.A.shape[0]
     C = rng.standard_normal((k, k))
     v = rng.standard_normal(p.mesh_full.n_vertices)
-    _, _, grad_v = data_term(C, p.A, p.Psi, p.mass, p.G, v)
-    num = fd_gradient(lambda x: data_term(C, p.A, p.Psi, p.mass, p.G, x)[0], v)
-    assert_grad_close(grad_v, num)
+    fun_grad = v_objective(p, EnergyParams(k=k, **DATA_ONLY), C)
+    value, grad = fun_grad(v)
+    assert value == data_term(C @ p.A, mask_coefficients(p, v), p.dim)[0]
+    assert_grad_close(grad, fd_gradient(lambda x: fun_grad(x)[0], v))
 
 
 def test_data_term_column_sparsity_scaling(tiny_problem, rng):
@@ -136,23 +152,21 @@ def test_data_term_column_sparsity_scaling(tiny_problem, rng):
     k = p.A.shape[0]
     C = rng.standard_normal((k, k))
     v = np.full(p.mesh_full.n_vertices, -10.0)  # eta ~ 0, so B ~ 0
-    val1 = data_term(C, p.A, p.Psi, p.mass, p.G, v)[0]
-    val2 = data_term(2.0 * C, p.A, p.Psi, p.mass, p.G, v)[0]
+    B = mask_coefficients(p, v)
+    val1 = data_term(C @ p.A, B, p.dim)[0]
+    val2 = data_term(2.0 * C @ p.A, B, p.dim)[0]
     assert np.isclose(val2, 2.0 * val1, rtol=1e-6)
 
 
 def test_data_term_single_column_norm(tiny_problem):
     # One residual column (3, 4, 0, ...): the L2,1 value is its plain
-    # Euclidean norm 5.
-    p = tiny_problem
-    k = p.A.shape[0]
-    v = np.full(p.mesh_full.n_vertices, -30.0)  # eta = 0, B = 0
-    A1 = np.zeros((k, 1))
-    A1[0, 0] = 1.0
-    C = np.zeros((k, k))
-    C[0, 0], C[1, 0] = 3.0, 4.0
-    value, _, _ = data_term(C, A1, p.Psi, p.mass, p.G[:, :1] * 0.0, v)
+    # Euclidean norm 5, and Hn is that column over its norm.
+    k = tiny_problem.A.shape[0]
+    CA = np.zeros((k, 1))
+    CA[0, 0], CA[1, 0] = 3.0, 4.0
+    value, Hn = data_term(CA, np.zeros((k, 1)), 1)
     assert np.isclose(value, 5.0)
+    assert np.allclose(Hn, CA / 5.0)
 
 
 def test_data_term_column_permutation_invariant(tiny_problem, rng):
@@ -161,8 +175,9 @@ def test_data_term_column_permutation_invariant(tiny_problem, rng):
     C = rng.standard_normal((k, k))
     v = rng.standard_normal(p.mesh_full.n_vertices)
     perm = rng.permutation(q)
-    v1 = data_term(C, p.A, p.Psi, p.mass, p.G, v)[0]
-    v2 = data_term(C, p.A[:, perm], p.Psi, p.mass, p.G[:, perm], v)[0]
+    r = dataclasses.replace(p, A=p.A[:, perm], G=p.G[:, perm])
+    v1 = data_term(C @ p.A, mask_coefficients(p, v), p.dim)[0]
+    v2 = data_term(C @ r.A, mask_coefficients(r, v), r.dim)[0]
     assert np.isclose(v1, v2)
 
 
@@ -198,7 +213,7 @@ def test_area_term_grad(tiny_problem, rng):
 
 
 def test_triangle_metric_equilateral(equilateral):
-    E, F, G = triangle_metric(equilateral)
+    E, F, G = equilateral.triangle_metric
     assert np.isclose(E[0], 1.0)
     assert np.isclose(F[0], 0.5)
     assert np.isclose(G[0], 1.0)
@@ -239,14 +254,6 @@ def test_mumford_shah_grad_other_sigma(rng):
     _, grad = mumford_shah(v, mesh, sigma_xi=0.3)
     num = fd_gradient(lambda x: mumford_shah(x, mesh, sigma_xi=0.3)[0], v)
     assert_grad_close(grad, num, rtol=1e-4)
-
-
-def test_mumford_shah_cache_matches(square_grid, rng):
-    v = rng.standard_normal(square_grid.n_vertices)
-    cached = mumford_shah(v, square_grid, _cache=triangle_metric(square_grid))
-    plain = mumford_shah(v, square_grid)
-    assert cached[0] == plain[0]
-    assert np.array_equal(cached[1], plain[1])
 
 
 # -- slant and orthogonality ----------------------------------------------------
@@ -338,23 +345,73 @@ def test_breakdown_combination():
 
 
 def test_total_energy_grads(tiny_problem, rng):
+    # At the default weights, the gradients of the total energy in C and in
+    # v are those of c_objective and v_objective, which leave out only terms
+    # of the other block.
     p = tiny_problem
-    params = EnergyParams(mu1=1.0, mu2=10.0, mu3=1.0, mu4_5=5.0, k=p.A.shape[0])
     k = p.A.shape[0]
+    params = EnergyParams(k=k)
     C = rng.standard_normal((k, k)) * 0.5
     v = rng.standard_normal(p.mesh_full.n_vertices)
-
-    breakdown, grad_C, grad_v = total_energy(C, v, p, params)
-    assert breakdown.total > 0
+    assert total_energy(C, v, p, params).total > 0
 
     def f_C(x):
-        return total_energy(x.reshape(k, k), v, p, params, with_grads=False).total
+        return total_energy(x.reshape(k, k), v, p, params).total
 
     def f_v(x):
-        return total_energy(C, x, p, params, with_grads=False).total
+        return total_energy(C, x, p, params).total
 
-    assert_grad_close(grad_C, fd_gradient(f_C, C.ravel()).reshape(k, k), rtol=1e-4)
+    grad_C = c_objective(p, params, v)(C.ravel())[1]
+    grad_v = v_objective(p, params, C)(v)[1]
+    assert_grad_close(grad_C, fd_gradient(f_C, C.ravel()), rtol=1e-4)
     assert_grad_close(grad_v, fd_gradient(f_v, v), rtol=1e-4)
+
+
+def test_objectives_sum_to_total_energy(tiny_problem, rng):
+    # Each block's objective plus the weighted terms of the other block is
+    # the total energy.
+    p = tiny_problem
+    k = p.A.shape[0]
+    C = rng.standard_normal((k, k))
+    v = rng.standard_normal(p.mesh_full.n_vertices)
+    for params in (EnergyParams(k=k),
+                   EnergyParams(mu1=2.0, mu2=3.0, mu3=5.0, mu4_5=7.0, k=k)):
+        b = total_energy(C, v, p, params)
+        c_val = c_objective(p, params, v)(C.ravel())[0]
+        v_val = v_objective(p, params, C)(v)[0]
+        c_sum = c_val + params.mu1 * b.area + params.mu2 * b.mumford_shah
+        v_sum = v_val + params.mu3 * b.slant + params.mu4_5 * b.orthogonality
+        assert abs(c_sum - b.total) <= 1e-12 * abs(b.total)
+        assert abs(v_sum - b.total) <= 1e-12 * abs(b.total)
+
+
+def test_objectives_invariant_under_relabelling(rng):
+    # Relabelling the full shape's vertices permutes the rows of Psi, mass
+    # and G and re-indexes the triangles; the energies stay and the
+    # v-gradient is permuted with the vertices.
+    mesh = bumpy_sphere(2)
+    n, k, q = mesh.n_vertices, 10, 12
+    p = _problem(mesh, k, rng.standard_normal((n, q)), rng)
+    perm = rng.permutation(n)  # new vertex i is old vertex perm[i]
+    relabel = np.argsort(perm)
+    mesh_p = TriangleMesh(mesh.vertices[perm], relabel[mesh.triangles])
+    r = dataclasses.replace(p, Psi=p.Psi[perm], mass=p.mass[perm],
+                            G=p.G[perm], mesh_full=mesh_p)
+    params = EnergyParams(k=k)
+    C = rng.standard_normal((k, k))
+    v = rng.standard_normal(n)
+
+    def close(x, y):
+        return np.abs(x - y).max() <= 1e-12 * max(np.abs(y).max(), 1e-300)
+
+    assert close(np.array(total_energy(C, v[perm], r, params).as_row()),
+                 np.array(total_energy(C, v, p, params).as_row()))
+    c_got = c_objective(r, params, v[perm])(C.ravel())
+    c_ref = c_objective(p, params, v)(C.ravel())
+    assert close(c_got[0], c_ref[0]) and close(c_got[1], c_ref[1])
+    v_got = v_objective(r, params, C)(v[perm])
+    v_ref = v_objective(p, params, C)(v)
+    assert close(v_got[0], v_ref[0]) and close(v_got[1], v_ref[1][perm])
 
 
 def test_total_energy_matches_terms(tiny_problem, rng):
@@ -363,8 +420,9 @@ def test_total_energy_matches_terms(tiny_problem, rng):
     k = p.A.shape[0]
     C = rng.standard_normal((k, k))
     v = rng.standard_normal(p.mesh_full.n_vertices)
-    b = total_energy(C, v, p, params, with_grads=False)
-    assert np.isclose(b.data, data_term(C, p.A, p.Psi, p.mass, p.G, v)[0])
+    b = total_energy(C, v, p, params)
+    assert np.isclose(b.data, data_term(C @ p.A, mask_coefficients(p, v),
+                                        p.dim)[0])
     assert np.isclose(b.area, area_term(v, p.area_part, p.mass)[0])
     assert np.isclose(b.mumford_shah, mumford_shah(v, p.mesh_full)[0])
     assert np.isclose(b.slant, slant_term(C, p.W)[0])
@@ -394,7 +452,7 @@ def _data_term_reference(C, A, Psi, mass, G, v):
 def _mumford_shah_reference(v, mesh, sigma_xi=0.5):
     """Reference: mumford_shah as it was, with per-corner saturations and
     one np.add.at pass per corner."""
-    E, F, G = triangle_metric(mesh)
+    E, F, G = mesh.triangle_metric
     tri = mesh.triangles
     v0, v1, v2 = v[tri[:, 0]], v[tri[:, 1]], v[tri[:, 2]]
     va = v1 - v0
@@ -419,7 +477,8 @@ def _problem(mesh, k, G, rng):
     return MatchProblem(A=rng.standard_normal((k, G.shape[1])),
                         Psi=basis.eigenvectors, mass=basis.mass, G=G,
                         mesh_full=mesh, area_part=0.4,
-                        W=build_weight_matrix(k, 3), d=build_d_vector(k, 3))
+                        W=build_weight_matrix(k, 3), d=build_d_vector(k, 3),
+                        F=np.zeros((1, G.shape[1])), dim=G.shape[1])
 
 
 @pytest.mark.parametrize("zero_cols", [0, 5, 30])
@@ -437,39 +496,27 @@ def test_data_term_support_matches_reference(rng, zero_cols):
     keep = np.setdiff1d(np.arange(q), zero)
     r = _problem(mesh, k, G[:, keep], rng)
     r.A, r.dim = p.A[:, keep], q
-    params = EnergyParams(k=k)
     C = rng.standard_normal((k, k))
     v = rng.standard_normal(mesh.n_vertices)
+    data_only = EnergyParams(k=k, **DATA_ONLY)
     for w in (v, np.full(mesh.n_vertices, -30.0)):  # eta = 0: B = 0
         ref = _data_term_reference(C, p.A, p.Psi, p.mass, G, w)
-        got = data_term(C, r.A, r.Psi, r.mass, r.G, w, r.dim)
+        value, grad_C = c_objective(r, data_only, w)(C.ravel())
+        got = (value, grad_C.reshape(k, k),
+               v_objective(r, data_only, C)(w)[1])
         for x, y in zip(ref, got):
             assert np.abs(y - x).max() <= 1e-12 * max(np.abs(x).max(), 1e-300)
-        # C A given as one product: the same value and grad_v, no grad_C.
-        pre = data_term(C @ r.A, None, r.Psi, r.mass, r.G, w, r.dim)
-        assert pre[0] == got[0] and pre[1] is None
-        assert np.array_equal(pre[2], got[2])
-    # The whole objective, through total_energy.
+    # The whole objective, through total_energy and both blocks.
+    params = EnergyParams(k=k)
     e_ref = total_energy(C, v, p, params)
     e_got = total_energy(C, v, r, params)
-    assert abs(e_got[0].total - e_ref[0].total) <= 1e-12 * abs(e_ref[0].total)
-    for x, y in zip(e_ref[1:], e_got[1:]):
-        assert np.abs(y - x).max() <= 1e-12 * np.abs(x).max()
-
-
-def test_data_term_value_only_is_bit_equal(rng):
-    mesh = grid_mesh(7)
-    G = rng.standard_normal((mesh.n_vertices, 20))
-    p = _problem(mesh, 8, G, rng)
-    p.dim = 30  # as if 10 bins that are zero on both shapes were dropped
-    C = rng.standard_normal((8, 8))
-    v = rng.standard_normal(mesh.n_vertices)
-    value, grad_C, grad_v = data_term(C, p.A, p.Psi, p.mass, p.G, v, p.dim)
-    only = data_term(C, p.A, p.Psi, p.mass, p.G, v, p.dim, with_grads=False)
-    assert only == (value, None, None)
-    params = EnergyParams(k=8)
-    assert total_energy(C, v, p, params, with_grads=False) == \
-        total_energy(C, v, p, params)[0]
+    assert abs(e_got.total - e_ref.total) <= 1e-12 * abs(e_ref.total)
+    for ref, got in ((c_objective(p, params, v)(C.ravel()),
+                      c_objective(r, params, v)(C.ravel())),
+                     (v_objective(p, params, C)(v),
+                      v_objective(r, params, C)(v))):
+        assert abs(got[0] - ref[0]) <= 1e-12 * abs(ref[0])
+        assert np.abs(got[1] - ref[1]).max() <= 1e-12 * np.abs(ref[1]).max()
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -479,6 +526,6 @@ def test_mumford_shah_matches_add_at_reference(rng, seed):
         v = 2.0 * rng.standard_normal(mesh.n_vertices)
         v = np.minimum(v, 1.0)  # plateaus: D = 0 on some triangles
         ref = _mumford_shah_reference(v, mesh, sigma)
-        got = mumford_shah(v, mesh, sigma, triangle_metric(mesh))
+        got = mumford_shah(v, mesh, sigma)
         assert got[0] == ref[0]
         assert np.array_equal(got[1], ref[1])

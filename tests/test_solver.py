@@ -6,14 +6,16 @@ from hypothesis import strategies as st
 import pfmatch.solver as solver
 from pfmatch.bench import grid_mesh
 from pfmatch.descriptors import DescriptorField, shot_descriptors
-from pfmatch.energy import EnergyParams, MatchProblem, eta
+from pfmatch.energy import (EnergyParams, MatchProblem, area_term, eta,
+                            mumford_shah, orthogonality_term, slant_term)
 from pfmatch.laplacian import mesh_basis
 from pfmatch.solver import (_MASK_BLOCK, _NN_BLOCK, UNASSIGNED, MatchResult,
                             SolverOptions, _Queries,
                             _score_dtype, alternate,
-                            build_problem, c_step, initial_mask,
-                            invert_assignment, nearest_columns, nonlinear_cg,
-                            pointwise_map, refine, v_step)
+                            build_problem, c_objective, c_step,
+                            initial_mask, invert_assignment, nearest_columns,
+                            nonlinear_cg, pointwise_map, refine, v_objective,
+                            v_step)
 
 
 @pytest.fixture(scope="module")
@@ -216,7 +218,7 @@ def test_initial_mask_blocks_match_unblocked(rng):
     basis = mesh_basis(mesh, 5)
     prob = MatchProblem(A=np.zeros((5, q)), Psi=basis.eigenvectors,
                         mass=basis.mass, G=G, mesh_full=mesh, area_part=0.5,
-                        W=np.zeros((5, 5)), d=np.ones(5), F=F)
+                        W=np.zeros((5, 5)), d=np.ones(5), F=F, dim=q)
     best = np.max(G @ F.T, axis=1)
     dist = np.sqrt(np.maximum(2.0 - 2.0 * best, 0.0))
     ref = 1.0 - (dist - dist.min()) / (dist.max() - dist.min())
@@ -242,6 +244,72 @@ def test_v_step_decreases(small_pair, rng):
     v1, res = v_step(prob, params, C, v0, SolverOptions(cg_max_iter=50))
     v2, res2 = v_step(prob, params, C, v1, SolverOptions(cg_max_iter=1))
     assert res2.value <= res.value + 1e-9
+
+
+def _smoothed_l21(H, B, dim):
+    """Reference: the smoothed L2,1 norm and Hn as the steps computed them
+    before the data term had one implementation."""
+    eps = max(1e-9 * np.linalg.norm(B) / np.sqrt(dim), 1e-150)
+    colnorm = np.sqrt(np.einsum("ij,ij->j", H, H) + eps ** 2)
+    return float(np.sum(colnorm - eps)), H / colnorm
+
+
+def _c_step_closure(prob, params, v_fixed):
+    """Reference: the objective that c_step minimised before c_objective."""
+    k = prob.A.shape[0]
+    B = (prob.Psi * (prob.mass * eta(v_fixed))[:, None]).T @ prob.G
+
+    def fg(x):
+        C = x.reshape(k, k)
+        val, Hn = _smoothed_l21(C @ prob.A - B, B, prob.dim)
+        gC = Hn @ prob.A.T
+        s_val, s_grad = slant_term(C, prob.W)
+        o_val, o_grad = orthogonality_term(C, prob.d)
+        total = val + params.mu3 * s_val + params.mu4_5 * o_val
+        grad = gC + params.mu3 * s_grad + params.mu4_5 * o_grad
+        return total, grad.reshape(-1)
+
+    return fg
+
+
+def _v_step_closure(prob, params, C_fixed):
+    """Reference: the objective that v_step minimised before v_objective,
+    with tanh(2v - 1) formed once per evaluation."""
+    CA = C_fixed @ prob.A
+
+    def fg(v):
+        th = np.tanh(2.0 * np.asarray(v) - 1.0)
+        B = (prob.Psi * (prob.mass * (0.5 * (th + 1.0)))[:, None]).T @ prob.G
+        d_val, Hn = _smoothed_l21(CA - B, B, prob.dim)
+        U = (Hn @ prob.G.T).T
+        d_gv = -(1.0 - th ** 2) * prob.mass * np.einsum("ij,ij->i",
+                                                        prob.Psi, U)
+        a_val, a_gv = area_term(v, prob.area_part, prob.mass)
+        m_val, m_gv = mumford_shah(v, prob.mesh_full, params.sigma_xi)
+        val = d_val + params.mu1 * a_val + params.mu2 * m_val
+        return val, d_gv + params.mu1 * a_gv + params.mu2 * m_gv
+
+    return fg
+
+
+def test_objectives_bit_equal_to_step_closures(small_pair, rng):
+    # The objectives evaluate the same products in the same order as the
+    # closures the steps used before, so the matches stay byte-identical.
+    prob, params = small_pair["prob"], small_pair["params"]
+    k, n = prob.A.shape[0], prob.Psi.shape[0]
+    masks = (initial_mask(prob), rng.standard_normal(n), np.full(n, -30.0))
+    maps = (np.zeros((k, k)), rng.standard_normal((k, k)))
+    for v in masks:
+        for C in maps:
+            for fun_grad, ref, x in (
+                    (c_objective(prob, params, v),
+                     _c_step_closure(prob, params, v), C.ravel()),
+                    (v_objective(prob, params, C),
+                     _v_step_closure(prob, params, C), v)):
+                value, grad = fun_grad(x)
+                ref_value, ref_grad = ref(x)
+                assert value == ref_value
+                assert grad.tobytes() == ref_grad.tobytes()
 
 
 # -- nearest neighbors and refinement -------------------------------------------
@@ -577,7 +645,7 @@ def test_steps_do_not_raise_total_energy(small_pair, outer_before):
     opts = SolverOptions(cg_max_iter=30)
 
     def total(C, v):
-        return solver.total_energy(C, v, prob, params, with_grads=False).total
+        return solver.total_energy(C, v, prob, params).total
 
     C = np.zeros_like(prob.W)
     v = initial_mask(prob)
@@ -611,13 +679,13 @@ def _alternate_reference(prob, params, phi_part, opts=SolverOptions()):
         C_ref, pi, resids = solver.refine(C, phi_part, prob.Psi, prob.d,
                                           opts)
         refine_residuals.append(resids)
-        e_ref = solver.total_energy(C_ref, v, prob, params, with_grads=False)
-        e_raw = solver.total_energy(C, v, prob, params, with_grads=False)
+        e_ref = solver.total_energy(C_ref, v, prob, params)
+        e_raw = solver.total_energy(C, v, prob, params)
         accepted.append(bool(e_ref.total <= e_raw.total))
         if accepted[-1]:
             C = C_ref
         v, _ = solver.v_step(prob, params, C, v, opts)
-        breakdown = solver.total_energy(C, v, prob, params, with_grads=False)
+        breakdown = solver.total_energy(C, v, prob, params)
         trace.append(breakdown)
         if np.isfinite(prev_total) and prev_total - breakdown.total <= \
                 opts.outer_rel_tol * max(abs(prev_total), 1e-300):
