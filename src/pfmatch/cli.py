@@ -24,6 +24,22 @@ class UsageError(Exception):
     pass
 
 
+# What ends a command, by exit code; a usage error is checked for first.
+_USAGE_ERRORS = (UsageError, MeshError, OSError, ValueError)
+_NUMERICAL_ERRORS = (EigensolveError, FloatingPointError,
+                     np.linalg.LinAlgError)
+
+
+def _report(exc, where=""):
+    """Print the one stderr line of a failed command and return its exit
+    code: 2 for a usage or I/O error, 1 for a numerical failure."""
+    if isinstance(exc, _USAGE_ERRORS):
+        print(f"error: {where}{exc}", file=sys.stderr)
+        return 2
+    print(f"numerical failure: {where}{exc}", file=sys.stderr)
+    return 1
+
+
 def _read_config(path):
     values = {}
     with open(path) as fh:
@@ -115,7 +131,8 @@ def run_match(args):
 
 
 def _read_pairs(path):
-    """Jobs of a ``--pairs`` manifest, all checked before any job runs."""
+    """Jobs (line number, part, full, outdir) of a ``--pairs`` manifest, all
+    checked before any job runs."""
     jobs = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
@@ -129,22 +146,27 @@ def _read_pairs(path):
             if os.path.exists(out) and not os.path.isdir(out):
                 raise UsageError(f"{path}:{lineno}: output directory {out!r}"
                                  " is an existing file")
-            jobs.append(fields)
+            jobs.append([lineno] + fields)
     return jobs
 
 
 def run_match_batch(args):
+    """Run every job of the manifest; a failed job prints one line naming
+    its manifest line.  Returns the largest exit code of the jobs."""
     jobs = _read_pairs(args.pairs)
 
     def one(job):
-        part, full, out = job
+        lineno, part, full, out = job
         sub = argparse.Namespace(**vars(args))
         sub.part, sub.full, sub.out = part, full, out
-        return run_match(sub)
+        try:
+            return run_match(sub)
+        except _USAGE_ERRORS + _NUMERICAL_ERRORS as exc:
+            return _report(exc, f"{args.pairs}:{lineno}: ")
 
-    with concurrent.futures.ThreadPoolExecutor(max_workers=max(args.jobs, 1)) as ex:
+    with concurrent.futures.ThreadPoolExecutor(max_workers=args.jobs) as ex:
         codes = list(ex.map(one, jobs))
-    return max(codes) if codes else 0
+    return max(codes, default=0)
 
 
 def run_eval(args):
@@ -204,9 +226,6 @@ def run_gen(args):
         partial, gt = bench.erode_holes(mesh, args.seeds, args.area_budget)
     save_ply(partial, args.out_prefix + "_part.ply")
     bench.save_ground_truth(gt, args.out_prefix + "_gt.csv")
-    with open(args.out_prefix + "_manifest.txt", "w") as fh:
-        fh.write(f"{args.mesh} {args.out_prefix}_part.ply "
-                 f"{args.out_prefix}_gt.csv\n")
     print(f"gen: kept {partial.n_vertices}/{mesh.n_vertices} vertices, "
           f"area fraction {partial.total_area / mesh.total_area:.3f}")
     return 0
@@ -229,6 +248,9 @@ def _spectrum_past(K, mass, value, m):
 def run_perturb(args):
     mesh = load_mesh(args.mesh)
     point, normal = _plane_vectors(args)
+    t = args.fd_step
+    if not (np.isfinite(t) and t > 0):
+        raise UsageError(f"--fd-step {t!r}: expected a finite positive number")
     part_ids = np.flatnonzero(bench.positive_side(mesh, point, normal))
     os.makedirs(args.out, exist_ok=True)
     setup = spectral.perturbation_setup(mesh, part_ids)
@@ -244,7 +266,6 @@ def run_perturb(args):
     if not checked:
         raise UsageError("perturb checks no eigenvalue: it needs --n-check "
                          "of at least 1 and --k of at least 2")
-    t = args.fd_step
     mass = np.concatenate([setup.mass_part, setup.mass_comp])
     lam0 = _spectrum_past(setup.stiffness(0.0), mass,
                           basis.eigenvalues[checked[-1]], 2 * checked[-1] + 4)
@@ -345,6 +366,8 @@ def main(argv=None):
             parser.subcommands[args.command].set_defaults(**values)
             args = parser.parse_args(argv)
         if args.command == "match":
+            if args.jobs < 1:
+                raise UsageError(f"--jobs {args.jobs}: expected at least 1")
             if args.pairs:
                 return run_match_batch(args)
             if not args.part or not args.full:
@@ -352,12 +375,8 @@ def main(argv=None):
             return run_match(args)
         run = {"eval": run_eval, "gen": run_gen, "perturb": run_perturb}
         return run[args.command](args)
-    except (UsageError, MeshError, FileNotFoundError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (EigensolveError, FloatingPointError, np.linalg.LinAlgError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 1
+    except _USAGE_ERRORS + _NUMERICAL_ERRORS as exc:
+        return _report(exc)
 
 
 if __name__ == "__main__":

@@ -40,14 +40,6 @@ def default_radius(mesh):
     return DEFAULT_RADIUS_FRACTION * np.sqrt(mesh.total_area)
 
 
-def local_reference_frame(center, neighbors, radius):
-    """Disambiguated eigenvector frame of the radius-weighted covariance.
-
-    Returns a 3x3 matrix with rows (x, y, z) of the local frame.
-    """
-    return _frames([(neighbors - center)[None]], radius)[0]
-
-
 def _frames(stacks, radius):
     """Local reference frames of the centres of a list of stacks.
 

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_SIGMA_XI = 0.5
-
 
 @dataclass(frozen=True)
 class EnergyParams:
@@ -24,7 +22,7 @@ class EnergyParams:
     mu3: float = 1.0       # slanted-diagonal penalty
     mu4_5: float = 1e3     # merged semi-orthogonality penalty
     sigma_w: float = 0.03  # spread of the slant weight matrix
-    sigma_xi: float = DEFAULT_SIGMA_XI
+    sigma_xi: float = 0.5
     k: int = 100
 
     def __post_init__(self):
@@ -91,14 +89,9 @@ def eta_prime(v):
     return _eta_prime(_th(v))
 
 
-def xi(v, sigma=DEFAULT_SIGMA_XI):
+def xi(v, sigma):
     """Bump concentrated where eta(v) = 1/2: exp(-tanh^2(2v-1) / (4 sigma^2))."""
     return _xi(_th(v), sigma)
-
-
-def xi_prime(v, sigma=DEFAULT_SIGMA_XI):
-    th = _th(v)
-    return _xi_prime(th, _xi(th, sigma), sigma)
 
 
 def _th(v):
@@ -115,10 +108,6 @@ def _eta_prime(th):
 
 def _xi(th, sigma):
     return np.exp(-th ** 2 / (4.0 * sigma ** 2))
-
-
-def _xi_prime(th, xi_th, sigma):
-    return xi_th * (-th * _eta_prime(th) / sigma ** 2)
 
 
 # -- individual terms ---------------------------------------------------------
@@ -153,7 +142,7 @@ def area_term(v, area_part, mass):
     return diff ** 2, grad_v
 
 
-def mumford_shah(v, mesh, sigma_xi=DEFAULT_SIGMA_XI):
+def mumford_shah(v, mesh, sigma_xi):
     """Soft boundary length: (1/6) sum_j D_j (xi(v1) + xi(v2) + xi(v3)).
 
     D_j is the integrated gradient magnitude sqrt(va^2 G - 2 va vb F + vb^2 E)
@@ -179,7 +168,7 @@ def mumford_shah(v, mesh, sigma_xi=DEFAULT_SIGMA_XI):
     dD0 = (-2.0 * va * G + 2.0 * F * (va + vb) - 2.0 * vb * E) * inv2D
     dD1 = (2.0 * va * G - 2.0 * vb * F) * inv2D
     dD2 = (2.0 * vb * E - 2.0 * va * F) * inv2D
-    xi_p = _xi_prime(th, xi_v, sigma_xi)
+    xi_p = xi_v * (-th * _eta_prime(th) / sigma_xi ** 2)  # d xi / dv
     # One sum over corners 0, 1, 2 in turn, each in triangle order.
     contrib = xs * np.array((dD0, dD1, dD2)) + D * xi_p[corners]
     grad = np.bincount(corners.ravel(), weights=contrib.ravel(),

@@ -119,17 +119,9 @@ class TriangleMesh:
         return self._edge_data()[0]
 
     @property
-    def interior_edges(self):
-        edges, counts, _ = self._edge_data()
-        return edges[counts == 2]
-
-    @property
     def boundary_edges(self):
         edges, counts, _ = self._edge_data()
         return edges[counts == 1]
-
-    def is_closed(self):
-        return len(self.boundary_edges) == 0
 
     @property
     def triangle_metric(self):

@@ -15,7 +15,8 @@ import numpy as np
 from .energy import (EnergyParams, MatchProblem, area_term, data_term, eta,
                      eta_prime, mask_coefficients, mumford_shah,
                      orthogonality_term, slant_term, total_energy)
-from .spectral import build_d_vector, build_weight_matrix, estimate_rank
+from .spectral import (build_d_vector, build_weight_matrix, estimate_rank,
+                       fourier_coeffs)
 
 UNASSIGNED = -1
 
@@ -69,8 +70,7 @@ class MatchResult:
     pi: np.ndarray  # full-shape vertex -> partial-shape vertex (or -1)
     energy_trace: list
     rank_estimate: int
-    # One list of residuals per refine call; alternate makes exactly one.
-    refine_residuals: list = field(default_factory=list)
+    refine_residuals: list = field(default_factory=list)  # one per ICP round
 
 
 def nonlinear_cg(fun_grad, x0, opts=SolverOptions()):
@@ -214,7 +214,7 @@ def build_problem(basis_part, basis_full, desc_part, desc_full, mesh_full,
     bins = np.flatnonzero(np.any(desc_part.values != 0.0, axis=0) |
                           np.any(desc_full.values != 0.0, axis=0))
     F = desc_part.values.take(bins, axis=1)
-    A = bp.eigenvectors.T @ (bp.mass[:, None] * F)
+    A = fourier_coeffs(bp, F)
     r = estimate_rank(bp.eigenvalues, bf.eigenvalues, k)
     r = max(r, 1)
     W = build_weight_matrix(k, r, params.sigma_w)
@@ -481,4 +481,4 @@ def alternate(prob, params, phi_part, opts=SolverOptions()):
     pi = pointwise_map(pi, eta(v))
     r = int(np.sum(prob.d))
     return MatchResult(C=C, v=v, pi=pi, energy_trace=trace,
-                       rank_estimate=r, refine_residuals=[resids])
+                       rank_estimate=r, refine_residuals=resids)

@@ -1,4 +1,4 @@
-"""Fourier analysis, rank/slope estimation, slant weights, and the
+"""Fourier analysis, rank estimation, slant weights, and the
 perturbation laboratory for cut meshes.
 
 Conventions
@@ -19,25 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .laplacian import SpectralBasis, cotan_stiffness
+from .laplacian import cotan_stiffness
 
 EIGENGAP_REL_TOL = 1e-6
 PAIR_SKIP_REL_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class FunctionalMap:
-    """Dense k x k spectral correspondence matrix with its estimated rank."""
-    C: np.ndarray
-    rank_estimate: int
-
-    @property
-    def k(self):
-        return self.C.shape[0]
-
-    @property
-    def slope(self):
-        return self.rank_estimate / self.k
 
 
 def fourier_coeffs(basis, f):
@@ -94,7 +79,7 @@ def build_d_vector(k, r):
 
 
 def ground_truth_map(basis_part, basis_full, correspondence, k=None):
-    """Ground-truth C from a known part-to-full vertex correspondence.
+    """Ground-truth k x k C from a known part-to-full vertex correspondence.
 
     ``correspondence[i]`` is the full-shape vertex of partial vertex i.  Each
     partial eigenfunction is injected (zero elsewhere) and projected:
@@ -103,9 +88,7 @@ def ground_truth_map(basis_part, basis_full, correspondence, k=None):
     k = k or min(basis_part.k, basis_full.k)
     T_phi = np.zeros((basis_full.n, k))
     T_phi[np.asarray(correspondence)] = basis_part.eigenvectors[:, :k]
-    C = basis_full.eigenvectors[:, :k].T @ (basis_full.mass[:, None] * T_phi)
-    r = estimate_rank(basis_part.eigenvalues, basis_full.eigenvalues, k)
-    return FunctionalMap(C, max(r, 1))
+    return fourier_coeffs(basis_full.truncated(k), T_phi)
 
 
 # -- perturbation laboratory --------------------------------------------------

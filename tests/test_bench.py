@@ -32,7 +32,7 @@ def test_grid_mesh_rectangular():
 
 def test_icosphere_closed_area():
     mesh = icosphere(3)
-    assert mesh.is_closed()
+    assert len(mesh.boundary_edges) == 0
     assert abs(mesh.total_area - 4 * np.pi) < 0.01 * 4 * np.pi
     scaled = icosphere(2, radius=2.0)
     assert abs(scaled.total_area - 16 * np.pi) < 0.04 * 16 * np.pi
@@ -44,7 +44,7 @@ def test_bumpy_sphere_reproducible():
     c = bumpy_sphere(2, seed=12)
     assert np.array_equal(a.vertices, b.vertices)
     assert not np.array_equal(a.vertices, c.vertices)
-    assert a.is_closed()
+    assert len(a.boundary_edges) == 0
 
 
 def test_plane_cut_positions_preserved(sphere):

@@ -9,11 +9,14 @@ import scipy.linalg
 import scipy.sparse.linalg
 
 from pfmatch import cli
-from pfmatch.bench import grid_mesh, icosphere, load_ground_truth
+from pfmatch.bench import (bumpy_sphere, grid_mesh, icosphere,
+                           load_ground_truth, plane_cut, plane_offset_for_area)
 from pfmatch.cli import UsageError, _read_config, build_parser, main
+from pfmatch.descriptors import shot_descriptors
 from pfmatch.energy import EnergyParams
+from pfmatch.laplacian import EigensolveError
 from pfmatch.matio import load_matrix, save_matrix
-from pfmatch.mesh import load_mesh, save_ply
+from pfmatch.mesh import MeshError, load_mesh, save_ply
 from pfmatch.solver import SolverOptions
 from pfmatch.spectral import perturbation_setup
 
@@ -52,6 +55,7 @@ def test_gen_cut(mesh_files, tmp_path):
     gt = load_ground_truth(prefix + "_gt.csv")
     assert part.n_vertices == len(gt.correspondence)
     assert np.all(part.vertices[:, 2] >= 0.1)
+    assert sorted(os.listdir(tmp_path)) == ["cut_gt.csv", "cut_part.ply"]
 
 
 def test_gen_cut_keep_fraction(mesh_files, tmp_path):
@@ -161,6 +165,60 @@ def test_match_batch(mesh_files, tmp_path):
     assert code == 0
     assert os.path.exists(tmp_path / "j1" / "C.bin")
     assert os.path.exists(tmp_path / "j2" / "C.bin")
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_match_batch_runs_every_job(mesh_files, tmp_path, capsys, jobs):
+    # A job that fails does not stop the others; each failure prints one
+    # line naming its manifest line.
+    manifest = tmp_path / "pairs.txt"
+    manifest.write_text(
+        f"missing.ply {mesh_files['full']} {tmp_path / 'j1'}\n"
+        f"{mesh_files['part']} {mesh_files['full']} {tmp_path / 'j2'}\n")
+    code = main(["match", "--pairs", str(manifest), "--jobs", jobs]
+                + MATCH_FLAGS)
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {manifest}:1: [Errno 2] No such file or "
+                   "directory: 'missing.ply'"]
+    assert not (tmp_path / "j1").exists()
+    assert os.path.exists(tmp_path / "j2" / "C.bin")
+
+
+def test_match_batch_exits_with_largest_job_code(tmp_path, capsys,
+                                                 monkeypatch):
+    # Job exit codes follow main's: 1 for a numerical failure, 2 for bad
+    # input; the batch returns the largest.
+    failures = {"num": EigensolveError("no convergence"),
+                "bad": MeshError("not a mesh")}
+
+    def fake_match(args):
+        if args.part in failures:
+            raise failures[args.part]
+        return 0
+
+    monkeypatch.setattr(cli, "run_match", fake_match)
+    manifest = tmp_path / "pairs.txt"
+    for parts, expected in ((["ok", "num", "ok"], 1),
+                            (["num", "bad", "ok"], 2), (["ok"], 0)):
+        manifest.write_text("".join(f"{p} full.ply out{i}\n"
+                                    for i, p in enumerate(parts)))
+        assert main(["match", "--pairs", str(manifest)]) == expected
+    assert capsys.readouterr().err.splitlines() == [
+        f"numerical failure: {manifest}:2: no convergence",
+        f"numerical failure: {manifest}:1: no convergence",
+        f"error: {manifest}:2: not a mesh"]
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_match_rejects_jobs_below_one(mesh_files, tmp_path, capsys, jobs):
+    manifest = tmp_path / "pairs.txt"
+    manifest.write_text(
+        f"{mesh_files['part']} {mesh_files['full']} {tmp_path / 'j1'}\n")
+    assert main(["match", "--pairs", str(manifest), f"--jobs={jobs}"]
+                + MATCH_FLAGS) == 2
+    assert f"--jobs {jobs}: expected at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "j1").exists()
 
 
 @pytest.mark.parametrize("line", ["a.ply b.ply", "a.ply b.ply out extra"])
@@ -274,6 +332,19 @@ def test_perturb_matches_dense_spectra(mesh_files, tmp_path, plane_point):
     assert len(fd) == 8
     np.testing.assert_allclose(fd, (lam1[pos] - lam0[pos]) / 1e-4,
                                rtol=1e-6)
+
+
+@pytest.mark.parametrize("step", ["0", "-1e-4", "nan", "inf"])
+def test_perturb_rejects_fd_step(mesh_files, tmp_path, capsys, step):
+    out = tmp_path / "perturb"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["perturb", "--mesh", mesh_files["sphere"], "--k", "6",
+                     "--n-check", "2", f"--fd-step={step}", "--out",
+                     str(out)])
+    assert code == 2
+    assert "expected a finite positive number" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_perturb_report(mesh_files, tmp_path):
@@ -418,6 +489,57 @@ def test_match_descriptor_length_mismatch_exit_2(mesh_files, tmp_path,
     assert code == 2
     assert "descriptor lengths differ: 352 on the partial shape, 10 on the " \
         "full shape" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def cut_files(tmp_path_factory):
+    """A 60% cut of a bumpy sphere, with both shapes' SHOT descriptors
+    saved as matrices.  The radius is 18% of sqrt(area): at the default 7%
+    no vertex of this 162-vertex sphere has enough neighbours."""
+    root = tmp_path_factory.mktemp("cut")
+    full = bumpy_sphere(2)
+    normal = [0.0, 0.0, 1.0]
+    part, _ = plane_cut(full, plane_offset_for_area(full, normal, 0.6), normal)
+    radius = 0.18 * np.sqrt(full.total_area)
+    paths = {"radius": repr(float(radius))}
+    for name, mesh in (("part", part), ("full", full)):
+        paths[name] = str(root / f"{name}.ply")
+        paths[name + "_desc"] = str(root / f"{name}_desc.bin")
+        save_ply(mesh, paths[name])
+        save_matrix(paths[name + "_desc"],
+                    shot_descriptors(mesh, radius).values)
+    return paths
+
+
+def test_match_given_descriptors_equal_computed(cut_files, tmp_path):
+    base = ["match", "--part", cut_files["part"], "--full", cut_files["full"],
+            "--radius", cut_files["radius"], "--k", "20", "--max-outer", "2",
+            "--cg-max-iter", "30"]
+    given = ["--descriptors-part", cut_files["part_desc"],
+             "--descriptors-full", cut_files["full_desc"]]
+    outs = [str(tmp_path / "computed"), str(tmp_path / "given")]
+    assert main(base + ["--out", outs[0]]) == 0
+    assert main(base + given + ["--out", outs[1]]) == 0
+    for fname in ("C.bin", "v.csv", "pi.csv", "energy.csv"):
+        a = open(os.path.join(outs[0], fname), "rb").read()
+        b = open(os.path.join(outs[1], fname), "rb").read()
+        assert a == b, fname
+
+
+@pytest.mark.parametrize("shape", ["part", "full"])
+def test_match_descriptor_rows_mismatch_exit_2(cut_files, tmp_path, capsys,
+                                               shape):
+    # The other shape's descriptors have the wrong number of rows.
+    wrong = cut_files[{"part": "full_desc", "full": "part_desc"}[shape]]
+    out = tmp_path / "out"
+    code = main(["match", "--part", cut_files["part"], "--full",
+                 cut_files["full"], f"--descriptors-{shape}", wrong,
+                 "--radius", cut_files["radius"], "--k", "20",
+                 "--out", str(out)])
+    assert code == 2
+    assert f"{wrong}: descriptor rows do not match mesh" in \
+        capsys.readouterr().err
     assert not out.exists()
 
 

@@ -7,9 +7,8 @@ from pfmatch import descriptors
 from pfmatch.bench import bumpy_sphere, grid_mesh, icosphere, plane_cut
 from pfmatch.descriptors import (DESCRIPTOR_DIM, MIN_NEIGHBORS, N_AZIMUTH,
                                  N_COS_BINS, N_ELEVATION, N_RADIAL, SHOT_BLOCK,
-                                 DescriptorField, _neighbour_table,
-                                 default_radius, local_reference_frame,
-                                 shot_descriptors)
+                                 DescriptorField, _frames, _neighbour_table,
+                                 default_radius, shot_descriptors)
 from pfmatch.mesh import TriangleMesh
 
 
@@ -192,7 +191,7 @@ def test_distinguishes_geometry():
 def test_lrf_orthonormal_right_handed(rng):
     pts = rng.standard_normal((40, 3)) * 0.2
     center = np.zeros(3)
-    frame = local_reference_frame(center, pts, 1.0)
+    frame = _frames([(pts - center)[None]], 1.0)[0]
     assert np.allclose(frame @ frame.T, np.eye(3), atol=1e-12)
     assert np.isclose(np.linalg.det(frame), 1.0)
 
@@ -311,7 +310,7 @@ def test_lrf_matches_loop_exactly(rng):
     for _ in range(5):
         pts = rng.standard_normal((40, 3)) * 0.2
         center = rng.standard_normal(3) * 0.01
-        assert np.array_equal(local_reference_frame(center, pts, 1.0),
+        assert np.array_equal(_frames([(pts - center)[None]], 1.0)[0],
                               _lrf_loop(center, pts, 1.0))
 
 

@@ -7,8 +7,7 @@ from pfmatch.bench import bumpy_sphere, grid_mesh
 from pfmatch.energy import (EnergyBreakdown, EnergyParams, MatchProblem,
                             area_term, data_term, eta, eta_prime,
                             mask_coefficients, mumford_shah,
-                            orthogonality_term, slant_term, total_energy, xi,
-                            xi_prime)
+                            orthogonality_term, slant_term, total_energy, xi)
 from pfmatch.laplacian import mesh_basis
 from pfmatch.mesh import TriangleMesh
 from pfmatch.solver import c_objective, v_objective
@@ -70,16 +69,9 @@ def test_eta_prime_fd(rng):
 
 
 def test_xi_peak_and_decay():
-    assert np.isclose(xi(0.5), 1.0)  # peak where eta = 1/2
-    assert xi(0.5) > xi(1.5) > xi(3.0)
-    assert np.isclose(xi(0.5 + 1.0), xi(0.5 - 1.0))  # even around 0.5
-
-
-def test_xi_prime_fd(rng):
-    v = rng.standard_normal(20)
-    for sigma in (0.3, 0.5, 1.0):
-        num = fd_gradient(lambda x: float(np.sum(xi(x, sigma))), v)
-        assert_grad_close(xi_prime(v, sigma), num)
+    assert np.isclose(xi(0.5, 0.5), 1.0)  # peak where eta = 1/2
+    assert xi(0.5, 0.5) > xi(1.5, 0.5) > xi(3.0, 0.5)
+    assert np.isclose(xi(0.5 + 1.0, 0.5), xi(0.5 - 1.0, 0.5))  # even around 0.5
 
 
 # -- data term ----------------------------------------------------------------
@@ -222,7 +214,7 @@ def test_triangle_metric_equilateral(equilateral):
 def test_mumford_shah_constant_mask(square_grid):
     for c in (-2.0, 0.5, 3.0):
         v = np.full(square_grid.n_vertices, c)
-        value, grad = mumford_shah(v, square_grid)
+        value, grad = mumford_shah(v, square_grid, 0.5)
         assert value == 0.0
         assert np.allclose(grad, 0.0)
 
@@ -236,15 +228,15 @@ def test_mumford_shah_step_approximates_cut_length():
         x = mesh.vertices[:, 0]
         h = 1.0 / n
         v = np.where(x < 0.5 - h / 2, 1.0, np.where(x > 0.5 + h / 2, 0.0, 0.5))
-        value, _ = mumford_shah(v, mesh)
+        value, _ = mumford_shah(v, mesh, 0.5)
         assert abs(value - 1.0) < 0.25
 
 
 def test_mumford_shah_grad(rng):
     mesh = grid_mesh(5)
     v = rng.standard_normal(mesh.n_vertices)
-    _, grad = mumford_shah(v, mesh)
-    num = fd_gradient(lambda x: mumford_shah(x, mesh)[0], v)
+    _, grad = mumford_shah(v, mesh, 0.5)
+    num = fd_gradient(lambda x: mumford_shah(x, mesh, 0.5)[0], v)
     assert_grad_close(grad, num, rtol=1e-4)
 
 
@@ -424,7 +416,7 @@ def test_total_energy_matches_terms(tiny_problem, rng):
     assert np.isclose(b.data, data_term(C @ p.A, mask_coefficients(p, v),
                                         p.dim)[0])
     assert np.isclose(b.area, area_term(v, p.area_part, p.mass)[0])
-    assert np.isclose(b.mumford_shah, mumford_shah(v, p.mesh_full)[0])
+    assert np.isclose(b.mumford_shah, mumford_shah(v, p.mesh_full, 0.5)[0])
     assert np.isclose(b.slant, slant_term(C, p.W)[0])
     assert np.isclose(b.orthogonality, orthogonality_term(C, p.d)[0])
 
@@ -467,7 +459,9 @@ def _mumford_shah_reference(v, mesh, sigma_xi=0.5):
     dD2 = (2.0 * vb * E - 2.0 * va * F) * inv2D
     grad = np.zeros_like(v)
     for corner, dD, vc in ((0, dD0, v0), (1, dD1, v1), (2, dD2, v2)):
-        contrib = xs * dD + D * xi_prime(vc, sigma_xi)
+        th = np.tanh(2.0 * vc - 1.0)
+        xi_p = xi(vc, sigma_xi) * (-th * (1.0 - th ** 2) / sigma_xi ** 2)
+        contrib = xs * dD + D * xi_p
         np.add.at(grad, tri[:, corner], contrib)
     return value, grad / 6.0
 

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from pfmatch.bench import grid_mesh
-from pfmatch.mesh import MeshError, TriangleMesh, load_mesh, save_off, save_ply
+from pfmatch.mesh import (MeshError, TriangleMesh, edge_table, load_mesh,
+                          save_off, save_ply)
 
 
 def test_load_tetrahedron(tetra_off):
@@ -12,7 +13,6 @@ def test_load_tetrahedron(tetra_off):
     assert mesh.n_vertices == 4
     assert mesh.n_triangles == 4
     assert len(mesh.boundary_edges) == 0
-    assert mesh.is_closed()
 
 
 def test_load_single_triangle(triangle_off):
@@ -33,8 +33,10 @@ def test_grid_ply_boundary_edges(tmp_path, square_grid):
 
 def test_edge_count_identity(square_grid, sphere):
     for mesh in (square_grid, sphere):
-        nb = len(mesh.boundary_edges)
-        ni = len(mesh.interior_edges)
+        _, counts, _ = edge_table(mesh.triangles)
+        nb = np.count_nonzero(counts == 1)
+        ni = np.count_nonzero(counts == 2)
+        assert nb == len(mesh.boundary_edges)
         assert nb + 2 * ni == 3 * mesh.n_triangles
 
 

@@ -164,7 +164,7 @@ def test_orientation_survives_random_flips(name, seed):
     got = TriangleMesh(mesh.vertices, t).triangles
     assert np.array_equal(got, reference_orient(mesh.vertices, t))
     # An open mesh takes the orientation of its first triangle.
-    reverse = flip[0] and not mesh.is_closed()
+    reverse = flip[0] and len(mesh.boundary_edges) > 0
     assert np.array_equal(got, mesh.triangles[:, ::-1] if reverse else mesh.triangles)
 
 
@@ -197,7 +197,7 @@ def test_moebius_strip_warns_not_orientable():
     verts, tris = moebius_strip()
     with pytest.warns(UserWarning, match="not consistently orientable"):
         mesh = TriangleMesh(verts, tris)
-    assert not mesh.is_closed()
+    assert len(mesh.boundary_edges) > 0
 
 
 @pytest.mark.parametrize("name", ["bumpy", "cut"])

@@ -6,11 +6,11 @@ import scipy.sparse as sp
 from pfmatch.bench import grid_mesh
 from pfmatch.laplacian import (LaplacianPair, SpectralBasis, cotan_stiffness,
                                eigensolve, mesh_basis)
-from pfmatch.spectral import (PAIR_SKIP_REL_TOL, FunctionalMap,
-                              boundary_interaction, build_d_vector,
-                              build_weight_matrix, eigenvalue_derivative,
-                              eigenvector_derivative, estimate_rank, fourier_coeffs,
-                              ground_truth_map, perturbation_setup)
+from pfmatch.spectral import (PAIR_SKIP_REL_TOL, boundary_interaction,
+                              build_d_vector, build_weight_matrix,
+                              eigenvalue_derivative, eigenvector_derivative,
+                              estimate_rank, fourier_coeffs, ground_truth_map,
+                              perturbation_setup)
 
 
 def left_half_ids(mesh):
@@ -125,20 +125,14 @@ def test_d_vector():
         build_d_vector(3, 4)
 
 
-def test_functional_map_slope():
-    fm = FunctionalMap(np.eye(10), 4)
-    assert fm.k == 10
-    assert fm.slope == 0.4
-
-
 # -- ground truth map ---------------------------------------------------------
 
 
 def test_ground_truth_identity(square_grid):
     basis = mesh_basis(square_grid, 8)
     corr = np.arange(square_grid.n_vertices)
-    fm = ground_truth_map(basis, basis, corr, k=8)
-    assert np.allclose(fm.C, np.eye(8), atol=1e-9)
+    C = ground_truth_map(basis, basis, corr, k=8)
+    assert np.allclose(C, np.eye(8), atol=1e-9)
 
 
 def test_ground_truth_transfers_coefficients(square_grid):
@@ -148,7 +142,7 @@ def test_ground_truth_transfers_coefficients(square_grid):
     sub, vmap = square_grid.submesh(ids)
     basis_part = mesh_basis(sub, 6)
     basis_full = mesh_basis(square_grid, 6)
-    fm = ground_truth_map(basis_part, basis_full, vmap, k=6)
+    C = ground_truth_map(basis_part, basis_full, vmap, k=6)
 
     phi2 = basis_part.eigenvectors[:, 2]
     padded = np.zeros(square_grid.n_vertices)
@@ -156,7 +150,7 @@ def test_ground_truth_transfers_coefficients(square_grid):
     expected = fourier_coeffs(basis_full, padded)
     a = np.zeros(6)
     a[2] = 1.0
-    assert np.allclose(fm.C @ a, expected, atol=1e-12)
+    assert np.allclose(C @ a, expected, atol=1e-12)
 
 
 # -- perturbation laboratory --------------------------------------------------
