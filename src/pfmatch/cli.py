@@ -24,7 +24,8 @@ class UsageError(Exception):
     pass
 
 
-# What ends a command, by exit code; a usage error is checked for first.
+# What ends a command, by exit code; a numerical failure is checked for
+# first, because LinAlgError is a ValueError.
 _USAGE_ERRORS = (UsageError, MeshError, OSError, ValueError)
 _NUMERICAL_ERRORS = (EigensolveError, FloatingPointError,
                      np.linalg.LinAlgError)
@@ -33,11 +34,11 @@ _NUMERICAL_ERRORS = (EigensolveError, FloatingPointError,
 def _report(exc, where=""):
     """Print the one stderr line of a failed command and return its exit
     code: 2 for a usage or I/O error, 1 for a numerical failure."""
-    if isinstance(exc, _USAGE_ERRORS):
-        print(f"error: {where}{exc}", file=sys.stderr)
-        return 2
-    print(f"numerical failure: {where}{exc}", file=sys.stderr)
-    return 1
+    if isinstance(exc, _NUMERICAL_ERRORS):
+        print(f"numerical failure: {where}{exc}", file=sys.stderr)
+        return 1
+    print(f"error: {where}{exc}", file=sys.stderr)
+    return 2
 
 
 def _read_config(path):
@@ -252,12 +253,9 @@ def run_perturb(args):
     if not (np.isfinite(t) and t > 0):
         raise UsageError(f"--fd-step {t!r}: expected a finite positive number")
     part_ids = np.flatnonzero(bench.positive_side(mesh, point, normal))
-    os.makedirs(args.out, exist_ok=True)
     setup = spectral.perturbation_setup(mesh, part_ids)
     pair = laplacian.LaplacianPair(setup.K_part, setup.mass_part)
     kk = min(args.k, setup.n_part - 1)
-    basis = laplacian.eigensolve(pair, kk)
-
     # Finite-difference check of the eigenvalue derivative formula.  Part
     # eigenvalue i sits at position pos of the spectrum of K(0), the union
     # of the part's and the complement's.  2 i + 4 eigenvalues reach past it
@@ -266,6 +264,9 @@ def run_perturb(args):
     if not checked:
         raise UsageError("perturb checks no eigenvalue: it needs --n-check "
                          "of at least 1 and --k of at least 2")
+    os.makedirs(args.out, exist_ok=True)  # only once the flags are usable
+    basis = laplacian.eigensolve(pair, kk)
+
     mass = np.concatenate([setup.mass_part, setup.mass_comp])
     lam0 = _spectrum_past(setup.stiffness(0.0), mass,
                           basis.eigenvalues[checked[-1]], 2 * checked[-1] + 4)

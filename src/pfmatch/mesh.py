@@ -380,6 +380,8 @@ def _read_ply(path):
             elif parts[0] == "element":
                 elements.append((parts[1], int(parts[2]), []))
             elif parts[0] == "property":
+                if not elements:
+                    raise MeshError(f"{path}: ply property before any element")
                 if parts[1] == "list":
                     elements[-1][2].append(("list", parts[2], parts[3], parts[4]))
                 else:
@@ -408,21 +410,24 @@ def _read_ply(path):
 
 
 def _ply_ascii_element(fh, count, props, path):
+    # As in binary, every list property holds a triangle, whatever its name.
     data = {p[0] if p[0] != "list" else p[3]: [] for p in props}
     for _ in range(count):
         parts = fh.readline().split()
         pos = 0
-        for p in props:
-            if p[0] == "list":
-                cnt = int(parts[pos])
-                if p[3] == "vertex_indices" or p[3] == "vertex_index":
-                    if cnt != 3:
+        try:
+            for p in props:
+                if p[0] == "list":
+                    if int(parts[pos]) != 3:
                         raise MeshError(f"{path}: only triangular faces supported")
-                data[p[3]].append([int(x) for x in parts[pos + 1:pos + 1 + cnt]])
-                pos += 1 + cnt
-            else:
-                data[p[0]].append(float(parts[pos]))
-                pos += 1
+                    data[p[3]].append([int(parts[pos + j]) for j in (1, 2, 3)])
+                    pos += 4
+                else:
+                    data[p[0]].append(float(parts[pos]))
+                    pos += 1
+        except IndexError as exc:
+            raise MeshError(f"{path}: ply data has fewer values than its "
+                            "header declares") from exc
     return {k: np.asarray(v) for k, v in data.items()}
 
 
@@ -430,12 +435,16 @@ def _ply_binary_element(fh, count, props, path):
     # Faces must be triangles, so a list property is read as a fixed record
     # of its count and three values; a count other than 3 is rejected below.
     fields = []
-    for p in props:
-        if p[0] == "list":
-            fields += [(p[3] + ".count", "<" + _PLY_TYPES[p[1]]),
-                       (p[3], "<" + _PLY_TYPES[p[2]], (3,))]
-        else:
-            fields.append((p[0], "<" + _PLY_TYPES[p[1]]))
+    try:
+        for p in props:
+            if p[0] == "list":
+                fields += [(p[3] + ".count", "<" + _PLY_TYPES[p[1]]),
+                           (p[3], "<" + _PLY_TYPES[p[2]], (3,))]
+            else:
+                fields.append((p[0], "<" + _PLY_TYPES[p[1]]))
+    except KeyError as exc:
+        raise MeshError(f"{path}: unsupported ply property type "
+                        f"{exc.args[0]}") from exc
     dt = np.dtype(fields)
     buf = fh.read(dt.itemsize * count)
     raw = np.frombuffer(buf, dtype=dt, count=len(buf) // dt.itemsize)

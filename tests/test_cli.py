@@ -347,6 +347,17 @@ def test_perturb_rejects_fd_step(mesh_files, tmp_path, capsys, step):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value", [("--n-check", "0"), ("--k", "1")])
+def test_perturb_rejects_no_check(mesh_files, tmp_path, capsys, flag, value):
+    out = tmp_path / "perturb"
+    # The last of a repeated flag wins.
+    code = main(["perturb", "--mesh", mesh_files["sphere"], "--k", "6",
+                 "--n-check", "2", flag, value, "--out", str(out)])
+    assert code == 2
+    assert "perturb checks no eigenvalue" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_perturb_report(mesh_files, tmp_path):
     out = str(tmp_path / "perturb")
     code = main(["perturb", "--mesh", mesh_files["sphere"],
@@ -449,13 +460,26 @@ def test_match_eigensolve_failure_exit_1(mesh_files, tmp_path, monkeypatch,
         raise scipy.sparse.linalg.ArpackNoConvergence("no convergence",
                                                       None, None)
 
-    monkeypatch.setattr("pfmatch.laplacian.DENSE_FALLBACK_N", 10)
     monkeypatch.setattr("scipy.sparse.linalg.eigsh", no_convergence)
     code = main(["match", "--part", mesh_files["part"],
                  "--full", mesh_files["full"], "--out",
                  str(tmp_path / "out")] + MATCH_FLAGS)
     assert code == 1
     assert "ARPACK failed to converge" in capsys.readouterr().err
+
+
+def test_match_svd_failure_exit_1(mesh_files, tmp_path, monkeypatch, capsys):
+    # LinAlgError is a ValueError, yet a numerical failure.
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr("numpy.linalg.svd", no_convergence)
+    code = main(["match", "--part", mesh_files["part"],
+                 "--full", mesh_files["full"], "--out",
+                 str(tmp_path / "out")] + MATCH_FLAGS)
+    assert code == 1
+    assert "numerical failure: SVD did not converge" in \
+        capsys.readouterr().err
 
 
 @pytest.mark.parametrize("shape", ["part", "full"])

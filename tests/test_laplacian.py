@@ -122,24 +122,47 @@ def _grid_and_ball():
             np.vstack([grid.triangles, ball.triangles + grid.n_vertices]))
 
 
-@pytest.mark.parametrize("make", [lambda: grid_mesh(30), _grid_and_ball],
-                         ids=["grid", "two_components"])
-def test_sparse_dense_agreement(make, monkeypatch):
+def _generalized_reference(pair, k):
+    """Reference: the dense generalized solve with an n x n mass matrix that
+    the standard-form solve replaced, then eigensolve's sign and tie order."""
+    K = pair.stiffness.toarray()
+    S = np.diag(pair.mass)
+    vals, vecs = scipy.linalg.eigh(K, S, subset_by_index=[0, k - 1])
+    return _order_ties(vals, _fix_signs(vecs))
+
+
+def _tetrahedron():
+    v = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]], float)
+    return TriangleMesh(v, [[0, 1, 2], [0, 3, 1], [0, 2, 3], [1, 3, 2]])
+
+
+@pytest.mark.parametrize("make, k", [
+    (lambda: grid_mesh(30), 10), (_grid_and_ball, 10),
+    (lambda: bumpy_sphere(3), 50),
+    # The smallest meshes, and k up to n - 1.
+    (lambda: TriangleMesh(np.eye(3), [[0, 1, 2]]), 1),
+    (lambda: TriangleMesh(np.eye(3), [[0, 1, 2]]), 2),
+    (_tetrahedron, 3), (lambda: grid_mesh(2), 8),
+    (lambda: grid_mesh(10), 120), (lambda: icosphere(3), 641)],
+    ids=["grid", "two_components", "bumpy_sphere", "triangle_k1",
+         "triangle_k2", "tetrahedron", "grid2", "grid10", "icosphere3"])
+def test_eigensolve_matches_generalized_solve(make, k):
     pair = laplacian_pair(make())
-    monkeypatch.setattr("pfmatch.laplacian.DENSE_FALLBACK_N", pair.n)
-    dense = eigensolve(pair, 10)
-    monkeypatch.setattr("pfmatch.laplacian.DENSE_FALLBACK_N", pair.n - 1)
-    sparse = eigensolve(pair, 10)
-    assert np.allclose(dense.eigenvalues, sparse.eigenvalues, atol=1e-8)
-    for i in range(10):
-        a, b = dense.eigenvectors[:, i], sparse.eigenvectors[:, i]
-        if dense.eigenvalues[i] > 1e-8 and (
-                i + 1 == 10 or dense.eigenvalues[i + 1] - dense.eigenvalues[i] > 1e-6):
-            assert np.allclose(a, b, atol=1e-6)
+    basis = eigensolve(pair, k)
+    # One eigenvalue past the k-th tells whether the k-th is simple.
+    vals, vecs = _generalized_reference(pair, k + 1)
+    assert basis.eigenvalues[0] < 1e-12
+    assert np.allclose(basis.eigenvalues, vals[:k], rtol=1e-10, atol=1e-11)
+    gram = basis.eigenvectors.T @ (basis.mass[:, None] * basis.eigenvectors)
+    assert np.allclose(gram, np.eye(k), atol=1e-9)
+    # Eigenvectors are unique up to sign only for simple eigenvalues.
+    apart = np.diff(vals) > 1e-6
+    simple = apart[:k] & np.r_[True, apart[:k - 1]]
+    assert np.allclose(basis.eigenvectors[:, simple], vecs[:, :k][:, simple],
+                       rtol=0, atol=1e-8)
 
 
 def test_sparse_eigensolve_errors(square_grid, monkeypatch):
-    monkeypatch.setattr("pfmatch.laplacian.DENSE_FALLBACK_N", 10)
     pair = laplacian_pair(square_grid)
     # A negated stiffness makes K negative semi-definite: A - SHIFT I then
     # has no Cholesky factor.
@@ -152,28 +175,6 @@ def test_sparse_eigensolve_errors(square_grid, monkeypatch):
     monkeypatch.setattr("scipy.sparse.linalg.eigsh", no_convergence)
     with pytest.raises(EigensolveError, match="ARPACK"):
         eigensolve(pair, 5)
-
-
-def _generalized_reference(pair, k):
-    """Reference: the dense generalized solve with an n x n mass matrix that
-    the standard-form solve replaced, then eigensolve's sign and tie order."""
-    K = pair.stiffness.toarray()
-    S = np.diag(pair.mass)
-    vals, vecs = scipy.linalg.eigh(K, S, subset_by_index=[0, k - 1])
-    return _order_ties(vals, _fix_signs(vecs))
-
-
-def test_dense_path_matches_generalized_solve(monkeypatch):
-    # Both paths, each forced, against the dense generalized solve.
-    pair = laplacian_pair(bumpy_sphere(3))
-    vals, vecs = _generalized_reference(pair, 50)
-    assert abs(vals[0]) < 1e-12
-    for threshold in (pair.n, pair.n - 1):  # dense, then banded
-        monkeypatch.setattr("pfmatch.laplacian.DENSE_FALLBACK_N", threshold)
-        basis = eigensolve(pair, 50)
-        assert basis.eigenvalues[0] < 1e-12
-        assert np.allclose(basis.eigenvalues[1:], vals[1:], rtol=1e-10, atol=0)
-        assert np.allclose(basis.eigenvectors, vecs, rtol=0, atol=1e-8)
 
 
 def _fix_signs_loop(vecs):

@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -124,6 +125,47 @@ def test_binary_ply_bad_faces_rejected(tmp_path, last_face, message):
         fh.write(struct.pack("<B3i", 3, 1, 4, 2))
         fh.write(last_face)
     with pytest.raises(MeshError, match=message):
+        load_mesh(path)
+
+
+_ASCII_PLY = """ply
+format ascii 1.0
+element vertex 3
+property float x
+property float y
+property float z
+element face 1
+property list uchar int vertex_indices
+end_header
+0 0 0
+1 0 0
+0 1 0
+3 0 1 2
+"""
+
+
+@pytest.mark.parametrize("text, message", [
+    (_ASCII_PLY.replace("3 0 1 2\n", ""),
+     "ply data has fewer values than its header declares"),
+    (_ASCII_PLY.replace("1 0 0\n", "1 0\n"),
+     "ply data has fewer values than its header declares"),
+    (_ASCII_PLY.replace("3 0 1 2\n", "3 0 1\n"),
+     "ply data has fewer values than its header declares"),
+    (_ASCII_PLY.replace("vertex_indices", "corners").replace("3 0 1 2",
+                                                             "4 0 1 2 0"),
+     "only triangular faces supported"),
+    (_ASCII_PLY.replace("ascii", "binary_little_endian").replace("float x",
+                                                                 "uint64 x"),
+     "unsupported ply property type uint64"),
+    (_ASCII_PLY.replace("element vertex 3\nproperty float x\n",
+                        "property float x\nelement vertex 3\n"),
+     "ply property before any element"),
+], ids=["missing_row", "short_row", "short_face", "quad_any_list_name",
+        "unknown_binary_type", "property_first"])
+def test_malformed_ply_rejected(tmp_path, text, message):
+    path = tmp_path / "bad.ply"
+    path.write_text(text)
+    with pytest.raises(MeshError, match=re.escape(f"{path}: {message}")):
         load_mesh(path)
 
 
