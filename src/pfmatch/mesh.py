@@ -345,8 +345,14 @@ def _read_off(path):
             cnt = int(tokens[pos])
             if cnt != 3:
                 raise MeshError(f"{path}: only triangular faces supported")
-            tris.append([int(x) for x in tokens[pos + 1:pos + 4]])
+            face = tokens[pos + 1:pos + 4]
+            if len(face) < 3:
+                raise MeshError(f"{path}: OFF data has fewer values than "
+                                "its header declares")
+            tris.append([int(x) for x in face])
             pos += 1 + cnt
+    except MeshError:
+        raise
     except (ValueError, IndexError) as exc:
         raise MeshError(f"{path}: malformed OFF data: {exc}") from exc
     return verts, np.asarray(tris, dtype=np.int64)
@@ -373,21 +379,29 @@ def _read_ply(path):
             parts = line.decode("ascii", "replace").split()
             if not parts or parts[0] == "comment":
                 continue
-            if parts[0] == "format":
-                fmt = parts[1]
-                if fmt not in ("ascii", "binary_little_endian"):
-                    raise MeshError(f"{path}: unsupported ply format {fmt}")
-            elif parts[0] == "element":
-                elements.append((parts[1], int(parts[2]), []))
-            elif parts[0] == "property":
-                if not elements:
-                    raise MeshError(f"{path}: ply property before any element")
-                if parts[1] == "list":
-                    elements[-1][2].append(("list", parts[2], parts[3], parts[4]))
-                else:
-                    elements[-1][2].append((parts[2], parts[1]))
-            elif parts[0] == "end_header":
+            if parts[0] == "end_header":
                 break
+            if parts[0] == "property" and not elements:
+                raise MeshError(f"{path}: ply property before any element")
+            try:
+                if parts[0] == "format":
+                    fmt = parts[1]
+                elif parts[0] == "element":
+                    count = int(parts[2])
+                    if count < 0:
+                        raise ValueError("negative element count")
+                    elements.append((parts[1], count, []))
+                elif parts[0] == "property" and parts[1] == "list":
+                    elements[-1][2].append(("list", parts[2], parts[3], parts[4]))
+                elif parts[0] == "property":
+                    elements[-1][2].append((parts[2], parts[1]))
+            except (ValueError, IndexError) as exc:
+                raise MeshError(f"{path}: malformed ply header line "
+                                f"{' '.join(parts)!r}") from exc
+        if fmt is None:
+            raise MeshError(f"{path}: ply header is missing format")
+        if fmt not in ("ascii", "binary_little_endian"):
+            raise MeshError(f"{path}: unsupported ply format {fmt}")
         verts = tris = None
         for name, count, props in elements:
             if fmt == "ascii":

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .energy import (EnergyParams, MatchProblem, area_term, data_term, eta,
+from .energy import (EnergyParams, MatchProblem, area_term, data_term,
                      eta_prime, mask_coefficients, mumford_shah,
                      orthogonality_term, slant_term, total_energy)
 from .spectral import (build_d_vector, build_weight_matrix, estimate_rank,
@@ -67,7 +67,8 @@ class CGResult:
 class MatchResult:
     C: np.ndarray
     v: np.ndarray
-    pi: np.ndarray  # full-shape vertex -> partial-shape vertex (or -1)
+    # full-shape vertex -> smallest partial-shape vertex mapped onto it (or -1)
+    pi: np.ndarray
     energy_trace: list
     rank_estimate: int
     refine_residuals: list = field(default_factory=list)  # one per ICP round
@@ -281,8 +282,6 @@ def nearest_columns(queries, points):
     Exact search: the returned row j minimises the float64 squared distance
     ``np.sum((q - points[j]) ** 2)``, and among equal distances it is the
     smallest such j, as ``np.argmin`` over every row would give.
-    ``queries`` is an array, or a :class:`_Queries` prepared from one to
-    search it against several point sets.
 
     A float32 screen decides most rows.  One GEMM per block of queries
     scores every point as S_j = |p_j|^2 - 2 q.p_j, the rows [q, 1] against
@@ -311,18 +310,16 @@ def nearest_columns(queries, points):
     or for k >= 2^16, the same search runs in float64, where the same E
     holds with no input rounding.
     """
-    if not isinstance(queries, _Queries):
-        queries = _Queries(queries)
+    queries = np.asarray(queries, dtype=np.float64)
     points = np.asarray(points, dtype=np.float64)
     k = points.shape[1]
-    if queries.rows32 is not None and _score_dtype(points) is np.float32:
-        dtype, rows_q = np.float32, queries.rows32
-    else:
-        dtype, rows_q = np.float64, _score_rows(queries.x, np.float64)
+    dtype = _score_dtype(queries, points)
+    rows_q = np.ones((len(queries), k + 1), dtype=dtype)
+    rows_q[:, :-1] = queries
     p_sq = np.einsum("ij,ij->i", points, points)
     cols_p = np.vstack([-2.0 * points.T, p_sq]).astype(dtype)
     margin = 2 * (4 * k + 8) * np.finfo(dtype).eps * (
-        queries.sq + p_sq.max(initial=0.0))
+        np.einsum("ij,ij->i", queries, queries) + p_sq.max(initial=0.0))
     out = np.empty(len(rows_q), dtype=np.intp)
     for start in range(0, len(rows_q), _NN_BLOCK):
         stop = start + _NN_BLOCK
@@ -336,28 +333,10 @@ def nearest_columns(queries, points):
         bound = margin[start:stop]
         for i in np.flatnonzero(runner_up - d_min <= bound):
             near = np.flatnonzero(dist[i] <= d_min[i] + bound[i])
-            exact = np.sum((points[near] - queries.x[start + i]) ** 2, axis=1)
+            exact = np.sum((points[near] - queries[start + i]) ** 2, axis=1)
             best[i] = near[np.argmin(exact)]
         out[start:stop] = best
     return out
-
-
-class _Queries:
-    """The query side of nearest_columns, which does not depend on the
-    points: the float64 queries ``x``, their squared norms ``sq`` and the
-    float32 score rows [q, 1], or None where the float32 bound fails."""
-
-    def __init__(self, queries):
-        self.x = np.asarray(queries, dtype=np.float64)
-        self.sq = np.einsum("ij,ij->i", self.x, self.x)
-        self.rows32 = (_score_rows(self.x, np.float32)
-                       if _score_dtype(self.x) is np.float32 else None)
-
-
-def _score_rows(queries, dtype):
-    rows = np.ones((len(queries), queries.shape[1] + 1), dtype=dtype)
-    rows[:, :-1] = queries
-    return rows
 
 
 def _score_dtype(*arrays):
@@ -386,25 +365,27 @@ def _procrustes(M):
 def refine(C, Phi, Psi, d, opts=SolverOptions()):
     """ICP alignment of the spectral embeddings (Ovsjanikov et al. 2012).
 
-    Each round maps every full-shape point (row of Psi) to its nearest
-    partial-shape image point (row of Phi C^T), pi, then sets C to the
-    exact minimiser of |Phi[pi] C^T - Psi|^2 over C^T C = diag(d), with r
-    ones in d: _procrustes(Psi^T Phi[pi][:, :r]).  C starts on that set, at
-    _procrustes(C[:, :r]), so the residuals never increase.  Stops once pi
-    repeats, a fixed point, or after ``refine_max_iter`` rounds.  Returns
-    (C, pi, residuals), pi mapping full-shape to partial-shape vertices.
+    Each round maps every partial-shape image point (row of Phi C^T) to its
+    nearest full-shape point (row of Psi), sigma, then sets C to the exact
+    minimiser of |Phi C^T - Psi[sigma]|^2 over C^T C = diag(d), with r ones
+    in d: _procrustes(Psi[sigma]^T Phi[:, :r]).  C starts on that set, at
+    _procrustes(C[:, :r]), so the residuals never increase.  Stops once
+    sigma repeats, a fixed point, or after ``refine_max_iter`` rounds.
+    Returns (C, sigma, residuals), sigma mapping partial-shape to
+    full-shape vertices; at a fixed point sigma is the nearest map of the
+    returned C.
     """
     r = int(np.count_nonzero(d))
     C = _procrustes(C[:, :r])
-    residuals, pi = [], None
-    queries = _Queries(Psi)
+    residuals, sigma = [], None
     for _ in range(opts.refine_max_iter):
-        pi_prev, pi = pi, nearest_columns(queries, Phi @ C.T)
-        residuals.append(float(np.sum((Phi[pi] @ C.T - Psi) ** 2)))
-        if np.array_equal(pi, pi_prev):
+        image = Phi @ C.T
+        sigma_prev, sigma = sigma, nearest_columns(image, Psi)
+        residuals.append(float(np.sum((image - Psi[sigma]) ** 2)))
+        if np.array_equal(sigma, sigma_prev):
             break
-        C = _procrustes(Psi.T @ Phi[pi, :r])
-    return C, pi, residuals
+        C = _procrustes(Psi[sigma].T @ Phi[:, :r])
+    return C, sigma, residuals
 
 
 def initial_mask(prob):
@@ -429,26 +410,19 @@ def initial_mask(prob):
     return 1.0 - (dist - lo) / (hi - lo)
 
 
-def pointwise_map(pi, eta_v):
-    """Restrict the assignment to the recovered part: vertices with
-    eta(v) <= 0.5 become unassigned (strict > 0.5 keeps the target)."""
-    out = np.asarray(pi).copy()
-    out[np.asarray(eta_v) <= 0.5] = UNASSIGNED
-    return out
+def invert_assignment(assignment, n_target):
+    """Inverse view of an assignment of source to target vertices, -1 for
+    an unassigned source.
 
-
-def invert_assignment(pi, n_part):
-    """Partial-shape view of a full->partial assignment.
-
-    For each partial vertex, the smallest full-shape vertex mapped onto it,
-    or -1 when none is.
+    For each target vertex, the smallest source vertex mapped onto it, or
+    -1 when none is.
     """
-    pi = np.asarray(pi)
-    full = np.flatnonzero(pi != UNASSIGNED)
-    # return_index gives each target's first, so smallest, full vertex
-    targets, first = np.unique(pi[full], return_index=True)
-    inv = np.full(n_part, UNASSIGNED, dtype=np.int64)
-    inv[targets] = full[first]
+    assignment = np.asarray(assignment)
+    source = np.flatnonzero(assignment != UNASSIGNED)
+    # return_index gives each target's first, so smallest, source vertex
+    targets, first = np.unique(assignment[source], return_index=True)
+    inv = np.full(n_target, UNASSIGNED, dtype=np.int64)
+    inv[targets] = source[first]
     return inv
 
 
@@ -457,10 +431,12 @@ def alternate(prob, params, phi_part, opts=SolverOptions()):
     energy stops falling by ``outer_rel_tol`` or ``max_outer`` is reached.
 
     The ICP refinement then runs once, from the final C, and gives the
-    returned C and the point-wise map; it aligns the first k columns of
-    ``phi_part``, the partial-shape eigenvectors, with k the problem's.
-    Refine's objective has no descriptor data term, so its C is not fed
-    back into the alternation.
+    returned C and the part-to-full map sigma; it aligns the first k
+    columns of ``phi_part``, the partial-shape eigenvectors, with k the
+    problem's.  Refine's objective has no descriptor data term, so its C is
+    not fed back into the alternation.  The returned ``pi`` is sigma
+    inverted: for each full-shape vertex, the smallest partial-shape vertex
+    that sigma sends there, or -1 where none does.
     """
     C = np.zeros_like(prob.W)
     v = initial_mask(prob)
@@ -477,8 +453,8 @@ def alternate(prob, params, phi_part, opts=SolverOptions()):
         prev_total = breakdown.total
 
     k = prob.Psi.shape[1]
-    C, pi, resids = refine(C, phi_part[:, :k], prob.Psi, prob.d, opts)
-    pi = pointwise_map(pi, eta(v))
+    C, sigma, resids = refine(C, phi_part[:, :k], prob.Psi, prob.d, opts)
+    pi = invert_assignment(sigma, len(prob.Psi))
     r = int(np.sum(prob.d))
     return MatchResult(C=C, v=v, pi=pi, energy_trace=trace,
                        rank_estimate=r, refine_residuals=resids)

@@ -310,10 +310,10 @@ def test_criterion_7_end_to_end(end_to_end):
     frac05 = float((finite < 0.05).mean())
     outer = len(first["result"].energy_trace)
     runtime = first["runtime"]
-    ok = (len(finite) == len(errors) and mean < 0.08 and frac05 >= 0.60
+    ok = (len(finite) == len(errors) and mean < 0.01 and frac05 >= 0.99
           and outer <= 5 and runtime < 600.0)
-    report(7, ok, f"end-to-end: mean error {mean:.4f} (< 0.08), "
-                  f"{100 * frac05:.1f}% below 0.05 (>= 60%), "
+    report(7, ok, f"end-to-end: mean error {mean:.4f} (< 0.01), "
+                  f"{100 * frac05:.1f}% below 0.05 (>= 99%), "
                   f"{outer} outer iterations (<= 5), "
                   f"runtime {runtime:.0f}s (< 600s)")
 

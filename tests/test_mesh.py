@@ -169,6 +169,35 @@ def test_malformed_ply_rejected(tmp_path, text, message):
         load_mesh(path)
 
 
+@pytest.mark.parametrize("name, text, message", [
+    ("bad.ply", _ASCII_PLY.replace("format ascii 1.0", "format"),
+     "malformed ply header line 'format'"),
+    ("bad.ply", _ASCII_PLY.replace("element vertex 3", "element vertex"),
+     "malformed ply header line 'element vertex'"),
+    ("bad.ply", _ASCII_PLY.replace("element vertex 3", "element vertex x"),
+     "malformed ply header line 'element vertex x'"),
+    ("bad.ply", _ASCII_PLY.replace("element vertex 3", "element vertex -3"),
+     "malformed ply header line 'element vertex -3'"),
+    ("bad.ply", _ASCII_PLY.replace("property float x", "property float"),
+     "malformed ply header line 'property float'"),
+    ("bad.ply", _ASCII_PLY.replace(" vertex_indices", ""),
+     "malformed ply header line 'property list uchar int'"),
+    ("bad.ply", _ASCII_PLY.replace("format ascii 1.0\n", ""),
+     "ply header is missing format"),
+    ("bad.off", "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1\n",
+     "OFF data has fewer values than its header declares"),
+    ("bad.off", "OFF\n4 2 0\n0 0 0\n1 0 0\n1 1 0\n0 1 0\n3 0 1 2\n3 0 2\n",
+     "OFF data has fewer values than its header declares"),
+], ids=["format_no_value", "element_no_count", "element_count_not_int",
+        "element_count_negative", "property_no_name", "list_no_name",
+        "no_format_line", "off_short_face", "off_short_face_after_full"])
+def test_malformed_mesh_rejected_with_path(tmp_path, name, text, message):
+    path = tmp_path / name
+    path.write_text(text)
+    with pytest.raises(MeshError, match=re.escape(f"{path}: {message}")):
+        load_mesh(path)
+
+
 def test_vertex_areas_equilateral(equilateral):
     s = equilateral.vertex_areas()
     expected = (np.sqrt(3) / 4) / 3

@@ -10,12 +10,10 @@ from pfmatch.energy import (EnergyParams, MatchProblem, area_term, eta,
                             mumford_shah, orthogonality_term, slant_term)
 from pfmatch.laplacian import mesh_basis
 from pfmatch.solver import (_MASK_BLOCK, _NN_BLOCK, UNASSIGNED, MatchResult,
-                            SolverOptions, _Queries,
-                            _score_dtype, alternate,
+                            SolverOptions, _score_dtype, alternate,
                             build_problem, c_objective, c_step,
                             initial_mask, invert_assignment, nearest_columns,
-                            nonlinear_cg, pointwise_map, refine, v_objective,
-                            v_step)
+                            nonlinear_cg, refine, v_objective, v_step)
 
 
 @pytest.fixture(scope="module")
@@ -430,11 +428,16 @@ def test_nearest_columns_float32_screen_matches_float64(seed, log_scale, k,
                           _nearest_columns_f64(queries, points))
 
 
-@pytest.mark.parametrize("scale", [1e30, 3e-30, 1e-30])
-def test_nearest_columns_float64_fallback_exact(rng, scale):
+@pytest.mark.parametrize("scale, query_scale", [
+    pytest.param(1e30, 1.0, id="1e+30"), pytest.param(3e-30, 1.0, id="3e-30"),
+    pytest.param(1e-30, 1.0, id="1e-30"),
+    pytest.param(1.0, 1e-30, id="queries-1e-30")])
+def test_nearest_columns_float64_fallback_exact(rng, scale, query_scale):
     # Near 1e30 float32 scores would overflow, near 1e-30 their products
-    # underflow; the search must fall back to float64 and stay exact.
+    # underflow; the search must fall back to float64 and stay exact,
+    # whether the points or only the queries fail the float32 bound.
     queries, points = _near_tie_cloud(rng, 300, 6, scale)
+    queries = query_scale * queries
     assert _score_dtype(queries, points) is np.float64
     got = nearest_columns(queries, points)
     assert np.array_equal(got, _nearest_columns_f64(queries, points))
@@ -453,66 +456,55 @@ def test_score_dtype_limits():
     assert _score_dtype(ones, np.full((3, 4), np.nan)) is np.float64
 
 
-def test_prepared_queries_search_like_arrays(rng):
-    # One preparation serves point sets of every scale, including those
-    # that send the search to float64; queries that fail the float32 bound
-    # themselves are searched in float64 too.
-    for q_scale in (1.0, 1e-30):
-        queries, points = _near_tie_cloud(rng, 200, 5, q_scale)
-        prepared = _Queries(queries)
-        assert (prepared.rows32 is None) == (q_scale != 1.0)
-        for scale in (1.0, 1e3, 1e30, 1e-30):
-            pts = scale * points
-            assert np.array_equal(nearest_columns(prepared, pts),
-                                  nearest_columns(queries, pts))
-
-
 def test_refine_recovers_permutation(rng):
     n, k = 30, 6
     Phi = rng.standard_normal((n, k))
     perm = rng.permutation(n)
     Psi = Phi[perm]
     d = np.ones(k)
-    C, pi, residuals = refine(np.eye(k), Phi, Psi, d,
-                              opts=SolverOptions(refine_max_iter=5))
-    assert np.array_equal(pi, perm)
+    C, sigma, residuals = refine(np.eye(k), Phi, Psi, d,
+                                 opts=SolverOptions(refine_max_iter=5))
+    assert np.array_equal(sigma, np.argsort(perm))
     assert residuals[0] < 1e-20
 
 
 def test_refine_fit_is_optimal(rng):
-    # One round: the re-fit for the round's assignment pi is the exact
-    # minimiser of |Phi_a C^T - Psi|^2 over C^T C = diag(d), Phi_a = Phi[pi].
+    # One round: the re-fit for the round's assignment sigma is the exact
+    # minimiser of |Phi C^T - Psi_a|^2 over C^T C = diag(d), Psi_a =
+    # Psi[sigma].
     n_part, n_full, k = 40, 60, 6
     Phi = rng.standard_normal((n_part, k))
     Psi = rng.standard_normal((n_full, k))
     for r in (1, 4, k, *rng.integers(1, k + 1, 3)):
         d = (np.arange(k) < r).astype(float)
-        C, pi, _ = refine(rng.standard_normal((k, k)), Phi, Psi, d,
-                          SolverOptions(refine_max_iter=1))
+        C, sigma, _ = refine(rng.standard_normal((k, k)), Phi, Psi, d,
+                             SolverOptions(refine_max_iter=1))
         np.testing.assert_allclose(C.T @ C, np.diag(d), rtol=0, atol=1e-12)
-        Phi_a = Phi[pi]
-        fitted = np.sum((Phi_a @ C.T - Psi) ** 2)
+        Psi_a = Psi[sigma]
+        fitted = np.sum((Phi @ C.T - Psi_a) ** 2)
         for _ in range(100):
             X = np.zeros((k, k))
             X[:, :r] = np.linalg.qr(rng.standard_normal((k, r)))[0]
-            assert fitted <= np.sum((Phi_a @ X.T - Psi) ** 2)
+            assert fitted <= np.sum((Phi @ X.T - Psi_a) ** 2)
 
 
 def test_refine_stops_at_fixed_point(small_pair, rng):
-    # A refine that stops because pi repeated returns what a run capped one
-    # round earlier returns, and what a run allowed more rounds returns.
+    # A refine that stops because sigma repeated returns what a run capped
+    # one round earlier returns, and what a run allowed more rounds returns.
     prob = small_pair["prob"]
     k = prob.A.shape[0]
     C0 = np.eye(k) + 0.3 * rng.standard_normal((k, k))
-    args = (C0, small_pair["phi"], prob.Psi, prob.d)
-    C, pi, residuals = refine(*args, SolverOptions(refine_max_iter=50))
+    phi = small_pair["phi"]
+    args = (C0, phi, prob.Psi, prob.d)
+    C, sigma, residuals = refine(*args, SolverOptions(refine_max_iter=50))
     rounds = len(residuals)
     assert 2 < rounds < 50
+    assert np.array_equal(nearest_columns(phi @ C.T, prob.Psi), sigma)
     for cap in (rounds - 1, 100):
-        C_cap, pi_cap, resid_cap = refine(*args,
-                                          SolverOptions(refine_max_iter=cap))
+        C_cap, sigma_cap, resid_cap = refine(
+            *args, SolverOptions(refine_max_iter=cap))
         assert C_cap.tobytes() == C.tobytes()
-        assert pi_cap.tobytes() == pi.tobytes()
+        assert sigma_cap.tobytes() == sigma.tobytes()
         assert resid_cap == residuals[:cap]
 
 
@@ -520,49 +512,41 @@ def test_refine_residuals_decrease(small_pair):
     prob = small_pair["prob"]
     k = prob.A.shape[0]
     C0 = prob.W + 0.5 * np.eye(k)
-    _, pi, residuals = refine(C0, small_pair["phi"], prob.Psi, prob.d)
+    _, sigma, residuals = refine(C0, small_pair["phi"], prob.Psi, prob.d)
     assert all(residuals[i + 1] <= residuals[i] + 1e-9
                for i in range(len(residuals) - 1))
-    assert pi.shape == (prob.Psi.shape[0],)
-    assert pi.min() >= 0
-    assert pi.max() < small_pair["part"].n_vertices
+    assert sigma.shape == (small_pair["part"].n_vertices,)
+    assert sigma.min() >= 0
+    assert sigma.max() < prob.Psi.shape[0]
 
 
 # -- map post-processing ---------------------------------------------------------
 
 
-def test_pointwise_map_threshold():
-    pi = np.array([3, 1, 4, 1, 5])
-    ev = np.array([0.9, 0.5, 0.500001, 0.1, 1.0])
-    out = pointwise_map(pi, ev)
-    assert np.array_equal(out, [3, UNASSIGNED, 4, UNASSIGNED, 5])
-    assert np.array_equal(pi, [3, 1, 4, 1, 5])  # input untouched
-
-
 def test_invert_assignment_ties():
-    pi = np.array([2, 0, 2, UNASSIGNED, 1])
-    inv = invert_assignment(pi, 4)
-    # Partial vertex 2 receives full vertices 0 and 2: smallest index wins.
+    assignment = np.array([2, 0, 2, UNASSIGNED, 1])
+    inv = invert_assignment(assignment, 4)
+    # Target 2 receives sources 0 and 2: the smallest index wins.
     assert np.array_equal(inv, [1, 4, 0, UNASSIGNED])
 
 
-def _invert_assignment_loop(pi, n_part):
+def _invert_assignment_loop(assignment, n_target):
     """Reference: the per-vertex loop that invert_assignment replaced."""
-    inv = np.full(n_part, UNASSIGNED, dtype=np.int64)
-    for full_v in range(len(pi) - 1, -1, -1):
-        p = pi[full_v]
-        if p != UNASSIGNED:
-            inv[p] = full_v
+    inv = np.full(n_target, UNASSIGNED, dtype=np.int64)
+    for source in range(len(assignment) - 1, -1, -1):
+        t = assignment[source]
+        if t != UNASSIGNED:
+            inv[t] = source
     return inv
 
 
-@pytest.mark.parametrize("n_full, n_part", [(0, 3), (1, 1), (50, 7),
-                                            (300, 40), (40, 300)])
-def test_invert_assignment_matches_loop(rng, n_full, n_part):
-    pi = rng.integers(UNASSIGNED, n_part, n_full)
-    inv = invert_assignment(pi, n_part)
+@pytest.mark.parametrize("n_source, n_target", [(0, 3), (1, 1), (50, 7),
+                                                (300, 40), (40, 300)])
+def test_invert_assignment_matches_loop(rng, n_source, n_target):
+    assignment = rng.integers(UNASSIGNED, n_target, n_source)
+    inv = invert_assignment(assignment, n_target)
     assert inv.dtype == np.int64
-    assert np.array_equal(inv, _invert_assignment_loop(pi, n_part))
+    assert np.array_equal(inv, _invert_assignment_loop(assignment, n_target))
 
 
 # -- alternating scheme ----------------------------------------------------------
@@ -586,6 +570,17 @@ def test_alternate_monotone_and_valid(small_pair):
     assert assigned.min() >= 0 and assigned.max() < n_part
     assert result.C.shape == (8, 8)
     assert result.rank_estimate == small_pair["r"]
+
+
+def test_alternate_pi_inverts_the_part_to_full_map(small_pair):
+    # pi is the part-to-full nearest map of the returned C, inverted: each
+    # full vertex gets the smallest part vertex sent onto it, or -1.
+    prob, params = small_pair["prob"], small_pair["params"]
+    opts = SolverOptions(max_outer=2, cg_max_iter=30)
+    result = alternate(prob, params, small_pair["phi"], opts)
+    n_full = small_pair["full"].n_vertices
+    sigma = nearest_columns(small_pair["phi"] @ result.C.T, prob.Psi)
+    assert np.array_equal(result.pi, invert_assignment(sigma, n_full))
 
 
 def test_alternate_deterministic(small_pair):
@@ -675,8 +670,7 @@ def _alternate_reference(prob, params, phi_part, opts=SolverOptions()):
     prev_total = np.inf
     for _ in range(opts.max_outer):
         C, _ = solver.c_step(prob, params, C, v, opts)
-        C_ref, pi, resids = solver.refine(C, phi_part, prob.Psi, prob.d,
-                                          opts)
+        C_ref, _, _ = solver.refine(C, phi_part, prob.Psi, prob.d, opts)
         e_ref = solver.total_energy(C_ref, v, prob, params)
         e_raw = solver.total_energy(C, v, prob, params)
         accepted.append(bool(e_ref.total <= e_raw.total))
@@ -690,8 +684,9 @@ def _alternate_reference(prob, params, phi_part, opts=SolverOptions()):
             break
         prev_total = breakdown.total
 
-    C_out, pi, resids = solver.refine(C, phi_part, prob.Psi, prob.d, opts)
-    pi = pointwise_map(pi, eta(v))
+    C_out, sigma, resids = solver.refine(C, phi_part, prob.Psi, prob.d,
+                                         opts)
+    pi = invert_assignment(sigma, len(prob.Psi))
     r = int(np.sum(prob.d))
     ref = MatchResult(C=C_out, v=v, pi=pi, energy_trace=trace,
                       rank_estimate=r, refine_residuals=resids)
