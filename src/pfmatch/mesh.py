@@ -234,7 +234,7 @@ class TriangleMesh:
         edges, counts, _ = self._edge_data()
         if counts.max() > 2:
             bad = edges[np.argmax(counts)]
-            raise MeshError(f"non-manifold edge {tuple(bad)}: "
+            raise MeshError(f"non-manifold edge {tuple(bad.tolist())}: "
                             f"{counts.max()} incident triangles")
         adjacency = csr_matrix((np.ones(len(edges)), (edges[:, 0], edges[:, 1])),
                                shape=(self.n_vertices, self.n_vertices))
@@ -316,14 +316,16 @@ def load_mesh(path):
     path = str(path)
     with open(path, "rb") as fh:
         head = fh.read(4)
-    if head.startswith(b"OFF") or head.startswith(b"ply"):
-        if head.startswith(b"OFF"):
-            v, t = _read_off(path)
-        else:
-            v, t = _read_ply(path)
+    if head.startswith(b"OFF"):
+        v, t = _read_off(path)
+    elif head.startswith(b"ply"):
+        v, t = _read_ply(path)
     else:
         raise MeshError(f"{path}: unrecognized mesh format")
-    return TriangleMesh(v, t)
+    try:
+        return TriangleMesh(v, t)
+    except MeshError as exc:
+        raise MeshError(f"{path}: {exc}") from exc
 
 
 def _read_off(path):

@@ -8,6 +8,7 @@ energy less its v-only terms and ``v_objective`` is the total energy less
 its C-only terms, so each step descends from where it starts.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,12 +31,12 @@ _MAX_BACKTRACKS = 50  # objective evaluations of one search
 _EPS_F = 1e-12    # relative change of f below which f is not trusted
 _MAX_GROW = 10.0  # largest growth of the trial step while extrapolating
 
-# Queries per block of nearest_columns: a block's score matrix holds
-# _NN_BLOCK x n_points floats (1.8 MB at 1800 points; doubles, twice that,
-# where the search falls back to float64).
+_OUTER_REL_TOL = 1e-4  # smallest relative energy fall that continues alternate
+
+# Rows per block of an n x n_part score matrix, in initial_mask and in
+# nearest_columns (float32: 1.8 MB at 1800 points).
 _NN_BLOCK = 256
-# Full-shape rows per block of initial_mask's descriptor products.
-_MASK_BLOCK = 256
+_NN_MAX_K = (3 * 2 ** 21 - 9) // 5  # largest k with (5k + 9) 2^-24 <= 3/8
 
 
 @dataclass(frozen=True)
@@ -44,13 +45,12 @@ class SolverOptions:
     cg_max_iter: int = 300
     cg_grad_tol: float = 1e-6
     refine_max_iter: int = 20
-    outer_rel_tol: float = 1e-4
 
     def __post_init__(self):
         if min(self.max_outer, self.cg_max_iter, self.refine_max_iter) < 1:
             raise ValueError("iteration caps must be positive")
-        if min(self.cg_grad_tol, self.outer_rel_tol) <= 0:
-            raise ValueError("tolerances must be positive")
+        if self.cg_grad_tol <= 0:
+            raise ValueError("cg_grad_tol must be positive")
 
 
 @dataclass
@@ -283,43 +283,53 @@ def nearest_columns(queries, points):
     ``np.sum((q - points[j]) ** 2)``, and among equal distances it is the
     smallest such j, as ``np.argmin`` over every row would give.
 
-    A float32 screen decides most rows.  One GEMM per block of queries
-    scores every point as S_j = |p_j|^2 - 2 q.p_j, the rows [q, 1] against
-    the columns [-2 p_j, |p_j|^2]; S_j ranks the points as |q - p_j|^2
-    does.  A row's float32 argmin is the answer when its float32 runner-up
-    lies more than 2 E above it.  Every other row is re-ranked on the
-    float64 direct sums of the points scored within 2 E of its minimum, a
-    set that holds every float64 minimiser.
+    Both arrays are scaled by the power of two 2^-e that puts their largest
+    magnitude in [1/2, 1), and a float32 screen of the scaled values decides
+    most rows.  One GEMM per block of queries scores every point as
+    S_j = |p_j|^2 - 2 q.p_j, the rows [q, 1] against the columns
+    [-2 p_j, |p_j|^2]; S_j ranks the points as |q - p_j|^2 does.  A row's
+    float32 argmin is the answer when its float32 runner-up lies more than
+    2 E above it.  Every other row is re-ranked on the float64 direct sums,
+    of the unscaled inputs, for the points scored within 2 E of its
+    minimum, a set that holds every float64 minimiser.
 
-    E = (4k + 8) eps (|q|^2 + max_j |p_j|^2) is rigorous, with eps the
-    machine epsilon of the scores.  Let u = eps / 2, m = |q|^2 +
-    max_j |p_j|^2 and gamma_n = n u / (1 - n u):
+    In scaled units E = (4k + 8) eps m + (k + 1) (2^-122 + 2^(-2e - 1074))
+    is rigorous, with eps = 2^-23, u = eps / 2, m = |q|^2 + max_j |p_j|^2,
+    gamma_n = n u / (1 - n u) and nu = 2^-126, the smallest normal float32:
     - rounding q and p to float32 and the (k + 1)-term dot product put a
       factor within gamma_{k+3} of 1 on every q_i p_i;
     - |p|^2, summed in float64, rounded to float32 and carried through the
       dot product, gets a factor within gamma_{2k+2} of 1;
-    so a score is within gamma_{k+3} (|q|^2 + |p|^2) + gamma_{2k+2} |p|^2
-    <= gamma_{3k+5} m of S_j.  A float64 direct sum is within
-    gamma64_{k+2} |q - p|^2 <= 2 gamma64_{k+2} m of the distance.  The two
-    together stay below E while (5k + 9) u <= 3/8, so a gap of more than
-    2 E leaves the float32 argmin the only float64 minimiser.
+    - results below nu, rounded to a subnormal or flushed to zero, add at
+      most (6k + 4) nu, as every scaled entry is below 1;
+    so a score is within gamma_{3k+5} m + (6k + 4) nu of S_j, and a float64
+    direct sum within 2 gamma64_{k+2} m + k 2^(-2e - 1075) (underflowing
+    squares) of the distance.  The parts stay below E while (5k + 9) u <=
+    3/8, so a gap of more than 2 E leaves the float32 argmin the only
+    float64 minimiser.  The term in e is capped at (k + 1) 2^64, where 2 E
+    already spans every score.
 
-    The derivation needs every float32 quantity to be normal or zero, and
-    none to overflow: nonzero entries of at least 2^-63 in magnitude (their
-    products stay at or above 2^-125) and 4 k max|x|^2 <= 2^127.  Otherwise,
-    or for k >= 2^16, the same search runs in float64, where the same E
-    holds with no input rounding.
+    Raises ValueError beyond _NN_MAX_K columns, and for coordinates that
+    are not finite or whose squared distances could overflow float64.
     """
     queries = np.asarray(queries, dtype=np.float64)
     points = np.asarray(points, dtype=np.float64)
     k = points.shape[1]
-    dtype = _score_dtype(queries, points)
-    rows_q = np.ones((len(queries), k + 1), dtype=dtype)
-    rows_q[:, :-1] = queries
-    p_sq = np.einsum("ij,ij->i", points, points)
-    cols_p = np.vstack([-2.0 * points.T, p_sq]).astype(dtype)
-    margin = 2 * (4 * k + 8) * np.finfo(dtype).eps * (
-        np.einsum("ij,ij->i", queries, queries) + p_sq.max(initial=0.0))
+    big = float(np.max([np.abs(queries).max(initial=0.0),
+                        np.abs(points).max(initial=0.0)]))
+    if k > _NN_MAX_K or not math.isfinite(4.0 * (k + 1) * big * big):
+        raise ValueError(f"nearest_columns needs at most {_NN_MAX_K} columns "
+                         "and finite coordinates whose squared distances "
+                         "fit in float64")
+    e = math.frexp(big)[1]  # big 2^-e lies in [1/2, 1); e = 0 for big = 0
+    q, p = np.ldexp(queries, -e), np.ldexp(points, -e)
+    rows_q = np.ones((len(q), k + 1), dtype=np.float32)
+    rows_q[:, :-1] = q
+    p_sq = np.einsum("ij,ij->i", p, p)
+    cols_p = np.vstack([-2.0 * p.T, p_sq]).astype(np.float32)
+    floor = (k + 1) * (2.0 ** -122 + math.ldexp(1.0, min(-2 * e - 1074, 64)))
+    margin = 2 * ((4 * k + 8) * 2.0 ** -23 * (
+        np.einsum("ij,ij->i", q, q) + p_sq.max(initial=0.0)) + floor)
     out = np.empty(len(rows_q), dtype=np.intp)
     for start in range(0, len(rows_q), _NN_BLOCK):
         stop = start + _NN_BLOCK
@@ -337,20 +347,6 @@ def nearest_columns(queries, points):
             best[i] = near[np.argmin(exact)]
         out[start:stop] = best
     return out
-
-
-def _score_dtype(*arrays):
-    """float32 where the error bound of nearest_columns holds for every
-    array: k < 2^16 columns, no nonzero entry below 2^-63 in magnitude and
-    4 k max|x|^2 <= 2^127; float64 otherwise."""
-    for x in arrays:
-        k = x.shape[1]
-        mag = np.abs(x)
-        big = float(mag.max(initial=0.0))
-        if not (k < 2 ** 16 and 4 * k * big * big <= 2.0 ** 127 and
-                mag.min(where=mag > 0.0, initial=np.inf) >= 2.0 ** -63):
-            return np.float64
-    return np.float32
 
 
 def _procrustes(M):
@@ -401,8 +397,8 @@ def initial_mask(prob):
     # partial descriptor is the one of largest inner product, taken a block
     # of rows at a time so that the n x n_part matrix never exists whole.
     G, F = prob.G, prob.F
-    best = np.concatenate([np.max(G[i:i + _MASK_BLOCK] @ F.T, axis=1)
-                           for i in range(0, len(G), _MASK_BLOCK)])
+    best = np.concatenate([np.max(G[i:i + _NN_BLOCK] @ F.T, axis=1)
+                           for i in range(0, len(G), _NN_BLOCK)])
     dist = np.sqrt(np.maximum(2.0 - 2.0 * best, 0.0))
     lo, hi = dist.min(), dist.max()
     if hi - lo < 1e-12:
@@ -428,7 +424,7 @@ def invert_assignment(assignment, n_target):
 
 def alternate(prob, params, phi_part, opts=SolverOptions()):
     """Full alternating optimization: C-step, then v-step, until the total
-    energy stops falling by ``outer_rel_tol`` or ``max_outer`` is reached.
+    energy stops falling by ``_OUTER_REL_TOL`` or ``max_outer`` is reached.
 
     The ICP refinement then runs once, from the final C, and gives the
     returned C and the part-to-full map sigma; it aligns the first k
@@ -448,7 +444,7 @@ def alternate(prob, params, phi_part, opts=SolverOptions()):
         breakdown = total_energy(C, v, prob, params)
         trace.append(breakdown)
         if np.isfinite(prev_total) and prev_total - breakdown.total <= \
-                opts.outer_rel_tol * max(abs(prev_total), 1e-300):
+                _OUTER_REL_TOL * max(abs(prev_total), 1e-300):
             break
         prev_total = breakdown.total
 

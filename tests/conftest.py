@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -5,10 +7,13 @@ from hypothesis import settings
 from pfmatch.bench import bumpy_sphere, grid_mesh, icosphere
 from pfmatch.mesh import TriangleMesh
 
-# Property tests draw the same examples on every run.
+# Property tests draw the same examples on every run: 20 of them locally,
+# ten times as many under HYPOTHESIS_PROFILE=ci.
 settings.register_profile("pfmatch", derandomize=True, max_examples=20,
                           deadline=None)
-settings.load_profile("pfmatch")
+settings.register_profile("ci", derandomize=True, max_examples=200,
+                          deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "pfmatch"))
 
 TETRA_OFF = """OFF
 4 4 0

@@ -155,6 +155,23 @@ def test_match_deterministic(mesh_files, tmp_path):
         assert a == b, fname
 
 
+@pytest.mark.filterwarnings("ignore:mesh is not consistently orientable")
+def test_match_names_the_file_of_a_non_manifold_mesh(mesh_files, tmp_path,
+                                                     capsys):
+    # Edge (0, 1) lies in three triangles.
+    path = tmp_path / "fan.ply"
+    path.write_text("ply\nformat ascii 1.0\nelement vertex 5\n"
+                    "property float x\nproperty float y\nproperty float z\n"
+                    "element face 3\nproperty list uchar int vertex_indices\n"
+                    "end_header\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n0 -1 0\n"
+                    "3 0 1 2\n3 0 1 3\n3 0 1 4\n")
+    code = main(["match", "--part", str(path), "--full", mesh_files["full"],
+                 "--out", str(tmp_path / "out")] + MATCH_FLAGS)
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {path}: non-manifold edge (0, 1): 3 incident triangles"]
+
+
 def test_match_batch(mesh_files, tmp_path):
     manifest = tmp_path / "pairs.txt"
     manifest.write_text(

@@ -188,9 +188,16 @@ def test_malformed_ply_rejected(tmp_path, text, message):
      "OFF data has fewer values than its header declares"),
     ("bad.off", "OFF\n4 2 0\n0 0 0\n1 0 0\n1 1 0\n0 1 0\n3 0 1 2\n3 0 2\n",
      "OFF data has fewer values than its header declares"),
+    pytest.param(
+        "fan.off", "OFF\n5 3 0\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n0 -1 0\n"
+        "3 0 1 2\n3 0 1 3\n3 0 1 4\n",
+        "non-manifold edge (0, 1): 3 incident triangles",
+        marks=pytest.mark.filterwarnings(
+            "ignore:mesh is not consistently orientable")),
 ], ids=["format_no_value", "element_no_count", "element_count_not_int",
         "element_count_negative", "property_no_name", "list_no_name",
-        "no_format_line", "off_short_face", "off_short_face_after_full"])
+        "no_format_line", "off_short_face", "off_short_face_after_full",
+        "off_non_manifold"])
 def test_malformed_mesh_rejected_with_path(tmp_path, name, text, message):
     path = tmp_path / name
     path.write_text(text)

@@ -9,11 +9,11 @@ from pfmatch.descriptors import DescriptorField, shot_descriptors
 from pfmatch.energy import (EnergyParams, MatchProblem, area_term, eta,
                             mumford_shah, orthogonality_term, slant_term)
 from pfmatch.laplacian import mesh_basis
-from pfmatch.solver import (_MASK_BLOCK, _NN_BLOCK, UNASSIGNED, MatchResult,
-                            SolverOptions, _score_dtype, alternate,
-                            build_problem, c_objective, c_step,
-                            initial_mask, invert_assignment, nearest_columns,
-                            nonlinear_cg, refine, v_objective, v_step)
+from pfmatch.solver import (_NN_BLOCK, _NN_MAX_K, UNASSIGNED, MatchResult,
+                            SolverOptions, alternate, build_problem,
+                            c_objective, c_step, initial_mask,
+                            invert_assignment, nearest_columns, nonlinear_cg,
+                            refine, v_objective, v_step)
 
 
 @pytest.fixture(scope="module")
@@ -206,7 +206,7 @@ def test_initial_mask_blocks_match_unblocked(rng):
     # rows than one block.
     mesh = grid_mesh(24)
     n, q = mesh.n_vertices, 30
-    assert n > 2 * _MASK_BLOCK
+    assert n > 2 * _NN_BLOCK
     G = rng.random((n, q))
     G[:, [0, 7, 8, 29]] = 0.0
     G[::11] = 0.0
@@ -365,7 +365,6 @@ def test_nearest_columns_far_queries_near_ties(rng):
     step *= 1e-3 / np.linalg.norm(step, axis=1, keepdims=True)
     points = np.vstack([u + step, u])
     queries = 1000.0 * u
-    assert _score_dtype(queries, points) is np.float32
     dists = np.sum((queries[:, None, :] - points[None, :, :]) ** 2, axis=2)
     assert np.array_equal(np.argmin(dists, axis=1), np.arange(200) + 200)
     assert np.array_equal(nearest_columns(queries, points),
@@ -402,13 +401,12 @@ def _nearest_columns_f64(queries, points):
 
 def _near_tie_cloud(rng, n, k, scale):
     """(queries, points) full of exact and near ties: duplicated points,
-    copies moved by 1 float32 ulp in one coordinate (still distinct in
+    copies moved by 1 to 2 float32 ulp in one coordinate (still distinct in
     float64), and queries on points, on the moved copies and halfway."""
     base = scale * rng.standard_normal((n, k))
     moved = base.copy()
     col = rng.integers(0, k, n)
-    moved[np.arange(n), col] = np.nextafter(
-        base[np.arange(n), col].astype(np.float32), np.float32(np.inf))
+    moved[np.arange(n), col] *= 1.0 + 2.0 ** -23
     points = np.vstack([base, moved, base[: n // 2]])
     queries = np.vstack([base, moved, 0.5 * (base + moved),
                          scale * rng.standard_normal((n, k)),
@@ -416,44 +414,70 @@ def _near_tie_cloud(rng, n, k, scale):
     return queries, points
 
 
-@given(seed=st.integers(0, 2 ** 32 - 1), log_scale=st.integers(-6, 6),
-       k=st.integers(1, 12), n=st.integers(1, 40))
-def test_nearest_columns_float32_screen_matches_float64(seed, log_scale, k,
-                                                        n):
-    rng = np.random.default_rng(seed)
-    queries, points = _near_tie_cloud(rng, n, k, 10.0 ** log_scale)
-    assert not np.array_equal(points[:n], points[n:2 * n])
-    assert _score_dtype(queries, points) is np.float32
-    assert np.array_equal(nearest_columns(queries, points),
-                          _nearest_columns_f64(queries, points))
-
-
-@pytest.mark.parametrize("scale, query_scale", [
-    pytest.param(1e30, 1.0, id="1e+30"), pytest.param(3e-30, 1.0, id="3e-30"),
-    pytest.param(1e-30, 1.0, id="1e-30"),
-    pytest.param(1.0, 1e-30, id="queries-1e-30")])
-def test_nearest_columns_float64_fallback_exact(rng, scale, query_scale):
-    # Near 1e30 float32 scores would overflow, near 1e-30 their products
-    # underflow; the search must fall back to float64 and stay exact,
-    # whether the points or only the queries fail the float32 bound.
-    queries, points = _near_tie_cloud(rng, 300, 6, scale)
-    queries = query_scale * queries
-    assert _score_dtype(queries, points) is np.float64
+def _assert_exact(queries, points):
+    """nearest_columns equals the float64 search and the brute-force
+    argmin of the float64 squared distances."""
     got = nearest_columns(queries, points)
     assert np.array_equal(got, _nearest_columns_f64(queries, points))
     dists = np.sum((queries[:, None, :] - points[None, :, :]) ** 2, axis=2)
     assert np.array_equal(got, np.argmin(dists, axis=1))
 
 
-def test_score_dtype_limits():
-    ones = np.ones((3, 4))
-    assert _score_dtype(ones, ones) is np.float32
-    assert _score_dtype(np.zeros((3, 4)), ones) is np.float32
-    tiny = ones.copy()
-    tiny[1, 2] = 2.0 ** -64
-    assert _score_dtype(tiny, ones) is np.float64
-    assert _score_dtype(ones, 2.0 ** 62 * ones) is np.float64
-    assert _score_dtype(ones, np.full((3, 4), np.nan)) is np.float64
+@given(seed=st.integers(0, 2 ** 32 - 1), log_scale=st.integers(-40, 40),
+       k=st.integers(1, 64), n=st.integers(1, 40))
+def test_nearest_columns_float32_screen_matches_float64(seed, log_scale, k,
+                                                        n):
+    rng = np.random.default_rng(seed)
+    queries, points = _near_tie_cloud(rng, n, k, 10.0 ** log_scale)
+    assert not np.array_equal(points[:n], points[n:2 * n])
+    _assert_exact(queries, points)
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), tiny_exp=st.integers(-160, -64),
+       cloud_exp=st.integers(-80, -60), k=st.integers(2, 16),
+       n=st.integers(1, 40))
+def test_nearest_columns_mixed_magnitudes_exact(seed, tiny_exp, cloud_exp, k,
+                                                n):
+    # Entries below 2^-63 beside O(1) ones: the cloud is scaled by
+    # 2^cloud_exp and some of its columns by 2^tiny_exp more, and one O(1)
+    # query sets the scale, so the cloud's float32 copies, products and
+    # scores are subnormal or zero; only the absolute term of the margin
+    # then covers their rounding.  Some queries are 1e-30 times smaller
+    # again.
+    rng = np.random.default_rng(seed)
+    queries, points = _near_tie_cloud(rng, n, k, 2.0 ** cloud_exp)
+    tiny = rng.random(k) < 0.5
+    queries[:, tiny] *= 2.0 ** tiny_exp
+    points[:, tiny] *= 2.0 ** tiny_exp
+    queries[rng.random(len(queries)) < 0.2] *= 1e-30
+    _assert_exact(np.vstack([queries, np.ones((1, k))]), points)
+
+
+@pytest.mark.parametrize("scale, query_scale", [
+    pytest.param(1e30, 1.0, id="1e+30"), pytest.param(3e-30, 1.0, id="3e-30"),
+    pytest.param(1e-30, 1.0, id="1e-30"),
+    pytest.param(1.0, 1e-30, id="queries-1e-30")])
+def test_nearest_columns_scaled_screen_exact_at_extreme_scales(
+        rng, scale, query_scale):
+    # Unscaled, float32 scores would overflow near 1e30 and their products
+    # would underflow near 1e-30; the power-of-two scale keeps the float32
+    # screen exact, whether the points or only the queries are extreme.
+    queries, points = _near_tie_cloud(rng, 300, 6, scale)
+    _assert_exact(query_scale * queries, points)
+
+
+_WIDE = np.broadcast_to(np.zeros(1), (2, _NN_MAX_K + 1))  # no memory
+
+
+@pytest.mark.parametrize("queries, points", [
+    pytest.param([[0.0, np.nan]], [[0.0, 1.0]], id="nan-query"),
+    pytest.param([[0.0, 1.0]], [[np.inf, 1.0]], id="inf-point"),
+    pytest.param([[1e200, 0.0]], [[0.0, 0.0]], id="distance-overflow"),
+    pytest.param(_WIDE, _WIDE, id="k-beyond-the-bound")])
+def test_nearest_columns_rejects_what_its_bound_does_not_cover(queries,
+                                                               points):
+    with pytest.raises(ValueError, match="finite coordinates"):
+        nearest_columns(queries, points)
 
 
 def test_refine_recovers_permutation(rng):
@@ -680,7 +704,7 @@ def _alternate_reference(prob, params, phi_part, opts=SolverOptions()):
         breakdown = solver.total_energy(C, v, prob, params)
         trace.append(breakdown)
         if np.isfinite(prev_total) and prev_total - breakdown.total <= \
-                opts.outer_rel_tol * max(abs(prev_total), 1e-300):
+                solver._OUTER_REL_TOL * max(abs(prev_total), 1e-300):
             break
         prev_total = breakdown.total
 
