@@ -202,13 +202,10 @@ class TriangleMesh:
         tri_keep = keep[self.triangles].all(axis=1)
         if not tri_keep.any():
             raise MeshError("vertex set induces no triangles")
-        old_ids = np.flatnonzero(keep)
-        remap = -np.ones(self.n_vertices, dtype=np.int64)
-        remap[old_ids] = np.arange(len(old_ids))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            sub = TriangleMesh(self.vertices[old_ids], remap[self.triangles[tri_keep]])
-        return sub, old_ids[sub.kept_vertices]
+            sub = TriangleMesh(self.vertices, self.triangles[tri_keep])
+        return sub, sub.kept_vertices
 
     def subdivided(self):
         """One step of 1-to-4 midpoint subdivision (no smoothing)."""
@@ -339,25 +336,23 @@ def _read_off(path):
         raise MeshError(f"{path}: missing OFF header")
     try:
         nv, nf = int(tokens[1]), int(tokens[2])
-        pos = 4  # skip edge count
-        verts = np.asarray(tokens[pos:pos + 3 * nv], dtype=np.float64).reshape(nv, 3)
-        pos += 3 * nv
-        tris = []
-        for _ in range(nf):
-            cnt = int(tokens[pos])
-            if cnt != 3:
-                raise MeshError(f"{path}: only triangular faces supported")
-            face = tokens[pos + 1:pos + 4]
-            if len(face) < 3:
-                raise MeshError(f"{path}: OFF data has fewer values than "
-                                "its header declares")
-            tris.append([int(x) for x in face])
-            pos += 1 + cnt
-    except MeshError:
-        raise
+        if nv < 0 or nf < 0:
+            raise ValueError("negative element count")
+        pos = 4 + 3 * nv  # past the edge count and the vertices
+        verts = np.asarray(tokens[4:pos], dtype=np.float64).reshape(nv, 3)
+        # Faces must be triangles, so each is four tokens: 3 and its corners.
+        block = tokens[pos:pos + 4 * nf]
+        faces = np.asarray(block[:len(block) // 4 * 4],
+                           dtype=np.int64).reshape(-1, 4)
     except (ValueError, IndexError) as exc:
         raise MeshError(f"{path}: malformed OFF data: {exc}") from exc
-    return verts, np.asarray(tris, dtype=np.int64)
+    # A short face also shortens the data, so test before the length.
+    if (faces[:, 0] != 3).any():
+        raise MeshError(f"{path}: only triangular faces supported")
+    if len(faces) < nf:
+        raise MeshError(f"{path}: OFF data has fewer values than its header "
+                        "declares")
+    return verts, faces[:, 1:]
 
 
 _PLY_TYPES = {
@@ -373,7 +368,7 @@ def _read_ply(path):
         if fh.readline().strip() != b"ply":
             raise MeshError(f"{path}: missing ply header")
         fmt = None
-        elements = []  # (name, count, [(prop_name, dtype)|('list', idx_t, val_t, name)])
+        elements = []  # (name, count, [(field, ply type, width)])
         while True:
             line = fh.readline()
             if not line:
@@ -394,9 +389,12 @@ def _read_ply(path):
                         raise ValueError("negative element count")
                     elements.append((parts[1], count, []))
                 elif parts[0] == "property" and parts[1] == "list":
-                    elements[-1][2].append(("list", parts[2], parts[3], parts[4]))
+                    # Faces must be triangles, so a list property, whatever
+                    # its name, is a fixed record of its count and 3 values.
+                    elements[-1][2].extend([(parts[4] + ".count", parts[2], 1),
+                                            (parts[4], parts[3], 3)])
                 elif parts[0] == "property":
-                    elements[-1][2].append((parts[2], parts[1]))
+                    elements[-1][2].append((parts[2], parts[1], 1))
             except (ValueError, IndexError) as exc:
                 raise MeshError(f"{path}: malformed ply header line "
                                 f"{' '.join(parts)!r}") from exc
@@ -405,87 +403,89 @@ def _read_ply(path):
         if fmt not in ("ascii", "binary_little_endian"):
             raise MeshError(f"{path}: unsupported ply format {fmt}")
         verts = tris = None
-        for name, count, props in elements:
-            if fmt == "ascii":
-                data = _ply_ascii_element(fh, count, props, path)
-            else:
-                data = _ply_binary_element(fh, count, props, path)
+        for name, count, fields in elements:
+            data = _ply_element(fh, count, fields, fmt != "ascii", path)
             if name == "vertex":
-                try:
-                    verts = np.column_stack([data["x"], data["y"], data["z"]])
-                except KeyError as exc:
-                    raise MeshError(f"{path}: vertex element lacks x/y/z") from exc
+                if not {"x", "y", "z"} <= set(data.dtype.names):
+                    raise MeshError(f"{path}: vertex element lacks x/y/z")
+                verts = np.column_stack([data["x"], data["y"], data["z"]])
             elif name == "face":
-                key = next((p[3] for p in props if p[0] == "list"), None)
+                key = next((f[0] for f in fields if f[2] == 3), None)
                 if key is None:
                     raise MeshError(f"{path}: face element has no list property")
                 tris = data[key]
     if verts is None or tris is None:
         raise MeshError(f"{path}: missing vertex or face element")
+    if tris.dtype.kind == "f" and not (np.isfinite(tris).all()
+                                       and (tris % 1 == 0).all()):
+        raise MeshError(f"{path}: ply face index is not an integer")
     return np.asarray(verts, dtype=np.float64), np.asarray(tris, dtype=np.int64)
 
 
-def _ply_ascii_element(fh, count, props, path):
-    # As in binary, every list property holds a triangle, whatever its name.
-    data = {p[0] if p[0] != "list" else p[3]: [] for p in props}
-    for _ in range(count):
-        parts = fh.readline().split()
-        pos = 0
-        try:
-            for p in props:
-                if p[0] == "list":
-                    if int(parts[pos]) != 3:
-                        raise MeshError(f"{path}: only triangular faces supported")
-                    data[p[3]].append([int(parts[pos + j]) for j in (1, 2, 3)])
-                    pos += 4
-                else:
-                    data[p[0]].append(float(parts[pos]))
-                    pos += 1
-        except IndexError as exc:
-            raise MeshError(f"{path}: ply data has fewer values than its "
-                            "header declares") from exc
-    return {k: np.asarray(v) for k, v in data.items()}
+def _ply_element(fh, count, fields, binary, path):
+    """Read the records of one PLY element into a structured array.
 
-
-def _ply_binary_element(fh, count, props, path):
-    # Faces must be triangles, so a list property is read as a fixed record
-    # of its count and three values; a count other than 3 is rejected below.
-    fields = []
+    Binary records take the declared types; ASCII values are all read as
+    float64, one row per line, ignoring values past the declared ones.
+    """
     try:
-        for p in props:
-            if p[0] == "list":
-                fields += [(p[3] + ".count", "<" + _PLY_TYPES[p[1]]),
-                           (p[3], "<" + _PLY_TYPES[p[2]], (3,))]
-            else:
-                fields.append((p[0], "<" + _PLY_TYPES[p[1]]))
+        dt = np.dtype([(name, "<" + _PLY_TYPES[ptype] if binary else "<f8",
+                        (width,) if width > 1 else ())
+                       for name, ptype, width in fields])
     except KeyError as exc:
         raise MeshError(f"{path}: unsupported ply property type "
                         f"{exc.args[0]}") from exc
-    dt = np.dtype(fields)
-    buf = fh.read(dt.itemsize * count)
-    raw = np.frombuffer(buf, dtype=dt, count=len(buf) // dt.itemsize)
-    data = {}
-    for p in props:
-        if p[0] == "list":
-            # A short face also shortens the data, so test before the length.
-            if (raw[p[3] + ".count"] != 3).any():
-                raise MeshError(f"{path}: only triangular faces supported")
-            data[p[3]] = raw[p[3]]
-        else:
-            data[p[0]] = raw[p[0]]
+    if binary:
+        buf = fh.read(dt.itemsize * count)
+        raw = np.frombuffer(buf, dtype=dt, count=len(buf) // dt.itemsize)
+        short = "truncated ply data"
+    else:
+        width = dt.itemsize // 8
+        rows = [fh.readline().split()[:width] for _ in range(count)]
+        full = next((i for i, row in enumerate(rows) if len(row) < width), count)
+        try:
+            values = np.array(rows[:full], dtype=np.float64).reshape(full, width)
+        except ValueError as exc:
+            raise MeshError(f"{path}: malformed ply data: {exc}") from exc
+        # An element may declare no properties, and a view needs some.
+        raw = values.view(dt)[:, 0] if width else np.empty(full, dt)
+        short = "ply data has fewer values than its header declares"
+    # A short face also cuts the records short, so test the counts first.
+    for name, _, width in fields:
+        if width == 3 and (raw[name + ".count"] != 3).any():
+            raise MeshError(f"{path}: only triangular faces supported")
     if len(raw) < count:
-        raise MeshError(f"{path}: truncated ply data")
-    return data
+        raise MeshError(f"{path}: {short}")
+    return raw
+
+
+def _records(mesh, colors=None):
+    """The rows of a mesh file as PLY's binary layout has them: x y z, and
+    red green blue when colored, per vertex; 3 a b c per face."""
+    rgb = [] if colors is None else [("rgb", "u1", (3,))]
+    vertex = np.empty(mesh.n_vertices, dtype=[("xyz", "<f8", (3,))] + rgb)
+    vertex["xyz"] = mesh.vertices
+    if colors is not None:
+        vertex["rgb"] = colors
+    face = np.empty(mesh.n_triangles, dtype=[("count", "u1"), ("idx", "<i4", (3,))])
+    face["count"], face["idx"] = 3, mesh.triangles
+    return vertex, face
+
+
+def _text(records):
+    """Records as text rows: floats as %.17g, integers as %d."""
+    cols = [records[name].reshape(len(records), -1) for name in records.dtype.names]
+    row = " ".join("%.17g" if c.dtype.kind == "f" else "%d"
+                   for c in cols for _ in range(c.shape[1])) + "\n"
+    values = np.hstack([c.astype(object) for c in cols]).ravel().tolist()
+    return row * len(records) % tuple(values)
 
 
 def save_off(mesh, path):
     with open(path, "w") as fh:
-        fh.write("OFF\n")
-        fh.write(f"{mesh.n_vertices} {mesh.n_triangles} 0\n")
-        for v in mesh.vertices:
-            fh.write(f"{v[0]:.17g} {v[1]:.17g} {v[2]:.17g}\n")
-        for t in mesh.triangles:
-            fh.write(f"3 {t[0]} {t[1]} {t[2]}\n")
+        fh.write(f"OFF\n{mesh.n_vertices} {mesh.n_triangles} 0\n")
+        for records in _records(mesh):
+            fh.write(_text(records))
 
 
 def save_ply(mesh, path, binary=True, colors=None):
@@ -503,25 +503,7 @@ def save_ply(mesh, path, binary=True, colors=None):
         header += ["property uchar red", "property uchar green", "property uchar blue"]
     header += [f"element face {m}", "property list uchar int vertex_indices",
                "end_header"]
-    if binary:
-        with open(path, "wb") as fh:
-            fh.write(("\n".join(header) + "\n").encode("ascii"))
-            if colors is None:
-                fh.write(np.ascontiguousarray(mesh.vertices, "<f8").tobytes())
-            else:
-                rec = np.empty(n, dtype=[("xyz", "<f8", (3,)), ("rgb", "u1", (3,))])
-                rec["xyz"], rec["rgb"] = mesh.vertices, colors
-                fh.write(rec.tobytes())
-            rec = np.empty(m, dtype=[("count", "u1"), ("idx", "<i4", (3,))])
-            rec["count"], rec["idx"] = 3, mesh.triangles
-            fh.write(rec.tobytes())
-    else:
-        with open(path, "w") as fh:
-            fh.write("\n".join(header) + "\n")
-            for i, v in enumerate(mesh.vertices):
-                line = f"{v[0]:.17g} {v[1]:.17g} {v[2]:.17g}"
-                if colors is not None:
-                    line += f" {colors[i, 0]} {colors[i, 1]} {colors[i, 2]}"
-                fh.write(line + "\n")
-            for t in mesh.triangles:
-                fh.write(f"3 {t[0]} {t[1]} {t[2]}\n")
+    with open(path, "wb") as fh:
+        fh.write(("\n".join(header) + "\n").encode("ascii"))
+        for records in _records(mesh, colors):
+            fh.write(records.tobytes() if binary else _text(records).encode("ascii"))

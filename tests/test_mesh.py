@@ -63,7 +63,7 @@ def test_off_round_trip(tmp_path, square_grid):
     path = tmp_path / "mesh.off"
     save_off(square_grid, path)
     back = load_mesh(path)
-    assert np.allclose(back.vertices, square_grid.vertices)
+    assert back.vertices.tobytes() == square_grid.vertices.tobytes()
     assert np.array_equal(back.triangles, square_grid.triangles)
 
 
@@ -169,6 +169,23 @@ def test_malformed_ply_rejected(tmp_path, text, message):
         load_mesh(path)
 
 
+def test_ascii_ply_reads_any_scalar_type_and_ignores_trailing_values(tmp_path):
+    # ASCII values are read as float64 whatever their declared type; an
+    # element other than vertex and face is read and dropped.
+    text = (_ASCII_PLY.replace("property float y", "property uint64 y")
+            .replace("property float z", "property char z")
+            .replace("element face 1", "element edge 1\nproperty int a\n"
+                     "element face 1")
+            .replace("1 0 0\n", "1.25 0 -0 7 junk\n")
+            .replace("3 0 1 2\n", "0 1\n3 0 1 2 9\n"))
+    path = tmp_path / "types.ply"
+    path.write_text(text)
+    mesh = load_mesh(path)
+    assert mesh.vertices.tobytes() == np.array(
+        [[0, 0, 0], [1.25, 0, -0.0], [0, 1, 0]]).tobytes()
+    assert mesh.triangles.tolist() == [[0, 1, 2]]
+
+
 @pytest.mark.parametrize("name, text, message", [
     ("bad.ply", _ASCII_PLY.replace("format ascii 1.0", "format"),
      "malformed ply header line 'format'"),
@@ -184,6 +201,10 @@ def test_malformed_ply_rejected(tmp_path, text, message):
      "malformed ply header line 'property list uchar int'"),
     ("bad.ply", _ASCII_PLY.replace("format ascii 1.0\n", ""),
      "ply header is missing format"),
+    ("bad.ply", _ASCII_PLY.replace("1 0 0\n", "1 abc 0\n"),
+     "malformed ply data: could not convert string to float: b'abc'"),
+    ("bad.ply", _ASCII_PLY.replace("3 0 1 2", "3 0 1.5 2"),
+     "ply face index is not an integer"),
     ("bad.off", "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1\n",
      "OFF data has fewer values than its header declares"),
     ("bad.off", "OFF\n4 2 0\n0 0 0\n1 0 0\n1 1 0\n0 1 0\n3 0 1 2\n3 0 2\n",
@@ -196,7 +217,8 @@ def test_malformed_ply_rejected(tmp_path, text, message):
             "ignore:mesh is not consistently orientable")),
 ], ids=["format_no_value", "element_no_count", "element_count_not_int",
         "element_count_negative", "property_no_name", "list_no_name",
-        "no_format_line", "off_short_face", "off_short_face_after_full",
+        "no_format_line", "ply_value_not_a_number",
+        "ply_index_not_integral", "off_short_face", "off_short_face_after_full",
         "off_non_manifold"])
 def test_malformed_mesh_rejected_with_path(tmp_path, name, text, message):
     path = tmp_path / name

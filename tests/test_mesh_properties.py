@@ -1,7 +1,10 @@
 """Property tests of the mesh topology: edge numbering, orientation,
-geodesics and subdivision, with per-triangle loop versions as references."""
+geodesics and subdivision, with per-triangle loop versions as references;
+and of the mesh files, which give back every coordinate bit for bit."""
 
 import functools
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -12,7 +15,7 @@ from scipy.sparse.csgraph import dijkstra
 
 from pfmatch.bench import (bumpy_sphere, erode_holes, grid_mesh, icosphere,
                            plane_cut)
-from pfmatch.mesh import TriangleMesh, edge_table
+from pfmatch.mesh import TriangleMesh, edge_table, load_mesh, save_off, save_ply
 
 seeds = st.integers(0, 2 ** 32 - 1)
 
@@ -249,3 +252,36 @@ def test_icosphere_vertices_are_nested(s):
     coarse, fine = icosphere(s), icosphere(s + 1)
     assert np.array_equal(fine.vertices[:coarse.n_vertices], coarse.vertices)
     assert np.allclose(np.linalg.norm(fine.vertices, axis=1), 1.0)
+
+
+# TriangleMesh squares the cross products for the triangle areas, so from
+# about 2^-517 to 2^-255 they underflow to zero while the degeneracy
+# threshold does not, and from 2^256 they overflow.
+@given(nx=st.integers(1, 4), ny=st.integers(1, 3),
+       exponent=st.one_of(st.integers(-1074, -520), st.integers(-250, 250)),
+       colored=st.booleans(), seed=seeds)
+def test_mesh_files_round_trip_bit_exact(nx, ny, exponent, colored, seed):
+    # A jittered grid scaled by 2^exponent, from subnormal to 1e75, with
+    # heights drawn from -0.0, subnormals and values of the grid's scale.
+    rng = np.random.default_rng(seed)
+    grid = grid_mesh(nx, ny)
+    n = grid.n_vertices
+    jitter = rng.uniform(-0.2, 0.2, size=(n, 2)) / max(nx, ny)
+    subnormal = rng.integers(1, 2 ** 52, size=n).view(np.float64)
+    heights = np.choose(rng.integers(0, 3, size=n),
+                        [np.full(n, -0.0), subnormal * rng.choice([-1, 1], n),
+                         np.ldexp(rng.uniform(-1, 1, size=n), exponent)])
+    verts = np.column_stack([np.ldexp(grid.vertices[:, :2] + jitter, exponent),
+                             heights])
+    mesh = TriangleMesh(verts, grid.triangles)
+    colors = rng.integers(0, 256, size=(n, 3), dtype=np.uint8) if colored else None
+    writers = {"binary.ply": lambda p: save_ply(mesh, p, colors=colors),
+               "ascii.ply": lambda p: save_ply(mesh, p, binary=False, colors=colors),
+               "mesh.off": lambda p: save_off(mesh, p)}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, write in writers.items():
+            path = os.path.join(tmp, name)
+            write(path)
+            back = load_mesh(path)
+            assert back.vertices.tobytes() == mesh.vertices.tobytes(), name
+            assert np.array_equal(back.triangles, mesh.triangles), name
