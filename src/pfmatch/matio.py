@@ -32,7 +32,10 @@ def load_matrix(path):
         magic = fh.read(8)
         if magic != MAGIC:
             raise ValueError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
-        rows, cols = struct.unpack("<QQ", fh.read(16))
+        header = fh.read(16)
+        if len(header) < 16:
+            raise ValueError(f"{path}: truncated header")
+        rows, cols = struct.unpack("<QQ", header)
         payload = fh.read(rows * cols * 8)
     if len(payload) != rows * cols * 8:
         raise ValueError(f"{path}: truncated payload")

@@ -584,6 +584,21 @@ def test_match_descriptor_rows_mismatch_exit_2(cut_files, tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("shape", ["part", "full"])
+def test_match_truncated_descriptor_header_exit_2(cut_files, tmp_path, capsys,
+                                                  shape):
+    short = tmp_path / "short.bin"
+    short.write_bytes(open(cut_files[shape + "_desc"], "rb").read(10))
+    out = tmp_path / "out"
+    code = main(["match", "--part", cut_files["part"], "--full",
+                 cut_files["full"], f"--descriptors-{shape}", str(short),
+                 "--radius", cut_files["radius"], "--k", "20",
+                 "--out", str(out)])
+    assert code == 2
+    assert f"error: {short}: truncated header" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_match_tiny_radius_exit_2(mesh_files, tmp_path, capsys):
     out = tmp_path / "out"
     flags = MATCH_FLAGS[:2] + ["--radius", "1e-3"] + MATCH_FLAGS[4:]

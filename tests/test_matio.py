@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -49,4 +50,11 @@ def test_truncated_payload(tmp_path):
     path = tmp_path / "short.bin"
     path.write_bytes(MAGIC + struct.pack("<QQ", 4, 4) + b"\0" * 16)
     with pytest.raises(ValueError):
+        load_matrix(path)
+
+
+def test_truncated_header(tmp_path):
+    path = tmp_path / "short.bin"
+    path.write_bytes(MAGIC + b"\0\0")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: truncated header")):
         load_matrix(path)
