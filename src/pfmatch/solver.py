@@ -366,19 +366,19 @@ def refine(C, Phi, Psi, d, opts=SolverOptions()):
     minimiser of |Phi C^T - Psi[sigma]|^2 over C^T C = diag(d), with r ones
     in d: _procrustes(Psi[sigma]^T Phi[:, :r]).  C starts on that set, at
     _procrustes(C[:, :r]), so the residuals never increase.  Stops once
-    sigma repeats, a fixed point, or after ``refine_max_iter`` rounds.
-    Returns (C, sigma, residuals), sigma mapping partial-shape to
-    full-shape vertices; at a fixed point sigma is the nearest map of the
-    returned C.
+    sigma repeats, a fixed point, or after ``refine_max_iter`` re-fits,
+    which one more search then follows.  Returns (C, sigma, residuals),
+    sigma mapping partial-shape to full-shape vertices; sigma is always
+    the nearest map of the returned C.
     """
     r = int(np.count_nonzero(d))
     C = _procrustes(C[:, :r])
     residuals, sigma = [], None
-    for _ in range(opts.refine_max_iter):
+    for fits in range(opts.refine_max_iter + 1):
         image = Phi @ C.T
         sigma_prev, sigma = sigma, nearest_columns(image, Psi)
         residuals.append(float(np.sum((image - Psi[sigma]) ** 2)))
-        if np.array_equal(sigma, sigma_prev):
+        if fits == opts.refine_max_iter or np.array_equal(sigma, sigma_prev):
             break
         C = _procrustes(Psi[sigma].T @ Phi[:, :r])
     return C, sigma, residuals

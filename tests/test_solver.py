@@ -492,19 +492,28 @@ def test_refine_recovers_permutation(rng):
     assert residuals[0] < 1e-20
 
 
-def test_refine_fit_is_optimal(rng):
-    # One round: the re-fit for the round's assignment sigma is the exact
-    # minimiser of |Phi C^T - Psi_a|^2 over C^T C = diag(d), Psi_a =
+def test_refine_fit_is_optimal(rng, monkeypatch):
+    # One re-fit: the C fitted to the first search's assignment sigma is the
+    # exact minimiser of |Phi C^T - Psi_a|^2 over C^T C = diag(d), Psi_a =
     # Psi[sigma].
     n_part, n_full, k = 40, 60, 6
     Phi = rng.standard_normal((n_part, k))
     Psi = rng.standard_normal((n_full, k))
+    searches = []
+    real = solver.nearest_columns
+
+    def recorded(*args):
+        searches.append(real(*args))
+        return searches[-1]
+
+    monkeypatch.setattr(solver, "nearest_columns", recorded)
     for r in (1, 4, k, *rng.integers(1, k + 1, 3)):
         d = (np.arange(k) < r).astype(float)
-        C, sigma, _ = refine(rng.standard_normal((k, k)), Phi, Psi, d,
-                             SolverOptions(refine_max_iter=1))
+        searches.clear()
+        C, _, _ = refine(rng.standard_normal((k, k)), Phi, Psi, d,
+                         SolverOptions(refine_max_iter=1))
         np.testing.assert_allclose(C.T @ C, np.diag(d), rtol=0, atol=1e-12)
-        Psi_a = Psi[sigma]
+        Psi_a = Psi[searches[0]]
         fitted = np.sum((Phi @ C.T - Psi_a) ** 2)
         for _ in range(100):
             X = np.zeros((k, k))
@@ -514,7 +523,8 @@ def test_refine_fit_is_optimal(rng):
 
 def test_refine_stops_at_fixed_point(small_pair, rng):
     # A refine that stops because sigma repeated returns what a run capped
-    # one round earlier returns, and what a run allowed more rounds returns.
+    # one re-fit earlier returns, whose last search finds that sigma again,
+    # and what a run allowed more rounds returns.
     prob = small_pair["prob"]
     k = prob.A.shape[0]
     C0 = np.eye(k) + 0.3 * rng.standard_normal((k, k))
@@ -529,7 +539,20 @@ def test_refine_stops_at_fixed_point(small_pair, rng):
             *args, SolverOptions(refine_max_iter=cap))
         assert C_cap.tobytes() == C.tobytes()
         assert sigma_cap.tobytes() == sigma.tobytes()
-        assert resid_cap == residuals[:cap]
+        assert resid_cap == residuals
+
+
+def test_refine_at_cap_returns_nearest_map_of_its_c(small_pair, rng):
+    # Stopped by refine_max_iter, not at a fixed point, refine still returns
+    # the nearest map of the C it returns, after one more search.
+    prob = small_pair["prob"]
+    k = prob.A.shape[0]
+    C0 = np.eye(k) + 0.3 * rng.standard_normal((k, k))
+    phi = small_pair["phi"]
+    C, sigma, residuals = refine(C0, phi, prob.Psi, prob.d,
+                                 SolverOptions(refine_max_iter=1))
+    assert len(residuals) == 2 and residuals[1] <= residuals[0]
+    assert np.array_equal(nearest_columns(phi @ C.T, prob.Psi), sigma)
 
 
 def test_refine_residuals_decrease(small_pair):
