@@ -76,11 +76,6 @@ class TriangleMesh:
         return len(self.triangles)
 
     @property
-    def bbox_diagonal(self):
-        ext = self.vertices.max(axis=0) - self.vertices.min(axis=0)
-        return float(np.linalg.norm(ext))
-
-    @property
     def triangle_areas(self):
         return self._tri_areas
 
@@ -220,12 +215,18 @@ class TriangleMesh:
     # -- internals ----------------------------------------------------------
 
     def _validate_geometry(self):
+        # Edges scaled by the 2^-e that puts the box's largest extent in
+        # [1/2, 1): exact, and no square under- or overflows, so the
+        # degeneracy test does not depend on the unit of the mesh.
+        ext = np.ptp(self.vertices, axis=0)
+        e = int(np.frexp(ext.max())[1])
         p = self.vertices[self.triangles]
-        cr = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
-        areas = 0.5 * np.linalg.norm(cr, axis=1)
-        thresh = DEGENERATE_AREA_FACTOR * self.bbox_diagonal ** 2
-        if np.any(areas < thresh):
-            bad = int(np.argmin(areas))
+        d = np.ldexp(p[:, 1:] - p[:, :1], -e)
+        scaled = 0.5 * np.linalg.norm(np.cross(d[:, 0], d[:, 1]), axis=1)
+        areas = np.ldexp(scaled, 2 * e)
+        thresh = DEGENERATE_AREA_FACTOR * np.sum(np.ldexp(ext, -e) ** 2)
+        if np.any(scaled < thresh):
+            bad = int(np.argmin(scaled))
             raise MeshError(f"degenerate triangle {bad} (area {areas[bad]:.3e})")
         self._tri_areas = areas
         edges, counts, _ = self._edge_data()
@@ -404,6 +405,9 @@ def _read_ply(path):
             raise MeshError(f"{path}: unsupported ply format {fmt}")
         verts = tris = None
         for name, count, fields in elements:
+            if not fields:
+                raise MeshError(f"{path}: ply element {name} has no "
+                                "properties")
             data = _ply_element(fh, count, fields, fmt != "ascii", path)
             if name == "vertex":
                 if not {"x", "y", "z"} <= set(data.dtype.names):
@@ -435,6 +439,8 @@ def _ply_element(fh, count, fields, binary, path):
     except KeyError as exc:
         raise MeshError(f"{path}: unsupported ply property type "
                         f"{exc.args[0]}") from exc
+    except ValueError as exc:  # a property name declared twice
+        raise MeshError(f"{path}: malformed ply header: {exc}") from exc
     if binary:
         buf = fh.read(dt.itemsize * count)
         raw = np.frombuffer(buf, dtype=dt, count=len(buf) // dt.itemsize)
@@ -447,8 +453,7 @@ def _ply_element(fh, count, fields, binary, path):
             values = np.array(rows[:full], dtype=np.float64).reshape(full, width)
         except ValueError as exc:
             raise MeshError(f"{path}: malformed ply data: {exc}") from exc
-        # An element may declare no properties, and a view needs some.
-        raw = values.view(dt)[:, 0] if width else np.empty(full, dt)
+        raw = values.view(dt)[:, 0]
         short = "ply data has fewer values than its header declares"
     # A short face also cuts the records short, so test the counts first.
     for name, _, width in fields:

@@ -14,8 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .energy import (EnergyParams, MatchProblem, area_term, data_term,
-                     eta_prime, mask_coefficients, mumford_shah,
-                     orthogonality_term, slant_term, total_energy)
+                     dense_bins, eta_prime, g_adjoint, mask_coefficients,
+                     mumford_shah, orthogonality_term, slant_term,
+                     total_energy)
 from .spectral import (build_d_vector, build_weight_matrix, estimate_rank,
                        fourier_coeffs)
 
@@ -197,6 +198,7 @@ def build_problem(basis_part, basis_full, desc_part, desc_full, mesh_full,
 
     A, G and F keep only the descriptor bins that are nonzero on either
     shape; any other bin has a zero residual column for every C and v.
+    Bins dense on the full shape come first (see MatchProblem).
 
     Raises ValueError when the shapes' descriptors differ in length, or
     when every descriptor of a shape is zero, as when no vertex has enough
@@ -214,6 +216,7 @@ def build_problem(basis_part, basis_full, desc_part, desc_full, mesh_full,
     bf = basis_full.truncated(k)
     bins = np.flatnonzero(np.any(desc_part.values != 0.0, axis=0) |
                           np.any(desc_full.values != 0.0, axis=0))
+    bins = bins[np.argsort(~dense_bins(desc_full.values)[bins], kind="stable")]
     F = desc_part.values.take(bins, axis=1)
     A = fourier_coeffs(bp, F)
     r = estimate_rank(bp.eigenvalues, bf.eigenvalues, k)
@@ -252,9 +255,7 @@ def v_objective(prob, params, C):
 
     def fun_grad(v):
         d_val, Hn = data_term(CA, mask_coefficients(prob, v), prob.dim)
-        U = (Hn @ prob.G.T).T  # n x k view: faster than G @ Hn.T, no copy
-        d_grad = -eta_prime(v) * prob.mass * np.einsum("ij,ij->i",
-                                                       prob.Psi, U)
+        d_grad = -eta_prime(v) * prob.mass * g_adjoint(prob, Hn)
         a_val, a_grad = area_term(v, prob.area_part, prob.mass)
         m_val, m_grad = mumford_shah(v, prob.mesh_full, params.sigma_xi)
         val = d_val + params.mu1 * a_val + params.mu2 * m_val

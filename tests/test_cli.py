@@ -463,6 +463,19 @@ def test_unknown_config_key(mesh_files, tmp_path):
     assert code == 2
 
 
+def test_eval_ply_element_without_properties_exit_2(tmp_path, capsys):
+    # A binary element with no properties has records of zero bytes.
+    path = tmp_path / "full.ply"
+    path.write_bytes(b"ply\nformat binary_little_endian 1.0\nelement foo 2\n"
+                     b"element vertex 0\nproperty float x\nend_header\n")
+    code = main(["eval", "--pi", str(tmp_path / "pi.csv"), "--gt",
+                 str(tmp_path / "gt.csv"), "--full", str(path),
+                 "--out", str(tmp_path / "curve.csv")])
+    assert code == 2
+    assert f"{path}: ply element foo has no properties" in \
+        capsys.readouterr().err
+
+
 def test_missing_mesh_exit_2(tmp_path):
     out = tmp_path / "out"
     code = main(["match", "--part", str(tmp_path / "nope.ply"),

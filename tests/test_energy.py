@@ -5,9 +5,10 @@ import pytest
 
 from pfmatch.bench import bumpy_sphere, grid_mesh
 from pfmatch.energy import (EnergyBreakdown, EnergyParams, MatchProblem,
-                            area_term, data_term, eta, eta_prime,
-                            mask_coefficients, mumford_shah,
-                            orthogonality_term, slant_term, total_energy, xi)
+                            area_term, data_term, dense_bins, eta, eta_prime,
+                            g_adjoint, g_forward, mask_coefficients,
+                            mumford_shah, orthogonality_term, slant_term,
+                            total_energy, xi)
 from pfmatch.laplacian import mesh_basis
 from pfmatch.mesh import TriangleMesh
 from pfmatch.solver import c_objective, v_objective
@@ -171,6 +172,58 @@ def test_data_term_column_permutation_invariant(tiny_problem, rng):
     v1 = data_term(C @ p.A, mask_coefficients(p, v), p.dim)[0]
     v2 = data_term(C @ r.A, mask_coefficients(r, v), r.dim)[0]
     assert np.isclose(v1, v2)
+
+
+# -- the products with G: a dense block and a sparse tail ---------------------
+
+
+def _sparse_g_problem(rng, shares):
+    """A problem whose bin j of G is set on about shares[j] of the vertices,
+    the dense bins first as build_problem orders them."""
+    mesh = grid_mesh(9)
+    n, k = mesh.n_vertices, 6
+    G = rng.standard_normal((n, len(shares))) * (rng.random((n, len(shares)))
+                                                 < shares)
+    G = G[:, np.argsort(~dense_bins(G), kind="stable")]
+    return _problem(mesh, k, G, rng)
+
+
+@pytest.mark.parametrize("shares, n_dense", [
+    (np.linspace(0.02, 0.6, 25), (8, 20)),  # both kinds
+    (np.full(10, 0.8), (10, 10)),           # every bin dense
+    (np.full(10, 0.05), (0, 0)),            # every bin sparse
+])
+def test_g_products_match_dense_products(rng, shares, n_dense):
+    p = _sparse_g_problem(rng, shares)
+    n, q = p.G.shape
+    assert n_dense[0] <= np.count_nonzero(dense_bins(p.G)) <= n_dense[1]
+    assert np.shares_memory(p._G_dense, p.G) or p._G_dense.size == 0
+    k = p.Psi.shape[1]
+    w, H = rng.standard_normal(n), rng.standard_normal((k, q))
+    forward, adjoint = g_forward(p, w), g_adjoint(p, H)
+    assert np.allclose(forward, p.Psi.T @ (w[:, None] * p.G),
+                       rtol=1e-12, atol=0.0)
+    assert np.allclose(adjoint, np.einsum("ij,ij->i", p.Psi, (H @ p.G.T).T),
+                       rtol=1e-12, atol=1e-12 * np.abs(adjoint).max())
+    # <forward(w), H> = <w, adjoint(H)>
+    assert np.isclose(np.sum(forward * H), w @ adjoint, rtol=1e-12, atol=0.0)
+
+
+def test_replace_with_permuted_bins_rebuilds_the_split(rng):
+    p = _sparse_g_problem(rng, np.linspace(0.02, 0.6, 25))
+    perm = rng.permutation(p.G.shape[1])
+    r = dataclasses.replace(p, A=p.A[:, perm], G=p.G[:, perm])
+    dense = dense_bins(r.G)
+    assert not dense[:np.count_nonzero(dense)].all()  # no longer dense-first
+    assert np.array_equal(r._G_dense, r.G[:, dense])
+    assert np.array_equal(r._G_tail.toarray(), r.G[:, ~dense])
+    w = rng.standard_normal(len(r.G))
+    H = rng.standard_normal(r.A.shape)
+    adjoint = g_adjoint(p, H)
+    assert np.allclose(g_forward(r, w), g_forward(p, w)[:, perm],
+                       rtol=1e-12, atol=0.0)
+    assert np.allclose(g_adjoint(r, H[:, perm]), adjoint,
+                       rtol=1e-12, atol=1e-12 * np.abs(adjoint).max())
 
 
 # -- area term ----------------------------------------------------------------

@@ -160,8 +160,16 @@ end_header
     (_ASCII_PLY.replace("element vertex 3\nproperty float x\n",
                         "property float x\nelement vertex 3\n"),
      "ply property before any element"),
+    (_ASCII_PLY.replace("ascii", "binary_little_endian").replace(
+        "element vertex 3", "element foo 2\nelement vertex 3"),
+     "ply element foo has no properties"),
+    (_ASCII_PLY.replace("element vertex 3", "element foo 2\nelement vertex 3"),
+     "ply element foo has no properties"),
+    (_ASCII_PLY.replace("property float y", "property float x"),
+     "malformed ply header: field 'x' occurs more than once"),
 ], ids=["missing_row", "short_row", "short_face", "quad_any_list_name",
-        "unknown_binary_type", "property_first"])
+        "unknown_binary_type", "property_first", "binary_no_properties",
+        "ascii_no_properties", "property_twice"])
 def test_malformed_ply_rejected(tmp_path, text, message):
     path = tmp_path / "bad.ply"
     path.write_text(text)
@@ -342,6 +350,20 @@ def test_degenerate_triangle_rejected():
     v = np.array([[0, 0, 0], [1, 0, 0], [2, 0, 0]], dtype=float)
     with pytest.raises(MeshError, match="degenerate"):
         TriangleMesh(v, [[0, 1, 2]])
+
+
+@pytest.mark.parametrize("exponent", [-600, -517, -269, -255, 0, 500])
+def test_degeneracy_does_not_depend_on_scale(square_grid, exponent):
+    # Scaled by a power of two, a mesh keeps its areas, scaled exactly or
+    # rounded once where they underflow, and a sliver stays degenerate.
+    mesh = TriangleMesh(np.ldexp(square_grid.vertices, exponent),
+                        square_grid.triangles)
+    assert mesh.triangle_areas.tobytes() == np.ldexp(
+        square_grid.triangle_areas, 2 * exponent).tobytes()
+    sliver = np.ldexp([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.5, 1e-13, 0.0]],
+                      exponent)
+    with pytest.raises(MeshError, match="degenerate triangle 0"):
+        TriangleMesh(sliver, [[0, 1, 2]])
 
 
 def test_repeated_index_rejected():

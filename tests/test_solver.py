@@ -7,7 +7,8 @@ import pfmatch.solver as solver
 from pfmatch.bench import grid_mesh
 from pfmatch.descriptors import DescriptorField, shot_descriptors
 from pfmatch.energy import (EnergyParams, MatchProblem, area_term, eta,
-                            mumford_shah, orthogonality_term, slant_term)
+                            g_adjoint, g_forward, mumford_shah,
+                            orthogonality_term, slant_term)
 from pfmatch.laplacian import mesh_basis
 from pfmatch.solver import (_NN_BLOCK, _NN_MAX_K, UNASSIGNED, MatchResult,
                             SolverOptions, alternate, build_problem,
@@ -174,10 +175,16 @@ def test_build_problem_drops_bins_zero_on_both_shapes(small_pair):
                             full, part.total_area, EnergyParams(k=k))
     used = (np.any(desc_full.values != 0.0, axis=0) |
             np.any(desc_part.values != 0.0, axis=0))
-    keep = np.flatnonzero(used)
+    # The kept bins set on at least 15% of the full shape's vertices come
+    # first, so that the problem's dense block of G is a view of G.
+    dense = np.count_nonzero(desc_full.values, axis=0) >= 0.15 * full.n_vertices
+    keep = np.concatenate([np.flatnonzero(used & dense),
+                           np.flatnonzero(used & ~dense)])
+    assert 0 < np.count_nonzero(dense) < len(keep)
     assert only_full in keep and only_part in keep and neither not in keep
     assert prob.dim == desc_full.dim == 352
     assert np.array_equal(prob.G, desc_full.values[:, keep])
+    assert np.shares_memory(prob._G_dense, prob.G)
     assert np.array_equal(prob.F, desc_part.values[:, keep])
     assert prob.A.shape == (k, len(keep))
     A_all = basis_part.eigenvectors.T @ (basis_part.mass[:, None] *
@@ -255,7 +262,7 @@ def _smoothed_l21(H, B, dim):
 def _c_step_closure(prob, params, v_fixed):
     """Reference: the objective that c_step minimised before c_objective."""
     k = prob.A.shape[0]
-    B = (prob.Psi * (prob.mass * eta(v_fixed))[:, None]).T @ prob.G
+    B = g_forward(prob, prob.mass * eta(v_fixed))
 
     def fg(x):
         C = x.reshape(k, k)
@@ -277,11 +284,9 @@ def _v_step_closure(prob, params, C_fixed):
 
     def fg(v):
         th = np.tanh(2.0 * np.asarray(v) - 1.0)
-        B = (prob.Psi * (prob.mass * (0.5 * (th + 1.0)))[:, None]).T @ prob.G
+        B = g_forward(prob, prob.mass * (0.5 * (th + 1.0)))
         d_val, Hn = _smoothed_l21(CA - B, B, prob.dim)
-        U = (Hn @ prob.G.T).T
-        d_gv = -(1.0 - th ** 2) * prob.mass * np.einsum("ij,ij->i",
-                                                        prob.Psi, U)
+        d_gv = -(1.0 - th ** 2) * prob.mass * g_adjoint(prob, Hn)
         a_val, a_gv = area_term(v, prob.area_part, prob.mass)
         m_val, m_gv = mumford_shah(v, prob.mesh_full, params.sigma_xi)
         val = d_val + params.mu1 * a_val + params.mu2 * m_val
