@@ -5,7 +5,8 @@ from .descriptors import DescriptorField, shot_descriptors
 from .energy import EnergyBreakdown, EnergyParams, MatchProblem, eta, total_energy, xi
 from .laplacian import LaplacianPair, SpectralBasis, cotan_stiffness, eigensolve, mesh_basis
 from .mesh import MeshError, TriangleMesh, load_mesh, save_off, save_ply
-from .solver import MatchResult, SolverOptions, alternate, build_problem, nonlinear_cg, refine
+from .solver import (MatchResult, SolverOptions, alternate, build_problem, match,
+                     nonlinear_cg, refine)
 from .spectral import (boundary_interaction, build_d_vector, build_weight_matrix,
                        estimate_rank, fourier_coeffs, ground_truth_map,
                        perturbation_setup)

@@ -67,13 +67,20 @@ def _settings(cls, args):
 
 
 def _load_descriptors(path, mesh, radius):
-    if path:
-        values = matio.load_matrix(path)
-        if values.shape[0] != mesh.n_vertices:
-            raise UsageError(f"{path}: descriptor rows do not match mesh")
-        return descriptors.DescriptorField(
-            values, radius or 0.0, np.zeros(mesh.n_vertices, dtype=bool))
-    return descriptors.shot_descriptors(mesh, radius)
+    """The descriptors of ``mesh`` saved at ``path``, or None without one."""
+    if not path:
+        return None
+    values = matio.load_matrix(path)
+    if values.shape[0] != mesh.n_vertices:
+        raise UsageError(f"{path}: descriptor rows do not match mesh")
+    return descriptors.DescriptorField(
+        values, radius, np.zeros(mesh.n_vertices, dtype=bool))
+
+
+def _check_out(out, where=""):
+    if os.path.exists(out) and not os.path.isdir(out):
+        raise UsageError(f"{where}output directory {out!r} is an existing "
+                         "file")
 
 
 def _coordinate_colors(mesh):
@@ -84,21 +91,16 @@ def _coordinate_colors(mesh):
 
 
 def run_match(args):
+    _check_out(args.out)
     mesh_part = load_mesh(args.part)
     mesh_full = load_mesh(args.full)
-    k = args.k
-    basis_part = laplacian.mesh_basis(mesh_part, k)
-    basis_full = laplacian.mesh_basis(mesh_full, k)
-    radius = args.radius or descriptors.default_radius(mesh_full)
-    desc_part = _load_descriptors(args.descriptors_part, mesh_part, radius)
-    desc_full = _load_descriptors(args.descriptors_full, mesh_full, radius)
     params = _settings(EnergyParams, args)
-    prob, rank = solver.build_problem(basis_part, basis_full, desc_part,
-                                      desc_full, mesh_full,
-                                      mesh_part.total_area, params)
+    result = solver.match(
+        mesh_part, mesh_full, params, _settings(SolverOptions, args),
+        args.radius or None,
+        _load_descriptors(args.descriptors_part, mesh_part, args.radius),
+        _load_descriptors(args.descriptors_full, mesh_full, args.radius))
     os.makedirs(args.out, exist_ok=True)  # only once the inputs are usable
-    result = solver.alternate(prob, params, basis_part.eigenvectors,
-                              _settings(SolverOptions, args))
 
     matio.save_matrix(os.path.join(args.out, "C.bin"), result.C)
     matio.save_csv(os.path.join(args.out, "v.csv"),
@@ -117,15 +119,11 @@ def run_match(args):
     # Correspondence visualization: full-shape coordinate colors carried to
     # the partial shape through the point-wise map.
     colors_full = _coordinate_colors(mesh_full)
-    colors_part = np.full((mesh_part.n_vertices, 3), 128, dtype=np.uint8)
-    inv = solver.invert_assignment(result.pi, mesh_part.n_vertices)
-    ok = inv >= 0
-    colors_part[ok] = colors_full[inv[ok]]
     save_ply(mesh_full, os.path.join(args.out, "full_colored.ply"),
              colors=colors_full)
     save_ply(mesh_part, os.path.join(args.out, "part_colored.ply"),
-             colors=colors_part)
-    print(f"match: rank {rank}/{params.k}, "
+             colors=colors_full[result.sigma])
+    print(f"match: rank {result.rank_estimate}/{params.k}, "
           f"{len(result.energy_trace)} outer iterations, "
           f"final energy {result.energy_trace[-1].total:.6g}")
     return 0
@@ -143,10 +141,7 @@ def _read_pairs(path):
             if len(fields) != 3:
                 raise UsageError(f"{path}:{lineno}: expected 'part full outdir',"
                                  f" got {len(fields)} fields")
-            out = fields[2]
-            if os.path.exists(out) and not os.path.isdir(out):
-                raise UsageError(f"{path}:{lineno}: output directory {out!r}"
-                                 " is an existing file")
+            _check_out(fields[2], f"{path}:{lineno}: ")
             jobs.append([lineno] + fields)
     return jobs
 
@@ -312,7 +307,8 @@ def build_parser():
     m.add_argument("--out", default="match_out")
     m.add_argument("--config", help="key=value configuration file")
     m.add_argument("--radius", type=float, default=0.0,
-                   help="descriptor support radius (0 = 7%% of sqrt(area))")
+                   help="descriptor support radius (0 = 18%% of "
+                   "sqrt(full-shape area))")
     m.add_argument("--descriptors-part", default="")
     m.add_argument("--descriptors-full", default="")
     for cls, names in _SETTING_FLAGS.items():

@@ -18,7 +18,7 @@ N_RADIAL = 2
 N_COS_BINS = 11
 DESCRIPTOR_DIM = N_AZIMUTH * N_ELEVATION * N_RADIAL * N_COS_BINS  # 352
 MIN_NEIGHBORS = 5
-DEFAULT_RADIUS_FRACTION = 0.07
+DEFAULT_RADIUS_FRACTION = 0.18
 SHOT_BLOCK = 64  # centres per batch; bounds the live pair arrays
 
 
@@ -36,7 +36,7 @@ class DescriptorField:
 
 
 def default_radius(mesh):
-    """Default support radius: 7% of the square root of the surface area."""
+    """Default support radius: 18% of the square root of the surface area."""
     return DEFAULT_RADIUS_FRACTION * np.sqrt(mesh.total_area)
 
 
@@ -95,10 +95,8 @@ def _neighbour_table(pts, radius):
     return indptr, nbr
 
 
-def shot_descriptors(mesh, radius=None):
+def shot_descriptors(mesh, radius):
     """Compute SHOT-style descriptors for every mesh vertex."""
-    if radius is None:
-        radius = default_radius(mesh)
     if radius <= 0:
         raise ValueError("radius must be positive")
     pts = mesh.vertices

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import descriptors, laplacian
 from .energy import (EnergyParams, MatchProblem, area_term, data_term,
                      dense_bins, eta_prime, g_adjoint, mask_coefficients,
                      mumford_shah, orthogonality_term, slant_term,
@@ -70,6 +71,7 @@ class MatchResult:
     v: np.ndarray
     # full-shape vertex -> smallest partial-shape vertex mapped onto it (or -1)
     pi: np.ndarray
+    sigma: np.ndarray  # partial-shape vertex -> full-shape vertex
     energy_trace: list
     rank_estimate: int
     refine_residuals: list = field(default_factory=list)  # one per ICP round
@@ -431,9 +433,9 @@ def alternate(prob, params, phi_part, opts=SolverOptions()):
     returned C and the part-to-full map sigma; it aligns the first k
     columns of ``phi_part``, the partial-shape eigenvectors, with k the
     problem's.  Refine's objective has no descriptor data term, so its C is
-    not fed back into the alternation.  The returned ``pi`` is sigma
-    inverted: for each full-shape vertex, the smallest partial-shape vertex
-    that sigma sends there, or -1 where none does.
+    not fed back into the alternation.  The result holds sigma and ``pi``,
+    sigma inverted: for each full-shape vertex, the smallest partial-shape
+    vertex that sigma sends there, or -1 where none does.
     """
     C = np.zeros_like(prob.W)
     v = initial_mask(prob)
@@ -453,5 +455,28 @@ def alternate(prob, params, phi_part, opts=SolverOptions()):
     C, sigma, resids = refine(C, phi_part[:, :k], prob.Psi, prob.d, opts)
     pi = invert_assignment(sigma, len(prob.Psi))
     r = int(np.sum(prob.d))
-    return MatchResult(C=C, v=v, pi=pi, energy_trace=trace,
+    return MatchResult(C=C, v=v, pi=pi, sigma=sigma, energy_trace=trace,
                        rank_estimate=r, refine_residuals=resids)
+
+
+def match(part, full, params=EnergyParams(), opts=SolverOptions(),
+          radius=None, desc_part=None, desc_full=None):
+    """Match the partial mesh ``part`` to the full mesh ``full``.
+
+    Builds both eigenbases with ``params.k`` functions, computes the SHOT
+    descriptors not given, both at one support radius (by default
+    ``descriptors.default_radius(full)``), then runs build_problem and
+    alternate.  Every stage is looked up on its module at call time, so
+    that a function patched there is the one called.
+    """
+    basis_part = laplacian.mesh_basis(part, params.k)
+    basis_full = laplacian.mesh_basis(full, params.k)
+    if radius is None:
+        radius = descriptors.default_radius(full)
+    if desc_part is None:
+        desc_part = descriptors.shot_descriptors(part, radius)
+    if desc_full is None:
+        desc_full = descriptors.shot_descriptors(full, radius)
+    prob, _ = build_problem(basis_part, basis_full, desc_part, desc_full,
+                            full, part.total_area, params)
+    return alternate(prob, params, basis_part.eigenvectors, opts)

@@ -14,14 +14,12 @@ import scipy.linalg
 
 from pfmatch.bench import (GroundTruth, bumpy_sphere, grid_mesh, icosphere,
                            plane_cut, plane_offset_for_area, princeton_error)
-from pfmatch.descriptors import shot_descriptors
 from pfmatch.energy import (EnergyParams, MatchProblem, area_term, eta,
                             mumford_shah, orthogonality_term, slant_term)
 from pfmatch.laplacian import SpectralBasis, mesh_basis
 from pfmatch.matio import save_matrix
 from pfmatch.mesh import TriangleMesh
-from pfmatch.solver import (SolverOptions, alternate, build_problem,
-                            c_objective, nearest_columns, v_objective)
+from pfmatch.solver import c_objective, match, v_objective
 from pfmatch.spectral import (build_d_vector, build_weight_matrix,
                               eigenvalue_derivative, eigenvector_derivative,
                               estimate_rank, ground_truth_map,
@@ -96,24 +94,9 @@ def run_end_to_end():
     point = plane_offset_for_area(deformed, [0.0, 0.0, 1.0], 0.6)
     part, gt = plane_cut(deformed, point, [0.0, 0.0, 1.0])
 
-    k = 100
-    params = EnergyParams(k=k)
-    basis_full = mesh_basis(full, k)
-    basis_part = mesh_basis(part, k)
-    # Wider support than the descriptor default: the broad bumps carry
-    # little signal at small scales.
-    radius = 0.18 * np.sqrt(full.total_area)
-    desc_full = shot_descriptors(full, radius)
-    desc_part = shot_descriptors(part, radius)
-    prob, rank = build_problem(basis_part, basis_full, desc_part, desc_full,
-                               full, part.total_area, params)
-    result = alternate(prob, params, basis_part.eigenvectors)
-    # Dense part-to-full assignment from the refined spectral alignment.
-    assignment = nearest_columns(basis_part.eigenvectors @ result.C.T,
-                                 prob.Psi)
-    errors = princeton_error(assignment, gt, full)
-    return dict(result=result, errors=errors, gt=gt, full=full, part=part,
-                rank=rank)
+    result = match(part, full, EnergyParams(k=100))
+    errors = princeton_error(result.sigma, gt, full)
+    return dict(result=result, errors=errors, gt=gt, full=full, part=part)
 
 
 @pytest.fixture(scope="module")

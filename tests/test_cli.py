@@ -8,11 +8,11 @@ import pytest
 import scipy.linalg
 import scipy.sparse.linalg
 
-from pfmatch import cli
+from pfmatch import cli, descriptors, laplacian, solver
 from pfmatch.bench import (bumpy_sphere, grid_mesh, icosphere,
                            load_ground_truth, plane_cut, plane_offset_for_area)
 from pfmatch.cli import UsageError, _read_config, build_parser, main
-from pfmatch.descriptors import shot_descriptors
+from pfmatch.descriptors import default_radius, shot_descriptors
 from pfmatch.energy import EnergyParams
 from pfmatch.laplacian import EigensolveError
 from pfmatch.matio import load_matrix, save_matrix
@@ -139,6 +139,62 @@ def test_match_outputs(mesh_files, tmp_path):
         == full.n_vertices
     assert load_mesh(os.path.join(out, "part_colored.ply")).n_vertices \
         == part.n_vertices
+
+
+def test_match_colours_every_part_vertex_through_sigma(mesh_files, tmp_path):
+    out = tmp_path / "out"
+    assert main(["match", "--part", mesh_files["part"], "--full",
+                 mesh_files["full"], "--out", str(out)] + MATCH_FLAGS) == 0
+    part, full = load_mesh(mesh_files["part"]), load_mesh(mesh_files["full"])
+    result = solver.match(part, full, EnergyParams(k=8),
+                          SolverOptions(max_outer=2, cg_max_iter=30),
+                          radius=0.3)
+    expected = tmp_path / "expected.ply"
+    save_ply(part, expected,
+             colors=cli._coordinate_colors(full)[result.sigma])
+    assert (out / "part_colored.ply").read_bytes() == expected.read_bytes()
+
+
+def test_match_calls_the_stages_through_their_modules(mesh_files, tmp_path,
+                                                      monkeypatch):
+    # A stage patched on its module, as a profiler wraps it, is the one that
+    # pfmatch match runs.
+    calls = []
+
+    def counted(owner, name):
+        real = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for owner, name in ((solver, "alternate"), (solver, "build_problem"),
+                        (laplacian, "mesh_basis"),
+                        (descriptors, "shot_descriptors")):
+        counted(owner, name)
+    assert main(["match", "--part", mesh_files["part"], "--full",
+                 mesh_files["full"], "--out", str(tmp_path / "out")]
+                + MATCH_FLAGS) == 0
+    assert sorted(calls) == ["alternate", "build_problem", "mesh_basis",
+                             "mesh_basis", "shot_descriptors",
+                             "shot_descriptors"]
+
+
+def test_match_rejects_file_as_out_before_solving(mesh_files, tmp_path,
+                                                  monkeypatch, capsys):
+    def no_match(*args, **kwargs):
+        raise AssertionError("match ran")
+
+    monkeypatch.setattr(solver, "match", no_match)
+    taken = tmp_path / "taken"
+    taken.write_text("keep")
+    code = main(["match", "--part", mesh_files["part"], "--full",
+                 mesh_files["full"], "--out", str(taken)] + MATCH_FLAGS)
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: output directory {str(taken)!r} is an existing file"]
+    assert taken.read_text() == "keep"
 
 
 def test_match_deterministic(mesh_files, tmp_path):
@@ -548,15 +604,14 @@ def test_match_descriptor_length_mismatch_exit_2(mesh_files, tmp_path,
 
 @pytest.fixture(scope="module")
 def cut_files(tmp_path_factory):
-    """A 60% cut of a bumpy sphere, with both shapes' SHOT descriptors
-    saved as matrices.  The radius is 18% of sqrt(area): at the default 7%
-    no vertex of this 162-vertex sphere has enough neighbours."""
+    """A 60% cut of a bumpy sphere, with both shapes' SHOT descriptors at
+    the default radius, taken from the full shape, saved as matrices."""
     root = tmp_path_factory.mktemp("cut")
     full = bumpy_sphere(2)
     normal = [0.0, 0.0, 1.0]
     part, _ = plane_cut(full, plane_offset_for_area(full, normal, 0.6), normal)
-    radius = 0.18 * np.sqrt(full.total_area)
-    paths = {"radius": repr(float(radius))}
+    radius = default_radius(full)
+    paths = {}
     for name, mesh in (("part", part), ("full", full)):
         paths[name] = str(root / f"{name}.ply")
         paths[name + "_desc"] = str(root / f"{name}_desc.bin")
@@ -568,8 +623,7 @@ def cut_files(tmp_path_factory):
 
 def test_match_given_descriptors_equal_computed(cut_files, tmp_path):
     base = ["match", "--part", cut_files["part"], "--full", cut_files["full"],
-            "--radius", cut_files["radius"], "--k", "20", "--max-outer", "2",
-            "--cg-max-iter", "30"]
+            "--k", "20", "--max-outer", "2", "--cg-max-iter", "30"]
     given = ["--descriptors-part", cut_files["part_desc"],
              "--descriptors-full", cut_files["full_desc"]]
     outs = [str(tmp_path / "computed"), str(tmp_path / "given")]
@@ -589,8 +643,7 @@ def test_match_descriptor_rows_mismatch_exit_2(cut_files, tmp_path, capsys,
     out = tmp_path / "out"
     code = main(["match", "--part", cut_files["part"], "--full",
                  cut_files["full"], f"--descriptors-{shape}", wrong,
-                 "--radius", cut_files["radius"], "--k", "20",
-                 "--out", str(out)])
+                 "--k", "20", "--out", str(out)])
     assert code == 2
     assert f"{wrong}: descriptor rows do not match mesh" in \
         capsys.readouterr().err
@@ -605,8 +658,7 @@ def test_match_truncated_descriptor_header_exit_2(cut_files, tmp_path, capsys,
     out = tmp_path / "out"
     code = main(["match", "--part", cut_files["part"], "--full",
                  cut_files["full"], f"--descriptors-{shape}", str(short),
-                 "--radius", cut_files["radius"], "--k", "20",
-                 "--out", str(out)])
+                 "--k", "20", "--out", str(out)])
     assert code == 2
     assert f"error: {short}: truncated header" in capsys.readouterr().err
     assert not out.exists()

@@ -121,8 +121,8 @@ def test_dimension(square_grid):
 
 
 def test_default_radius(square_grid):
-    # Unit-area grid: 7% of sqrt(1).
-    assert np.isclose(default_radius(square_grid), 0.07)
+    # Unit-area grid: 18% of sqrt(1).
+    assert np.isclose(default_radius(square_grid), 0.18)
 
 
 def test_unit_norm(square_grid):

@@ -632,7 +632,8 @@ def test_alternate_pi_inverts_the_part_to_full_map(small_pair):
     result = alternate(prob, params, small_pair["phi"], opts)
     n_full = small_pair["full"].n_vertices
     sigma = nearest_columns(small_pair["phi"] @ result.C.T, prob.Psi)
-    assert np.array_equal(result.pi, invert_assignment(sigma, n_full))
+    assert result.sigma.tobytes() == sigma.tobytes()
+    assert np.array_equal(result.pi, invert_assignment(result.sigma, n_full))
 
 
 def test_alternate_deterministic(small_pair):
@@ -663,6 +664,34 @@ def test_alternate_truncates_a_wider_basis():
     assert wide.C.tobytes() == narrow.C.tobytes()
     assert wide.v.tobytes() == narrow.v.tobytes()
     assert np.array_equal(wide.pi, narrow.pi)
+
+
+@pytest.mark.parametrize("given", [False, True])
+def test_match_equals_the_hand_assembly(small_pair, given):
+    # The assembly that match replaces: both bases, SHOT at one radius,
+    # build_problem and alternate, with sigma from the returned C.
+    full, part, params = small_pair["full"], small_pair["part"], \
+        small_pair["params"]
+    opts = SolverOptions(max_outer=2, cg_max_iter=30, refine_max_iter=6)
+    basis_part = mesh_basis(part, params.k)
+    basis_full = mesh_basis(full, params.k)
+    desc_part = shot_descriptors(part, 0.3)
+    desc_full = shot_descriptors(full, 0.3)
+    prob, _ = build_problem(basis_part, basis_full, desc_part, desc_full,
+                            full, part.total_area, params)
+    ref = alternate(prob, params, basis_part.eigenvectors, opts)
+    sigma = nearest_columns(basis_part.eigenvectors @ ref.C.T, prob.Psi)
+    if given:
+        got = solver.match(part, full, params, opts, desc_part=desc_part,
+                           desc_full=desc_full)
+    else:
+        got = solver.match(part, full, params, opts, radius=0.3)
+    assert got.C.tobytes() == ref.C.tobytes()
+    assert got.v.tobytes() == ref.v.tobytes()
+    assert got.pi.tobytes() == ref.pi.tobytes()
+    assert got.sigma.tobytes() == sigma.tobytes()
+    assert got.energy_trace == ref.energy_trace
+    assert got.refine_residuals == ref.refine_residuals
 
 
 def test_alternate_recovers_part_region(small_pair):
@@ -740,7 +769,7 @@ def _alternate_reference(prob, params, phi_part, opts=SolverOptions()):
                                          opts)
     pi = invert_assignment(sigma, len(prob.Psi))
     r = int(np.sum(prob.d))
-    ref = MatchResult(C=C_out, v=v, pi=pi, energy_trace=trace,
+    ref = MatchResult(C=C_out, v=v, pi=pi, sigma=sigma, energy_trace=trace,
                       rank_estimate=r, refine_residuals=resids)
     return ref, accepted
 
@@ -779,6 +808,7 @@ def test_alternate_matches_safeguarded_reference(small_pair, monkeypatch,
     assert got.C.tobytes() == ref.C.tobytes()
     assert got.v.tobytes() == ref.v.tobytes()
     assert got.pi.tobytes() == ref.pi.tobytes()
+    assert got.sigma.tobytes() == ref.sigma.tobytes()
     assert got.energy_trace == ref.energy_trace
     assert got.refine_residuals == ref.refine_residuals
     assert got.rank_estimate == ref.rank_estimate
