@@ -66,7 +66,7 @@ def _settings(cls, args):
     return cls(**{name: getattr(args, name) for name in _SETTING_FLAGS[cls]})
 
 
-def _load_descriptors(path, mesh, radius):
+def _load_descriptors(path, mesh):
     """The descriptors of ``mesh`` saved at ``path``, or None without one."""
     if not path:
         return None
@@ -74,7 +74,7 @@ def _load_descriptors(path, mesh, radius):
     if values.shape[0] != mesh.n_vertices:
         raise UsageError(f"{path}: descriptor rows do not match mesh")
     return descriptors.DescriptorField(
-        values, radius, np.zeros(mesh.n_vertices, dtype=bool))
+        values, None, np.zeros(mesh.n_vertices, dtype=bool))
 
 
 def _check_out(out, where=""):
@@ -98,8 +98,8 @@ def run_match(args):
     result = solver.match(
         mesh_part, mesh_full, params, _settings(SolverOptions, args),
         args.radius or None,
-        _load_descriptors(args.descriptors_part, mesh_part, args.radius),
-        _load_descriptors(args.descriptors_full, mesh_full, args.radius))
+        _load_descriptors(args.descriptors_part, mesh_part),
+        _load_descriptors(args.descriptors_full, mesh_full))
     os.makedirs(args.out, exist_ok=True)  # only once the inputs are usable
 
     matio.save_matrix(os.path.join(args.out, "C.bin"), result.C)

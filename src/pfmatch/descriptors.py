@@ -27,7 +27,7 @@ class DescriptorField:
     """Per-vertex descriptors (n x 352) with the support radius used and a
     flag marking vertices whose support was too sparse."""
     values: np.ndarray
-    radius: float
+    radius: float  # None for descriptors not computed here
     flags: np.ndarray  # bool, True where the descriptor is a zero vector
 
     @property

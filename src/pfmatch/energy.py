@@ -88,12 +88,7 @@ class MatchProblem:
         self._bins = ((slice(0, nd), slice(nd, None)) if dense[:nd].all()
                       else (np.flatnonzero(dense), np.flatnonzero(~dense)))
         self._G_dense = self.G[:, self._bins[0]]
-        # The arrays of csr_matrix(tail), without its slower float scan.
-        tail = self.G[:, self._bins[1]]
-        rows, cols = np.nonzero(tail != 0)
-        indptr = np.searchsorted(rows, np.arange(len(tail) + 1))
-        self._G_tail = csr_matrix((tail[rows, cols], cols, indptr),
-                                  shape=tail.shape)
+        self._G_tail = csr_matrix(self.G[:, self._bins[1]])
         self._G_tail_T = self._G_tail.T.tocsr()
 
 

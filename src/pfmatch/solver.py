@@ -211,8 +211,10 @@ def build_problem(basis_part, basis_full, desc_part, desc_full, mesh_full,
                          f"partial shape, {desc_full.dim} on the full shape")
     for name, desc in (("partial", desc_part), ("full", desc_full)):
         if not np.any(desc.values):
-            raise ValueError(f"every descriptor of the {name} shape is zero "
-                             f"(support radius {desc.radius:g})")
+            where = ("" if desc.radius is None
+                     else f" (support radius {desc.radius:g})")
+            raise ValueError(f"every descriptor of the {name} shape is "
+                             f"zero{where}")
     k = min(params.k, basis_part.k, basis_full.k)
     bp = basis_part.truncated(k)
     bf = basis_full.truncated(k)

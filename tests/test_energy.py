@@ -2,7 +2,6 @@ import dataclasses
 
 import numpy as np
 import pytest
-from scipy.sparse import csr_matrix
 
 from pfmatch.bench import bumpy_sphere, grid_mesh
 from pfmatch.energy import (EnergyBreakdown, EnergyParams, MatchProblem,
@@ -208,26 +207,6 @@ def test_g_products_match_dense_products(rng, shares, n_dense):
                        rtol=1e-12, atol=1e-12 * np.abs(adjoint).max())
     # <forward(w), H> = <w, adjoint(H)>
     assert np.isclose(np.sum(forward * H), w @ adjoint, rtol=1e-12, atol=0.0)
-
-
-@pytest.mark.parametrize("shares, permute", [
-    (np.linspace(0.02, 0.6, 25), False),  # both kinds, dense first
-    (np.linspace(0.02, 0.6, 25), True),   # both kinds, interleaved
-    (np.full(10, 0.8), False),            # an empty tail
-    (np.full(10, 0.05), False),           # every bin in the tail
-])
-def test_split_tail_equals_csr_of_the_tail_bins(rng, shares, permute):
-    p = _sparse_g_problem(rng, shares)
-    if permute:
-        perm = rng.permutation(p.G.shape[1])
-        p = dataclasses.replace(p, A=p.A[:, perm], G=p.G[:, perm])
-    ref = csr_matrix(p.G[:, ~dense_bins(p.G)])
-    for name in ("indptr", "indices", "data"):
-        got, want = getattr(p._G_tail, name), getattr(ref, name)
-        assert got.dtype == want.dtype, name
-        assert got.tobytes() == want.tobytes(), name
-    assert p._G_tail.shape == ref.shape
-    assert p._G_tail.has_canonical_format
 
 
 def test_replace_with_permuted_bins_rebuilds_the_split(rng):

@@ -202,7 +202,8 @@ def test_build_problem_rejects_all_zero_descriptors(small_pair, shape):
     values = np.zeros_like(descs[shape].values)
     descs[shape] = DescriptorField(values, 1e-3,
                                    np.ones(len(values), dtype=bool))
-    with pytest.raises(ValueError, match=f"of the {shape} shape is zero"):
+    with pytest.raises(ValueError, match=f"of the {shape} shape is zero "
+                       r"\(support radius 0.001\)"):
         build_problem(mesh_basis(part, k), mesh_basis(full, k),
                       descs["partial"], descs["full"], full,
                       part.total_area, EnergyParams(k=k))
