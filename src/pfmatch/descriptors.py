@@ -97,8 +97,8 @@ def _neighbour_table(pts, radius):
 
 def shot_descriptors(mesh, radius):
     """Compute SHOT-style descriptors for every mesh vertex."""
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    if not 0 < radius < np.inf:
+        raise ValueError("radius must be positive and finite")
     pts = mesh.vertices
     normals = mesh.vertex_normals()
     indptr, nbr = _neighbour_table(pts, radius)
@@ -164,18 +164,12 @@ def _histograms(centres, indptr, nbr, pts, normals, radius):
     pos = (cosang + 1.0) / 2.0 * N_COS_BINS - 0.5
     lo = np.floor(pos).astype(np.int64)
     frac = pos - lo
-    hi = lo + 1
-    valid_lo = lo >= 0
-    valid_hi = hi <= N_COS_BINS - 1
     base = (owner * (N_AZIMUTH * N_ELEVATION * N_RADIAL) + sector) * N_COS_BINS
-    # One bincount in the order of four passes (lower bin, upper bin, then
-    # the spill at the extreme bins clamped back into them), so every bin
-    # sums its terms in neighbour order, pass by pass.
-    index = np.concatenate([base[valid_lo] + lo[valid_lo],
-                            base[valid_hi] + hi[valid_hi],
-                            base[~valid_lo],
-                            base[~valid_hi] + N_COS_BINS - 1])
-    weight = np.concatenate([1.0 - frac[valid_lo], frac[valid_hi],
-                             1.0 - frac[~valid_lo], frac[~valid_hi]])
+    # One bincount in the order of two passes, lower bin then upper bin,
+    # each clamped into the histogram, so every bin sums its terms in
+    # neighbour order, pass by pass.
+    index = np.concatenate([base + np.maximum(lo, 0),
+                            base + np.minimum(lo + 1, N_COS_BINS - 1)])
+    weight = np.concatenate([1.0 - frac, frac])
     hist = np.bincount(index, weight, minlength=len(centres) * DESCRIPTOR_DIM)
     return hist.reshape(len(centres), DESCRIPTOR_DIM)

@@ -19,6 +19,7 @@ from scipy.sparse.csgraph import reverse_cuthill_mckee
 # Every mesh takes the banded path; the name stays for the benchmark tracer.
 DENSE_FALLBACK_N = 0
 SHIFT = -1e-8
+RITZ_TOL = 1e-12  # ARPACK's default 0 (machine precision) costs a restart
 
 
 class EigensolveError(RuntimeError):
@@ -184,7 +185,7 @@ def eigensolve(pair, k):
         # In shift-invert mode eigsh reads only the shape of its first
         # argument, so the permuted A need not outlive the factor.
         vals, y = spla.eigsh(OPinv, k=k, sigma=SHIFT, which="LM", v0=v0,
-                             OPinv=OPinv)
+                             OPinv=OPinv, tol=RITZ_TOL)
     except spla.ArpackNoConvergence as exc:
         raise EigensolveError(f"ARPACK failed to converge: {exc}") from exc
     order = np.argsort(vals)

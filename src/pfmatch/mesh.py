@@ -56,11 +56,10 @@ class TriangleMesh:
             t = remap[t]
 
         self.vertices = v
-        self.triangles = self._orient(v, t)
+        self.triangles, self._edges = self._orient(v, t)
         self.vertices.setflags(write=False)
         self.triangles.setflags(write=False)
 
-        self._edges = None
         self._metric = None
         self._geo_graph = None
         self._validate_geometry()
@@ -249,10 +248,12 @@ class TriangleMesh:
         node j + m the same triangle flipped.  The two triangles on an edge
         link the nodes that traverse the edge in opposite directions, so a
         component is orientable exactly when no j and j + m share a node
-        component.
+        component.  Returns the oriented triangles and their edge table, or
+        None in its place when a triangle was flipped, which renumbers the
+        edges.
         """
         m = len(triangles)
-        edges, counts, tri_edges = edge_table(triangles)
+        table = edges, counts, tri_edges = edge_table(triangles)
         slot_edge = tri_edges.ravel()
         forward = triangles.ravel() == edges[slot_edge, 0]
         order = np.argsort(slot_edge, kind="stable")
@@ -283,7 +284,7 @@ class TriangleMesh:
         flip ^= ((vol < 0) & ~is_open)[comp]
         t = triangles.copy()
         t[flip] = t[flip][:, ::-1]
-        return t
+        return t, None if flip.any() else table
 
 
 def edge_table(triangles):

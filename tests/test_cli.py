@@ -588,6 +588,18 @@ def test_match_all_zero_descriptors_exit_2(mesh_files, tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("radius", ["nan", "inf"])
+def test_match_non_finite_radius_exit_2(mesh_files, tmp_path, capsys, radius):
+    out = tmp_path / "out"
+    code = main(["match", "--part", mesh_files["part"],
+                 "--full", mesh_files["full"], "--out", str(out)]
+                + MATCH_FLAGS + ["--radius", radius])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: radius must be positive and finite"]
+    assert not out.exists()
+
+
 def test_match_descriptor_length_mismatch_exit_2(mesh_files, tmp_path,
                                                  capsys):
     n = load_mesh(mesh_files["full"]).n_vertices

@@ -61,13 +61,9 @@ def _shot_loop(mesh, radius):
         lo = np.floor(pos).astype(np.int64)
         frac = pos - lo
         hist = np.zeros((N_AZIMUTH * N_ELEVATION * N_RADIAL, N_COS_BINS))
-        valid_lo = lo >= 0
-        np.add.at(hist, (sector[valid_lo], lo[valid_lo]), 1.0 - frac[valid_lo])
-        hi = lo + 1
-        valid_hi = hi <= N_COS_BINS - 1
-        np.add.at(hist, (sector[valid_hi], hi[valid_hi]), frac[valid_hi])
-        np.add.at(hist, (sector[~valid_lo], 0), 1.0 - frac[~valid_lo])
-        np.add.at(hist, (sector[~valid_hi], N_COS_BINS - 1), frac[~valid_hi])
+        # Lower bin, then upper bin, each clamped into the histogram.
+        np.add.at(hist, (sector, np.maximum(lo, 0)), 1.0 - frac)
+        np.add.at(hist, (sector, np.minimum(lo + 1, N_COS_BINS - 1)), frac)
 
         flat = hist.reshape(-1)
         norm = np.linalg.norm(flat)
@@ -103,6 +99,20 @@ def _folded_sheets():
         return TriangleMesh(np.vstack([flat.vertices, folded]),
                             np.vstack([flat.triangles,
                                        flat.triangles + flat.n_vertices]))
+
+
+def _creased_sheet():
+    """An 8 x 8 grid whose half y > 0.5 is folded back by 160 degrees: at
+    radius 0.3 a sector of one centre can hold cosines below -1 + 1/11 and
+    at or above 1 - 1/11, which spill over the end bins, beside ordinary
+    terms of those bins."""
+    flat = grid_mesh(8)
+    x, y, _ = flat.vertices.T
+    angle = np.radians(160)
+    t = np.maximum(y - 0.5, 0.0)
+    creased = np.column_stack([x, np.minimum(y, 0.5) + t * np.cos(angle),
+                               t * np.sin(angle)])
+    return TriangleMesh(creased, flat.triangles)
 
 
 def rotation_matrix(axis, angle):
@@ -197,8 +207,10 @@ def test_lrf_orthonormal_right_handed(rng):
 
 
 def test_invalid_radius(square_grid):
-    with pytest.raises(ValueError):
-        shot_descriptors(square_grid, radius=0.0)
+    for radius in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError,
+                           match="radius must be positive and finite"):
+            shot_descriptors(square_grid, radius)
 
 
 def _cut_bumpy():
@@ -214,8 +226,9 @@ def _cut_bumpy():
     (_cut_bumpy, 0.3),               # boundary vertices
     (lambda: bumpy_sphere(3), 0.15),  # flagged and unflagged in one block
     (_folded_sheets, 0.3),           # neighbours that coincide with a centre
+    (_creased_sheet, 0.3),           # spills and ordinary terms in end bins
 ], ids=["grid8-r0.3", "grid8-r0.05", "grid30-r0.1", "bumpy-r0.6",
-        "cut-r0.3", "bumpy-r0.15", "folded-r0.3"])
+        "cut-r0.3", "bumpy-r0.15", "folded-r0.3", "creased-r0.3"])
 def test_shot_matches_loop_exactly(make_mesh, radius):
     mesh = make_mesh()
     field = shot_descriptors(mesh, radius=radius)

@@ -419,6 +419,20 @@ def test_orientation_consistency(sphere):
             directed.add(e)
 
 
+def test_edge_table_of_oriented_triangles(square_grid):
+    # The table _orient builds serves the mesh when no triangle flips; a
+    # flip renumbers the edges, so then the mesh builds its own.
+    t = square_grid.triangles.copy()
+    t[1::3] = t[1::3, ::-1]
+    flipped = TriangleMesh(square_grid.vertices, t)
+    assert np.array_equal(flipped.triangles, square_grid.triangles)
+    assert not np.array_equal(edge_table(t)[2],
+                              edge_table(flipped.triangles)[2])
+    for mesh in (square_grid, flipped):
+        for got, want in zip(mesh._edge_data(), edge_table(mesh.triangles)):
+            assert np.array_equal(got, want)
+
+
 def test_subdivided_preserves_area(square_grid):
     sub = square_grid.subdivided()
     assert sub.n_triangles == 4 * square_grid.n_triangles
