@@ -41,18 +41,12 @@ def grid_mesh(nx, ny=None, width=1.0, height=1.0):
     ys = np.linspace(0.0, height, ny + 1)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     verts = np.column_stack([X.ravel(), Y.ravel(), np.zeros(X.size)])
-
-    def vid(i, j):
-        return i * (ny + 1) + j
-
-    tris = []
-    for i in range(nx):
-        for j in range(ny):
-            a, b = vid(i, j), vid(i + 1, j)
-            c, d = vid(i + 1, j + 1), vid(i, j + 1)
-            tris.append([a, b, c])
-            tris.append([a, c, d])
-    return TriangleMesh(verts, np.asarray(tris))
+    # Cell (i, j) has corners a = (i, j), b = (i+1, j), c = (i+1, j+1) and
+    # d = (i, j+1), vertex (i, j) being i * (ny + 1) + j; two triangles each.
+    a = (np.arange(nx)[:, None] * (ny + 1) + np.arange(ny)).ravel()
+    b, c, d = a + ny + 1, a + ny + 2, a + 1
+    tris = np.stack([a, b, c, a, c, d], axis=1).reshape(-1, 3)
+    return TriangleMesh(verts, tris)
 
 
 def icosphere(subdivisions=3, radius=1.0):

@@ -1,13 +1,15 @@
 """Triangle mesh representation, OFF/PLY I/O and geometric primitives.
 
-A :class:`TriangleMesh` is immutable after construction and caches derived
-structure (edge table, triangle metric, areas, geodesic graph) lazily.
+A :class:`TriangleMesh` holds read-only copies of its input arrays and
+computes derived structure (edge table, triangle metric, geodesic graph)
+once, on first use.
 Geodesic distances use Dijkstra on the edge graph augmented with
 edge-midpoint Steiner points, which keeps the graph-metric error small
 enough for evaluation purposes.
 """
 
 import warnings
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -24,7 +26,8 @@ class TriangleMesh:
     """Manifold triangle mesh with vertices (n, 3) and triangles (m, 3).
 
     Unreferenced vertices are dropped at construction time; the original
-    indices of the kept vertices are recorded in ``kept_vertices``.
+    indices of the kept vertices are recorded in ``kept_vertices``.  The
+    caller's arrays are copied, never frozen or changed.
     Triangle orientation is made consistent per connected component whenever
     the component is orientable.
     """
@@ -45,23 +48,16 @@ class TriangleMesh:
         if np.any((t[:, 0] == t[:, 1]) | (t[:, 1] == t[:, 2]) | (t[:, 0] == t[:, 2])):
             raise MeshError("degenerate triangle with repeated vertex index")
 
-        # Drop unreferenced vertices, remember the remap.
-        used = np.zeros(len(v), dtype=bool)
-        used[t.reshape(-1)] = True
+        # Keep the referenced vertices, in order, as the mesh's own copy.
+        used = np.bincount(t.ravel(), minlength=len(v)) > 0
         self.kept_vertices = np.flatnonzero(used)
-        if not used.all():
-            remap = -np.ones(len(v), dtype=np.int64)
-            remap[self.kept_vertices] = np.arange(len(self.kept_vertices))
-            v = v[used]
-            t = remap[t]
-
-        self.vertices = v
-        self.triangles, self._edges = self._orient(v, t)
+        self.vertices = v[self.kept_vertices]
+        self.triangles, edges = self._orient(self.vertices,
+                                             (np.cumsum(used) - 1)[t])
+        if edges is not None:
+            self._edge_data = edges
         self.vertices.setflags(write=False)
         self.triangles.setflags(write=False)
-
-        self._metric = None
-        self._geo_graph = None
         self._validate_geometry()
 
     # -- basic quantities ---------------------------------------------------
@@ -83,58 +79,54 @@ class TriangleMesh:
         return float(self._tri_areas.sum())
 
     def vertex_areas(self):
-        """Lumped per-vertex areas: one third of the incident triangle areas."""
-        s = np.zeros(self.n_vertices)
-        np.add.at(s, self.triangles.reshape(-1), np.repeat(self._tri_areas / 3.0, 3))
-        if np.any(s <= 0):
-            raise MeshError("vertex with zero area (not incident to any triangle)")
-        return s
+        """Lumped per-vertex areas: one third of the incident triangle areas,
+        summed triangle by triangle."""
+        return np.bincount(self.triangles.ravel(), minlength=self.n_vertices,
+                           weights=np.repeat(self._tri_areas / 3.0, 3))
 
     def vertex_normals(self):
-        """Area-weighted average of incident triangle normals."""
+        """Area-weighted average of incident triangle normals, summed over
+        corner 0 of every triangle, then corner 1, then corner 2."""
         p = self.vertices[self.triangles]
         nrm = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])  # 2*area*unit normal
-        out = np.zeros_like(self.vertices)
-        for c in range(3):
-            np.add.at(out, self.triangles[:, c], nrm)
+        corners = self.triangles.T.ravel()
+        out = np.stack([np.bincount(corners, weights=np.tile(w, 3),
+                                    minlength=self.n_vertices) for w in nrm.T],
+                       axis=1)
         lens = np.linalg.norm(out, axis=1)
         lens[lens == 0] = 1.0
         return out / lens[:, None]
 
     # -- edge structure -----------------------------------------------------
 
+    @cached_property
     def _edge_data(self):
-        if self._edges is None:
-            self._edges = edge_table(self.triangles)
-        return self._edges
+        return edge_table(self.triangles)
 
     @property
     def edges(self):
-        return self._edge_data()[0]
+        return self._edge_data[0]
 
     @property
     def boundary_edges(self):
-        edges, counts, _ = self._edge_data()
+        edges, counts, _ = self._edge_data
         return edges[counts == 1]
 
-    @property
+    @cached_property
     def triangle_metric(self):
         """Per-triangle first fundamental form coefficients (E, F, G)."""
-        if self._metric is None:
-            p = self.vertices[self.triangles]
-            e1, e2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
-            self._metric = tuple(np.einsum("ij,ij->i", a, b)
-                                 for a, b in ((e1, e1), (e1, e2), (e2, e2)))
-        return self._metric
+        p = self.vertices[self.triangles]
+        e1, e2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+        return tuple(np.einsum("ij,ij->i", a, b)
+                     for a, b in ((e1, e1), (e1, e2), (e2, e2)))
 
     # -- geodesics ----------------------------------------------------------
 
+    @cached_property
     def _geodesic_graph(self):
         """Edge graph plus midpoint Steiner nodes and intra-triangle shortcuts."""
-        if self._geo_graph is not None:
-            return self._geo_graph
         n = self.n_vertices
-        edges, _, tri_edges = self._edge_data()
+        edges, _, tri_edges = self._edge_data
         mid = 0.5 * (self.vertices[edges[:, 0]] + self.vertices[edges[:, 1]])
         pos = np.vstack([self.vertices, mid])
         # Edge halves (vertex--midpoint), then per triangle the shortcuts
@@ -147,9 +139,7 @@ class TriangleMesh:
         cols = np.concatenate([m_ids, m_ids, opposite.ravel(), opposite.ravel()])
         w = np.linalg.norm(pos[rows] - pos[cols], axis=1)
         g = csr_matrix((w, (rows, cols)), shape=(len(pos), len(pos)))
-        g = g.maximum(g.T)
-        self._geo_graph = g
-        return g
+        return g.maximum(g.T)
 
     def geodesic_distances(self, source, limit=np.inf):
         """Graph-geodesic distances from one source vertex (or several).
@@ -164,8 +154,7 @@ class TriangleMesh:
         sources = np.atleast_1d(np.asarray(source, dtype=np.int64))
         if sources.min() < 0 or sources.max() >= self.n_vertices:
             raise IndexError("source vertex index out of range")
-        g = self._geodesic_graph()
-        d = dijkstra(g, directed=False, indices=sources,
+        d = dijkstra(self._geodesic_graph, directed=False, indices=sources,
                      limit=limit)[:, : self.n_vertices]
         return d[0] if np.isscalar(source) or np.ndim(source) == 0 else d
 
@@ -203,7 +192,7 @@ class TriangleMesh:
 
     def subdivided(self):
         """One step of 1-to-4 midpoint subdivision (no smoothing)."""
-        edges, _, tri_edges = self._edge_data()
+        edges, _, tri_edges = self._edge_data
         mids = 0.5 * (self.vertices[edges[:, 0]] + self.vertices[edges[:, 1]])
         a, b, c = self.triangles.T
         mab, mbc, mca = (self.n_vertices + tri_edges).T
@@ -223,12 +212,13 @@ class TriangleMesh:
         d = np.ldexp(p[:, 1:] - p[:, :1], -e)
         scaled = 0.5 * np.linalg.norm(np.cross(d[:, 0], d[:, 1]), axis=1)
         areas = np.ldexp(scaled, 2 * e)
+        # Coincident vertices have no extent, so no threshold to fall under.
         thresh = DEGENERATE_AREA_FACTOR * np.sum(np.ldexp(ext, -e) ** 2)
-        if np.any(scaled < thresh):
+        if thresh == 0 or np.any(scaled < thresh):
             bad = int(np.argmin(scaled))
             raise MeshError(f"degenerate triangle {bad} (area {areas[bad]:.3e})")
         self._tri_areas = areas
-        edges, counts, _ = self._edge_data()
+        edges, counts, _ = self._edge_data
         if counts.max() > 2:
             bad = edges[np.argmax(counts)]
             raise MeshError(f"non-manifold edge {tuple(bad.tolist())}: "

@@ -179,6 +179,12 @@ def test_princeton_error_unassigned(square_grid):
     assert np.isfinite(np.delete(err, 2)).all()
 
 
+def test_princeton_error_nothing_assigned(square_grid):
+    _, gt = plane_cut(square_grid, [0.4, 0.0, 0.0], [1.0, 0.0, 0.0])
+    err = princeton_error(np.full(len(gt.correspondence), -1), gt, square_grid)
+    assert err.shape == gt.correspondence.shape and np.isnan(err).all()
+
+
 def _princeton_dense(assignment, gt, mesh_full):
     """Reference evaluation: one dense Dijkstra matrix over all sources."""
     targets = np.asarray(gt.correspondence)

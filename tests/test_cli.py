@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import os
+import pathlib
 import warnings
 
 import numpy as np
@@ -206,8 +207,8 @@ def test_match_deterministic(mesh_files, tmp_path):
                     + MATCH_FLAGS) == 0
         outs.append(out)
     for fname in ("C.bin", "v.csv", "pi.csv", "energy.csv"):
-        a = open(os.path.join(outs[0], fname), "rb").read()
-        b = open(os.path.join(outs[1], fname), "rb").read()
+        a = pathlib.Path(outs[0], fname).read_bytes()
+        b = pathlib.Path(outs[1], fname).read_bytes()
         assert a == b, fname
 
 
@@ -226,6 +227,17 @@ def test_match_names_the_file_of_a_non_manifold_mesh(mesh_files, tmp_path,
     assert code == 2
     assert capsys.readouterr().err.splitlines() == [
         f"error: {path}: non-manifold edge (0, 1): 3 incident triangles"]
+
+
+def test_match_names_the_file_of_a_mesh_with_coincident_vertices(
+        mesh_files, tmp_path, capsys):
+    path = tmp_path / "point.off"
+    path.write_text("OFF\n3 1 0\n1 1 1\n1 1 1\n1 1 1\n3 0 1 2\n")
+    code = main(["match", "--part", str(path), "--full", mesh_files["full"],
+                 "--out", str(tmp_path / "out")] + MATCH_FLAGS)
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {path}: degenerate triangle 0 (area 0.000e+00)"]
 
 
 def test_match_batch(mesh_files, tmp_path):
@@ -359,6 +371,7 @@ def _write_rows(path, header, rows):
     ("pi", "0,{n_part}"),          # part vertex past the part
     ("pi", "0,-2"),                # part vertex below -1 (unassigned)
     ("pi", "0,-1"),                # full vertex 0 repeats
+    ("pi", "1,x"),                 # not an integer
 ])
 def test_eval_rejects_bad_index(mesh_files, tmp_path, capsys, name, row):
     # The second data row (line 3) of one file is replaced by ``row``.
@@ -643,8 +656,8 @@ def test_match_given_descriptors_equal_computed(cut_files, tmp_path):
     assert main(base + ["--out", outs[0]]) == 0
     assert main(base + given + ["--out", outs[1]]) == 0
     for fname in ("C.bin", "v.csv", "pi.csv", "energy.csv"):
-        a = open(os.path.join(outs[0], fname), "rb").read()
-        b = open(os.path.join(outs[1], fname), "rb").read()
+        a = pathlib.Path(outs[0], fname).read_bytes()
+        b = pathlib.Path(outs[1], fname).read_bytes()
         assert a == b, fname
 
 
@@ -667,7 +680,7 @@ def test_match_descriptor_rows_mismatch_exit_2(cut_files, tmp_path, capsys,
 def test_match_truncated_descriptor_header_exit_2(cut_files, tmp_path, capsys,
                                                   shape):
     short = tmp_path / "short.bin"
-    short.write_bytes(open(cut_files[shape + "_desc"], "rb").read(10))
+    short.write_bytes(pathlib.Path(cut_files[shape + "_desc"]).read_bytes()[:10])
     out = tmp_path / "out"
     code = main(["match", "--part", cut_files["part"], "--full",
                  cut_files["full"], f"--descriptors-{shape}", str(short),

@@ -67,6 +67,13 @@ def test_off_round_trip(tmp_path, square_grid):
     assert np.array_equal(back.triangles, square_grid.triangles)
 
 
+def test_save_ply_rejects_colors_of_the_wrong_shape(tmp_path, square_grid):
+    rgba = np.zeros((square_grid.n_vertices, 4), dtype=np.uint8)
+    with pytest.raises(ValueError, match=re.escape("colors must have shape (n, 3)")):
+        save_ply(square_grid, tmp_path / "rgba.ply", colors=rgba)
+    assert not (tmp_path / "rgba.ply").exists()
+
+
 def test_ply_with_colors_loads(tmp_path, square_grid):
     colors = np.zeros((square_grid.n_vertices, 3), dtype=np.uint8)
     colors[:, 0] = 255
@@ -167,9 +174,21 @@ end_header
      "ply element foo has no properties"),
     (_ASCII_PLY.replace("property float y", "property float x"),
      "malformed ply header: field 'x' occurs more than once"),
+    (_ASCII_PLY.split("end_header")[0], "unterminated ply header"),
+    (_ASCII_PLY.replace("ascii", "binary_big_endian"),
+     "unsupported ply format binary_big_endian"),
+    (_ASCII_PLY.replace("property float z\n", ""),
+     "vertex element lacks x/y/z"),
+    (_ASCII_PLY.replace("property list uchar int vertex_indices",
+                        "property int count"),
+     "face element has no list property"),
+    (_ASCII_PLY.replace("element face 1\n", "").replace(
+        "property list uchar int vertex_indices\n", ""),
+     "missing vertex or face element"),
 ], ids=["missing_row", "short_row", "short_face", "quad_any_list_name",
         "unknown_binary_type", "property_first", "binary_no_properties",
-        "ascii_no_properties", "property_twice"])
+        "ascii_no_properties", "property_twice", "no_end_header",
+        "big_endian", "vertex_without_z", "face_without_list", "no_face"])
 def test_malformed_ply_rejected(tmp_path, text, message):
     path = tmp_path / "bad.ply"
     path.write_text(text)
@@ -192,6 +211,21 @@ def test_ascii_ply_reads_any_scalar_type_and_ignores_trailing_values(tmp_path):
     assert mesh.vertices.tobytes() == np.array(
         [[0, 0, 0], [1.25, 0, -0.0], [0, 1, 0]]).tobytes()
     assert mesh.triangles.tolist() == [[0, 1, 2]]
+
+
+@pytest.mark.parametrize("binary", [False, True])
+def test_ply_header_comments_and_blank_lines_are_skipped(tmp_path,
+                                                         square_grid, binary):
+    # Exporters write comment lines; a blank line carries no keyword.
+    path = tmp_path / "mesh.ply"
+    save_ply(square_grid, path, binary=binary)
+    data = path.read_bytes()
+    path.write_bytes(data.replace(b"element vertex",
+                                  b"comment made by hand\n\nelement vertex", 1)
+                     .replace(b"end_header", b"comment last\n \nend_header", 1))
+    back = load_mesh(path)
+    assert back.vertices.tobytes() == square_grid.vertices.tobytes()
+    assert np.array_equal(back.triangles, square_grid.triangles)
 
 
 @pytest.mark.parametrize("name, text, message", [
@@ -223,11 +257,21 @@ def test_ascii_ply_reads_any_scalar_type_and_ignores_trailing_values(tmp_path):
         "non-manifold edge (0, 1): 3 incident triangles",
         marks=pytest.mark.filterwarnings(
             "ignore:mesh is not consistently orientable")),
+    ("bad.obj", "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n",
+     "unrecognized mesh format"),
+    ("bad.off", "OFF\n-3 1 0\n", "malformed OFF data: negative element count"),
+    ("quad.off", "OFF\n4 1 0\n0 0 0\n1 0 0\n1 1 0\n0 1 0\n4 0 1 2 3\n",
+     "only triangular faces supported"),
+    ("nan.off", "OFF\n3 1 0\n0 0 0\n1 0 0\n0 nan 0\n3 0 1 2\n",
+     "non-finite vertex coordinates"),
+    ("point.off", "OFF\n3 1 0\n1 1 1\n1 1 1\n1 1 1\n3 0 1 2\n",
+     "degenerate triangle 0 (area 0.000e+00)"),
 ], ids=["format_no_value", "element_no_count", "element_count_not_int",
         "element_count_negative", "property_no_name", "list_no_name",
         "no_format_line", "ply_value_not_a_number",
         "ply_index_not_integral", "off_short_face", "off_short_face_after_full",
-        "off_non_manifold"])
+        "off_non_manifold", "unknown_format", "off_count_negative",
+        "off_quad", "off_nan", "off_coincident_vertices"])
 def test_malformed_mesh_rejected_with_path(tmp_path, name, text, message):
     path = tmp_path / name
     path.write_text(text)
@@ -244,6 +288,38 @@ def test_vertex_areas_equilateral(equilateral):
 def test_vertex_areas_sum(square_grid, sphere):
     for mesh in (square_grid, sphere):
         assert np.isclose(mesh.vertex_areas().sum(), mesh.total_area)
+
+
+def _vertex_areas_add_at(mesh):
+    s = np.zeros(mesh.n_vertices)
+    np.add.at(s, mesh.triangles.reshape(-1),
+              np.repeat(mesh.triangle_areas / 3.0, 3))
+    return s
+
+
+def _vertex_normals_add_at(mesh):
+    p = mesh.vertices[mesh.triangles]
+    nrm = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
+    out = np.zeros_like(mesh.vertices)
+    for c in range(3):
+        np.add.at(out, mesh.triangles[:, c], nrm)
+    lens = np.linalg.norm(out, axis=1)
+    lens[lens == 0] = 1.0
+    return out / lens[:, None]
+
+
+@pytest.mark.parametrize("dropped", [False, True])
+def test_vertex_sums_equal_add_at(bumpy, dropped):
+    # Areas sum triangle by triangle, normals corner 0 of every triangle
+    # first, then corner 1, then corner 2; both bit for bit.
+    mesh = bumpy
+    if dropped:  # the triangles around vertex 0 go, and vertex 0 with them
+        mesh = TriangleMesh(bumpy.vertices,
+                            bumpy.triangles[(bumpy.triangles != 0).all(axis=1)])
+        assert mesh.n_vertices == bumpy.n_vertices - 1
+    assert mesh.vertex_areas().tobytes() == _vertex_areas_add_at(mesh).tobytes()
+    assert mesh.vertex_normals().tobytes() == \
+        _vertex_normals_add_at(mesh).tobytes()
 
 
 def test_corner_vertex_area():
@@ -352,6 +428,15 @@ def test_degenerate_triangle_rejected():
         TriangleMesh(v, [[0, 1, 2]])
 
 
+@pytest.mark.parametrize("vertices, triangles, message", [
+    (np.zeros((3, 2)), [[0, 1, 2]], "vertices must have shape (n, 3)"),
+    (np.eye(4, 3), [[0, 1, 2, 3]], "triangles must have shape (m, 3)"),
+], ids=["planar_vertices", "quad"])
+def test_arrays_of_the_wrong_form_rejected(vertices, triangles, message):
+    with pytest.raises(MeshError, match=re.escape(message)):
+        TriangleMesh(vertices, triangles)
+
+
 @pytest.mark.parametrize("exponent", [-600, -517, -269, -255, 0, 500])
 def test_degeneracy_does_not_depend_on_scale(square_grid, exponent):
     # Scaled by a power of two, a mesh keeps its areas, scaled exactly or
@@ -364,6 +449,10 @@ def test_degeneracy_does_not_depend_on_scale(square_grid, exponent):
                       exponent)
     with pytest.raises(MeshError, match="degenerate triangle 0"):
         TriangleMesh(sliver, [[0, 1, 2]])
+    # Three coincident vertices have no extent at any scale.
+    with pytest.raises(MeshError, match=re.escape(
+            "degenerate triangle 0 (area 0.000e+00)")):
+        TriangleMesh(np.ldexp(np.ones((3, 3)), exponent), [[0, 1, 2]])
 
 
 def test_repeated_index_rejected():
@@ -388,6 +477,20 @@ def test_unreferenced_vertices_dropped():
     mesh = TriangleMesh(v, [[0, 2, 3]])
     assert mesh.n_vertices == 3
     assert list(mesh.kept_vertices) == [0, 2, 3]
+
+
+@pytest.mark.parametrize("triangles", [[[0, 1, 2], [0, 2, 3]], [[0, 2, 3]]],
+                         ids=["all_kept", "one_dropped"])
+def test_caller_arrays_stay_writeable_and_unchanged(triangles):
+    v = np.array([[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]], dtype=float)
+    t = np.array(triangles, dtype=np.int64)
+    v0, t0 = v.copy(), t.copy()
+    mesh = TriangleMesh(v, t)
+    assert v.flags.writeable and t.flags.writeable
+    assert v.tobytes() == v0.tobytes() and t.tobytes() == t0.tobytes()
+    v[0] = 7.0
+    assert mesh.vertices[0].tolist() == [0.0, 0.0, 0.0]
+    assert not mesh.vertices.flags.writeable
 
 
 def test_load_missing_file(tmp_path):
@@ -429,7 +532,7 @@ def test_edge_table_of_oriented_triangles(square_grid):
     assert not np.array_equal(edge_table(t)[2],
                               edge_table(flipped.triangles)[2])
     for mesh in (square_grid, flipped):
-        for got, want in zip(mesh._edge_data(), edge_table(mesh.triangles)):
+        for got, want in zip(mesh._edge_data, edge_table(mesh.triangles)):
             assert np.array_equal(got, want)
 
 

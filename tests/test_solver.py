@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -229,6 +231,19 @@ def test_initial_mask_blocks_match_unblocked(rng):
     dist = np.sqrt(np.maximum(2.0 - 2.0 * best, 0.0))
     ref = 1.0 - (dist - dist.min()) / (dist.max() - dist.min())
     assert np.abs(initial_mask(prob) - ref).max() <= 1e-12
+
+
+def test_initial_mask_is_one_where_descriptors_tell_no_vertex_apart():
+    # Every full-shape descriptor is equally far from the part's.
+    mesh = grid_mesh(4)
+    q = 6
+    G = np.tile(np.eye(q)[0], (mesh.n_vertices, 1))
+    basis = mesh_basis(mesh, 5)
+    prob = MatchProblem(A=np.zeros((5, q)), Psi=basis.eigenvectors,
+                        mass=basis.mass, G=G, mesh_full=mesh, area_part=0.5,
+                        W=np.zeros((5, 5)), d=np.ones(5), F=np.eye(q)[1:4],
+                        dim=q)
+    assert initial_mask(prob).tobytes() == np.ones(mesh.n_vertices).tobytes()
 
 
 def test_c_step_decreases(small_pair, rng):
@@ -635,6 +650,19 @@ def test_alternate_pi_inverts_the_part_to_full_map(small_pair):
     sigma = nearest_columns(small_pair["phi"] @ result.C.T, prob.Psi)
     assert result.sigma.tobytes() == sigma.tobytes()
     assert np.array_equal(result.pi, invert_assignment(result.sigma, n_full))
+
+
+def test_alternate_stops_when_the_total_stops_falling(small_pair,
+                                                     monkeypatch):
+    # A flat total ends the loop at the second outer iteration, the first
+    # with a total before it, long before max_outer.
+    prob, params = small_pair["prob"], small_pair["params"]
+    real = solver.total_energy
+    monkeypatch.setattr(solver, "total_energy", lambda *args:
+                        dataclasses.replace(real(*args), total=1.0))
+    opts = SolverOptions(max_outer=5, cg_max_iter=10)
+    result = alternate(prob, params, small_pair["phi"], opts)
+    assert [b.total for b in result.energy_trace] == [1.0, 1.0]
 
 
 def test_alternate_deterministic(small_pair):
