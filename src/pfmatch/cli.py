@@ -8,6 +8,8 @@ file values.  ``--jobs N`` runs N jobs of a ``--pairs`` batch at a time.
 import argparse
 import concurrent.futures
 import dataclasses
+import functools
+import multiprocessing
 import os
 import sys
 
@@ -29,6 +31,8 @@ class UsageError(Exception):
 _USAGE_ERRORS = (UsageError, MeshError, OSError, ValueError)
 _NUMERICAL_ERRORS = (EigensolveError, FloatingPointError,
                      np.linalg.LinAlgError)
+# Set to 1 in the environment of a batch's worker processes.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 def _report(exc, where=""):
@@ -146,22 +150,46 @@ def _read_pairs(path):
     return jobs
 
 
+def _batch_job(args, job):
+    """Run one job of a --pairs batch; returns its exit code, or the error
+    that ended it."""
+    lineno, part, full, out = job
+    sub = argparse.Namespace(**vars(args))
+    sub.part, sub.full, sub.out = part, full, out
+    try:
+        return run_match(sub)
+    except _USAGE_ERRORS + _NUMERICAL_ERRORS as exc:
+        return exc
+
+
 def run_match_batch(args):
     """Run every job of the manifest; a failed job prints one line naming
-    its manifest line.  Returns the largest exit code of the jobs."""
+    its manifest line.  Returns the largest exit code of the jobs.
+
+    With more than one worker, the jobs run in spawned processes whose
+    BLAS is pinned to one thread, set in the environment they start with,
+    so that N jobs use N cores."""
     jobs = _read_pairs(args.pairs)
-
-    def one(job):
-        lineno, part, full, out = job
-        sub = argparse.Namespace(**vars(args))
-        sub.part, sub.full, sub.out = part, full, out
+    run = functools.partial(_batch_job, args)
+    workers = min(args.jobs, len(jobs))
+    if workers <= 1:
+        outcomes = list(map(run, jobs))
+    else:
+        saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARS}
+        os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
         try:
-            return run_match(sub)
-        except _USAGE_ERRORS + _NUMERICAL_ERRORS as exc:
-            return _report(exc, f"{args.pairs}:{lineno}: ")
-
-    with concurrent.futures.ThreadPoolExecutor(max_workers=args.jobs) as ex:
-        codes = list(ex.map(one, jobs))
+            with concurrent.futures.ProcessPoolExecutor(
+                    workers, multiprocessing.get_context("spawn")) as ex:
+                outcomes = list(ex.map(run, jobs))
+        finally:
+            for name, value in saved.items():
+                if value is None:
+                    os.environ.pop(name, None)
+                else:
+                    os.environ[name] = value
+    codes = [out if isinstance(out, int)
+             else _report(out, f"{args.pairs}:{job[0]}: ")
+             for job, out in zip(jobs, outcomes)]
     return max(codes, default=0)
 
 

@@ -88,7 +88,10 @@ class MatchProblem:
         self._bins = ((slice(0, nd), slice(nd, None)) if dense[:nd].all()
                       else (np.flatnonzero(dense), np.flatnonzero(~dense)))
         self._G_dense = self.G[:, self._bins[0]]
-        self._G_tail = csr_matrix(self.G[:, self._bins[1]])
+        tail = self.G[:, self._bins[1]]
+        rows, cols = np.nonzero(tail != 0)
+        self._G_tail = csr_matrix((tail[rows, cols], cols, np.searchsorted(
+            rows, np.arange(len(tail) + 1))), shape=tail.shape)
         self._G_tail_T = self._G_tail.T.tocsr()
 
 

@@ -217,6 +217,10 @@ class TriangleMesh:
         if thresh == 0 or np.any(scaled < thresh):
             bad = int(np.argmin(scaled))
             raise MeshError(f"degenerate triangle {bad} (area {areas[bad]:.3e})")
+        if not areas.all():
+            bad = int(np.argmin(areas))
+            raise MeshError(f"triangle {bad} has area 0: the areas underflow "
+                            f"at this scale (extent {ext.max():.3e})")
         self._tri_areas = areas
         edges, counts, _ = self._edge_data
         if counts.max() > 2:

@@ -35,9 +35,15 @@ _MAX_GROW = 10.0  # largest growth of the trial step while extrapolating
 
 _OUTER_REL_TOL = 1e-4  # smallest relative energy fall that continues alternate
 
-# Rows per block of an n x n_part score matrix, in initial_mask and in
-# nearest_columns (float32: 1.8 MB at 1800 points).
+# Rows per block of nearest_columns' float32 score matrix (1.8 MB at 1800
+# points).
 _NN_BLOCK = 256
+# Rows per block of initial_mask's float64 G F^T, apart from _NN_BLOCK
+# because the mask's rounding depends on it.
+_MASK_BLOCK = 256
+# refine fits its rounds on a farthest-point sample of this many part
+# vertices per eigenfunction (see refine).
+_REFINE_SAMPLE_PER_K = 16
 _NN_MAX_K = (3 * 2 ** 21 - 9) // 5  # largest k with (5k + 9) 2^-24 <= 3/8
 
 
@@ -363,29 +369,60 @@ def _procrustes(M):
     return C
 
 
+def _spectral_sample(Phi, m):
+    """Farthest-point sample of m rows of Phi, in increasing order.
+
+    The first row is the one farthest from the mean of the rows; each next
+    row is the one farthest from the rows already taken, ties going to the
+    smallest index.  Distances in the spectral embedding do not depend on
+    the mesh's placement, on the signs of the eigenvectors or, up to exact
+    ties, on the vertex numbering.
+    """
+    Phi = np.ascontiguousarray(Phi, dtype=np.float64)
+    sq = np.einsum("ij,ij->i", Phi, Phi)
+    # |x - mean|^2 less |mean|^2, which is the same for every row
+    j = int(np.argmax(sq - 2.0 * (Phi @ Phi.mean(axis=0))))
+    gap = np.full(len(Phi), np.inf)
+    picked = np.empty(m, dtype=np.intp)
+    for i in range(m):
+        picked[i] = j
+        np.minimum(gap, sq + sq[j] - 2.0 * (Phi @ Phi[j]), out=gap)
+        gap[j] = -np.inf  # never taken twice, even among equal rows
+        j = int(np.argmax(gap))
+    return np.sort(picked)
+
+
 def refine(C, Phi, Psi, d, opts=SolverOptions()):
     """ICP alignment of the spectral embeddings (Ovsjanikov et al. 2012).
 
-    Each round maps every partial-shape image point (row of Phi C^T) to its
-    nearest full-shape point (row of Psi), sigma, then sets C to the exact
-    minimiser of |Phi C^T - Psi[sigma]|^2 over C^T C = diag(d), with r ones
-    in d: _procrustes(Psi[sigma]^T Phi[:, :r]).  C starts on that set, at
-    _procrustes(C[:, :r]), so the residuals never increase.  Stops once
-    sigma repeats, a fixed point, or after ``refine_max_iter`` re-fits,
-    which one more search then follows.  Returns (C, sigma, residuals),
-    sigma mapping partial-shape to full-shape vertices; sigma is always
-    the nearest map of the returned C.
+    The rounds are fitted on S, the _spectral_sample of
+    min(n_part, _REFINE_SAMPLE_PER_K k) rows of Phi, k its column count.
+    Each round maps every sampled image point (row of Phi[S] C^T) to its
+    nearest full-shape point (row of Psi), sigma_S, then sets C to the exact
+    minimiser of |Phi[S] C^T - Psi[sigma_S]|^2 over C^T C = diag(d), with r
+    ones in d: _procrustes(Psi[sigma_S]^T Phi[S, :r]).  C starts on that
+    set, at _procrustes(C[:, :r]), so the residuals, taken over S, never
+    increase.  Stops once sigma_S repeats, a fixed point, or after
+    ``refine_max_iter`` re-fits, which one more search then follows.  When
+    S is not every row, one search of every row of Phi C^T follows the
+    rounds.  Returns (C, sigma, residuals), sigma mapping partial-shape to
+    full-shape vertices; sigma is always the nearest map of the returned C.
     """
     r = int(np.count_nonzero(d))
     C = _procrustes(C[:, :r])
+    m = _REFINE_SAMPLE_PER_K * Phi.shape[1]
+    sampled = len(Phi) > m
+    fit = Phi[_spectral_sample(Phi, m)] if sampled else Phi
     residuals, sigma = [], None
     for fits in range(opts.refine_max_iter + 1):
-        image = Phi @ C.T
+        image = fit @ C.T
         sigma_prev, sigma = sigma, nearest_columns(image, Psi)
         residuals.append(float(np.sum((image - Psi[sigma]) ** 2)))
         if fits == opts.refine_max_iter or np.array_equal(sigma, sigma_prev):
             break
-        C = _procrustes(Psi[sigma].T @ Phi[:, :r])
+        C = _procrustes(Psi[sigma].T @ fit[:, :r])
+    if sampled:
+        sigma = nearest_columns(Phi @ C.T, Psi)
     return C, sigma, residuals
 
 
@@ -402,8 +439,8 @@ def initial_mask(prob):
     # partial descriptor is the one of largest inner product, taken a block
     # of rows at a time so that the n x n_part matrix never exists whole.
     G, F = prob.G, prob.F
-    best = np.concatenate([np.max(G[i:i + _NN_BLOCK] @ F.T, axis=1)
-                           for i in range(0, len(G), _NN_BLOCK)])
+    best = np.concatenate([np.max(G[i:i + _MASK_BLOCK] @ F.T, axis=1)
+                           for i in range(0, len(G), _MASK_BLOCK)])
     dist = np.sqrt(np.maximum(2.0 - 2.0 * best, 0.0))
     lo, hi = dist.min(), dist.max()
     if hi - lo < 1e-12:

@@ -1,4 +1,5 @@
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -48,6 +49,21 @@ def triangle_off(tmp_path):
     path = tmp_path / "tri.off"
     path.write_text(TRIANGLE_OFF)
     return path
+
+
+@pytest.fixture
+def tiny_grid_off(tmp_path):
+    """An OFF file of grid_mesh(8) scaled by 2^-600, and that grid scaled
+    (a namespace, as no TriangleMesh of it exists)."""
+    grid = grid_mesh(8)
+    mesh = SimpleNamespace(vertices=np.ldexp(grid.vertices, -600),
+                           triangles=grid.triangles)
+    path = tmp_path / "tiny.off"
+    path.write_text("\n".join(
+        ["OFF", f"{len(mesh.vertices)} {len(mesh.triangles)} 0"]
+        + [" ".join(map(repr, row)) for row in mesh.vertices.tolist()]
+        + [f"3 {a} {b} {c}" for a, b, c in mesh.triangles.tolist()]) + "\n")
+    return path, mesh
 
 
 @pytest.fixture

@@ -240,6 +240,18 @@ def test_match_names_the_file_of_a_mesh_with_coincident_vertices(
         f"error: {path}: degenerate triangle 0 (area 0.000e+00)"]
 
 
+def test_match_names_the_file_of_a_mesh_whose_areas_underflow(
+        mesh_files, tiny_grid_off, tmp_path, capsys):
+    path, _ = tiny_grid_off
+    code = main(["match", "--part", str(path), "--full", mesh_files["full"],
+                 "--out", str(tmp_path / "out")] + MATCH_FLAGS)
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {path}: triangle 0 has area 0: the areas underflow at this "
+        "scale (extent 2.410e-181)"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_match_batch(mesh_files, tmp_path):
     manifest = tmp_path / "pairs.txt"
     manifest.write_text(
@@ -250,6 +262,27 @@ def test_match_batch(mesh_files, tmp_path):
     assert code == 0
     assert os.path.exists(tmp_path / "j1" / "C.bin")
     assert os.path.exists(tmp_path / "j2" / "C.bin")
+
+
+def test_match_batch_workers_leave_the_environment_alone(
+        mesh_files, tmp_path, monkeypatch):
+    # --jobs 2 runs in worker processes with BLAS pinned in their own
+    # environment; the outputs equal those of --jobs 1.
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    outputs = {}
+    for jobs in ("1", "2"):
+        manifest = tmp_path / f"pairs{jobs}.txt"
+        outs = [tmp_path / f"jobs{jobs}_{i}" for i in range(2)]
+        manifest.write_text("".join(
+            f"{mesh_files['part']} {mesh_files['full']} {out}\n"
+            for out in outs))
+        assert main(["match", "--pairs", str(manifest), "--jobs", jobs]
+                    + MATCH_FLAGS) == 0
+        outputs[jobs] = [(out / "C.bin").read_bytes() for out in outs]
+    assert outputs["2"] == outputs["1"]
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "3"
+    assert "OMP_NUM_THREADS" not in os.environ
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])

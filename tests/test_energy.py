@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 
 from pfmatch.bench import bumpy_sphere, grid_mesh
 from pfmatch.energy import (EnergyBreakdown, EnergyParams, MatchProblem,
@@ -207,6 +208,19 @@ def test_g_products_match_dense_products(rng, shares, n_dense):
                        rtol=1e-12, atol=1e-12 * np.abs(adjoint).max())
     # <forward(w), H> = <w, adjoint(H)>
     assert np.isclose(np.sum(forward * H), w @ adjoint, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("shares", [
+    np.linspace(0.02, 0.6, 25), np.full(10, 0.8), np.full(10, 0.05)],
+    ids=["both_kinds", "every_bin_dense", "every_bin_sparse"])
+def test_g_tail_is_the_csr_of_the_sparse_bins(rng, shares):
+    p = _sparse_g_problem(rng, shares)
+    ref = csr_matrix(p.G[:, ~dense_bins(p.G)])
+    assert p._G_tail.shape == ref.shape
+    for name in ("data", "indices", "indptr"):
+        got, want = getattr(p._G_tail, name), getattr(ref, name)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
 
 
 def test_replace_with_permuted_bins_rebuilds_the_split(rng):

@@ -440,11 +440,17 @@ def test_arrays_of_the_wrong_form_rejected(vertices, triangles, message):
 @pytest.mark.parametrize("exponent", [-600, -517, -269, -255, 0, 500])
 def test_degeneracy_does_not_depend_on_scale(square_grid, exponent):
     # Scaled by a power of two, a mesh keeps its areas, scaled exactly or
-    # rounded once where they underflow, and a sliver stays degenerate.
-    mesh = TriangleMesh(np.ldexp(square_grid.vertices, exponent),
-                        square_grid.triangles)
-    assert mesh.triangle_areas.tobytes() == np.ldexp(
-        square_grid.triangle_areas, 2 * exponent).tobytes()
+    # rounded once to subnormals, and is rejected where they round to 0
+    # (2^-600); a sliver stays degenerate.
+    vertices = np.ldexp(square_grid.vertices, exponent)
+    areas = np.ldexp(square_grid.triangle_areas, 2 * exponent)
+    assert areas.all() == (exponent > -600)
+    if areas.all():
+        mesh = TriangleMesh(vertices, square_grid.triangles)
+        assert mesh.triangle_areas.tobytes() == areas.tobytes()
+    else:
+        with pytest.raises(MeshError, match="areas underflow at this scale"):
+            TriangleMesh(vertices, square_grid.triangles)
     sliver = np.ldexp([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.5, 1e-13, 0.0]],
                       exponent)
     with pytest.raises(MeshError, match="degenerate triangle 0"):
@@ -453,6 +459,18 @@ def test_degeneracy_does_not_depend_on_scale(square_grid, exponent):
     with pytest.raises(MeshError, match=re.escape(
             "degenerate triangle 0 (area 0.000e+00)")):
         TriangleMesh(np.ldexp(np.ones((3, 3)), exponent), [[0, 1, 2]])
+
+
+def test_areas_that_underflow_are_rejected(tiny_grid_off):
+    # Coordinates near 2^-600 pass the scale-free degeneracy test, but
+    # their triangle areas round to 0.
+    path, mesh = tiny_grid_off
+    message = (r"triangle 0 has area 0: the areas underflow at this scale "
+               r"\(extent 2\.410e-181\)")
+    with pytest.raises(MeshError, match="^" + message):
+        TriangleMesh(mesh.vertices, mesh.triangles)
+    with pytest.raises(MeshError, match=f"^{re.escape(str(path))}: {message}"):
+        load_mesh(path)
 
 
 def test_repeated_index_rejected():

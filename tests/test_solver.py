@@ -7,16 +7,19 @@ from hypothesis import strategies as st
 
 import pfmatch.solver as solver
 from pfmatch.bench import grid_mesh
-from pfmatch.descriptors import DescriptorField, shot_descriptors
+from pfmatch.descriptors import (DescriptorField, default_radius,
+                                 shot_descriptors)
 from pfmatch.energy import (EnergyParams, MatchProblem, area_term, eta,
                             g_adjoint, g_forward, mumford_shah,
                             orthogonality_term, slant_term)
 from pfmatch.laplacian import mesh_basis
-from pfmatch.solver import (_NN_BLOCK, _NN_MAX_K, UNASSIGNED, MatchResult,
-                            SolverOptions, alternate, build_problem,
+from pfmatch.solver import (_NN_BLOCK, _NN_MAX_K, _REFINE_SAMPLE_PER_K,
+                            UNASSIGNED, MatchResult, SolverOptions,
+                            _spectral_sample, alternate, build_problem,
                             c_objective, c_step, initial_mask,
                             invert_assignment, nearest_columns, nonlinear_cg,
                             refine, v_objective, v_step)
+from pfmatch.spectral import build_d_vector
 
 
 @pytest.fixture(scope="module")
@@ -231,6 +234,23 @@ def test_initial_mask_blocks_match_unblocked(rng):
     dist = np.sqrt(np.maximum(2.0 - 2.0 * best, 0.0))
     ref = 1.0 - (dist - dist.min()) / (dist.max() - dist.min())
     assert np.abs(initial_mask(prob) - ref).max() <= 1e-12
+
+
+def test_initial_mask_does_not_depend_on_the_search_block(bumpy,
+                                                         monkeypatch):
+    # initial_mask's float64 GEMM rounds by its own row blocks, so the
+    # block size of nearest_columns does not move the mask.
+    part, _ = bumpy.submesh(np.flatnonzero(bumpy.vertices[:, 0] <= 0.2))
+    radius = default_radius(bumpy)
+    k = 20
+    prob, _ = build_problem(mesh_basis(part, k), mesh_basis(bumpy, k),
+                            shot_descriptors(part, radius),
+                            shot_descriptors(bumpy, radius), bumpy,
+                            part.total_area, EnergyParams(k=k))
+    assert len(prob.G) > 2 * _NN_BLOCK
+    mask = initial_mask(prob)
+    monkeypatch.setattr(solver, "_NN_BLOCK", 64)
+    assert initial_mask(prob).tobytes() == mask.tobytes()
 
 
 def test_initial_mask_is_one_where_descriptors_tell_no_vertex_apart():
@@ -586,6 +606,111 @@ def test_refine_residuals_decrease(small_pair):
     assert sigma.shape == (small_pair["part"].n_vertices,)
     assert sigma.min() >= 0
     assert sigma.max() < prob.Psi.shape[0]
+
+
+def _refine_every_row(C, Phi, Psi, d, opts):
+    """Reference: refine with every round fitted on every row of Phi."""
+    r = int(np.count_nonzero(d))
+    C = solver._procrustes(C[:, :r])
+    residuals, sigma = [], None
+    for fits in range(opts.refine_max_iter + 1):
+        image = Phi @ C.T
+        sigma_prev, sigma = sigma, nearest_columns(image, Psi)
+        residuals.append(float(np.sum((image - Psi[sigma]) ** 2)))
+        if fits == opts.refine_max_iter or np.array_equal(sigma, sigma_prev):
+            break
+        C = solver._procrustes(Psi[sigma].T @ Phi[:, :r])
+    return C, sigma, residuals
+
+
+@pytest.fixture(scope="module")
+def sampled_pair(bumpy):
+    """Eigenbases of a bumpy sphere and of a part with more than
+    _REFINE_SAMPLE_PER_K k vertices, at k = 8."""
+    k = 8
+    part, _ = bumpy.submesh(np.flatnonzero(bumpy.vertices[:, 0] <= 0.3))
+    phi = mesh_basis(part, k).eigenvectors
+    assert len(phi) > _REFINE_SAMPLE_PER_K * k
+    return phi, mesh_basis(bumpy, k).eigenvectors
+
+
+def test_refine_with_every_row_in_the_sample_is_the_full_loop(small_pair,
+                                                              rng):
+    # No sample is drawn while n_part <= _REFINE_SAMPLE_PER_K k, also at
+    # equality, and refine is the loop over every row, bit for bit.
+    prob, phi = small_pair["prob"], small_pair["phi"]
+    assert len(phi) <= _REFINE_SAMPLE_PER_K * phi.shape[1]
+    k = 3
+    n = _REFINE_SAMPLE_PER_K * k  # the largest part that is not sampled
+    cases = [(phi, prob.Psi, prob.d),
+             (rng.standard_normal((n, k)), rng.standard_normal((2 * n, k)),
+              build_d_vector(k, 2))]
+    for Phi, Psi, d in cases:
+        C0 = rng.standard_normal((len(d), len(d)))
+        for cap in (1, 3, 20):
+            opts = SolverOptions(refine_max_iter=cap)
+            got = refine(C0, Phi, Psi, d, opts)
+            ref = _refine_every_row(C0, Phi, Psi, d, opts)
+            assert got[0].tobytes() == ref[0].tobytes()
+            assert got[1].tobytes() == ref[1].tobytes()
+            assert got[2] == ref[2]
+
+
+@pytest.mark.parametrize("r", [3, 8])
+def test_sampled_refine_returns_the_nearest_map_of_its_c(sampled_pair, rng,
+                                                         monkeypatch, r):
+    # Above _REFINE_SAMPLE_PER_K k part vertices, every round searches the
+    # sample, then one search of every row gives sigma.
+    phi, psi = sampled_pair
+    k = phi.shape[1]
+    m = _REFINE_SAMPLE_PER_K * k
+    d = build_d_vector(k, r)
+    sizes = []
+    real = solver.nearest_columns
+
+    def recorded(queries, points):
+        sizes.append(len(queries))
+        return real(queries, points)
+
+    monkeypatch.setattr(solver, "nearest_columns", recorded)
+    C0 = np.eye(k) + 0.3 * rng.standard_normal((k, k))
+    C, sigma, residuals = refine(C0, phi, psi, d,
+                                 SolverOptions(refine_max_iter=20))
+    assert sizes == [m] * len(residuals) + [len(phi)]
+    assert len(residuals) > 2
+    assert np.array_equal(sigma, real(phi @ C.T, psi))
+    np.testing.assert_allclose(C.T @ C, np.diag(d), rtol=0, atol=1e-12)
+    assert all(later <= earlier * (1 + 1e-12)
+               for earlier, later in zip(residuals, residuals[1:]))
+
+
+def test_spectral_sample_is_farthest_first(rng):
+    # Three clusters: the first row taken is the one farthest from the mean,
+    # then one row of each other cluster before a second of any.
+    centres = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 30.0]])
+    Phi = np.repeat(centres, 4, axis=0) + 0.01 * rng.standard_normal((12, 2))
+    picked = _spectral_sample(Phi, 3)
+    assert sorted(picked // 4) == [0, 1, 2]
+    assert np.argmax(np.sum((Phi - Phi.mean(axis=0)) ** 2, axis=1)) in picked
+    # Equal rows are each taken once.
+    assert np.array_equal(_spectral_sample(np.zeros((5, 2)), 5),
+                          np.arange(5))
+
+
+def test_spectral_sample_ignores_signs_and_numbering(sampled_pair, rng):
+    phi, _ = sampled_pair
+    m = _REFINE_SAMPLE_PER_K * phi.shape[1]
+    picked = _spectral_sample(phi, m)
+    assert len(np.unique(picked)) == m
+    assert np.array_equal(picked, np.sort(picked))
+    for col in range(phi.shape[1]):
+        flipped = phi.copy()
+        flipped[:, col] *= -1.0
+        assert np.array_equal(_spectral_sample(flipped, m), picked)
+    for _ in range(3):
+        perm = rng.permutation(len(phi))
+        assert np.array_equal(np.sort(perm[_spectral_sample(phi[perm], m)]),
+                              picked)
 
 
 # -- map post-processing ---------------------------------------------------------
