@@ -71,11 +71,17 @@ def cotan_stiffness(mesh):
     t = mesh.triangles
     p = mesh.vertices[t]
     n = mesh.n_vertices
+    # The corner vectors are scaled by the power of two 2^-e that puts the
+    # mesh's largest extent in [1/2, 1), as TriangleMesh's validation does,
+    # so that the squares in the cross product's norm do not underflow on a
+    # tiny mesh.  The cotangent is a ratio: the exact scaling leaves it
+    # unchanged.
+    e = int(np.frexp(np.ptp(mesh.vertices, axis=0).max())[1])
     rows, cols, vals = [], [], []
     # Angle at corner c is opposite the edge (a, b).
     for c, a, b in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        u = p[:, a] - p[:, c]
-        w = p[:, b] - p[:, c]
+        u = np.ldexp(p[:, a] - p[:, c], -e)
+        w = np.ldexp(p[:, b] - p[:, c], -e)
         cot = np.einsum("ij,ij->i", u, w) / np.linalg.norm(np.cross(u, w), axis=1)
         rows.append(t[:, a]); cols.append(t[:, b]); vals.append(cot / 2.0)
         rows.append(t[:, b]); cols.append(t[:, a]); vals.append(cot / 2.0)

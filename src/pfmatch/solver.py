@@ -41,9 +41,10 @@ _NN_BLOCK = 256
 # Rows per block of initial_mask's float64 G F^T, apart from _NN_BLOCK
 # because the mask's rounding depends on it.
 _MASK_BLOCK = 256
-# refine fits its rounds on a farthest-point sample of this many part
-# vertices per eigenfunction (see refine).
-_REFINE_SAMPLE_PER_K = 16
+# initial_mask seeds the mask from, and refine fits its rounds on, a
+# farthest-point sample of this many part vertices per eigenfunction (see
+# _part_sample).
+_SAMPLE_PER_K = 16
 _NN_MAX_K = (3 * 2 ** 21 - 9) // 5  # largest k with (5k + 9) 2^-24 <= 3/8
 
 
@@ -392,17 +393,27 @@ def _spectral_sample(Phi, m):
     return np.sort(picked)
 
 
-def refine(C, Phi, Psi, d, opts=SolverOptions()):
+def _part_sample(Phi):
+    """The part rows S that seed initial_mask and fit refine's rounds.
+
+    S is the _spectral_sample of _SAMPLE_PER_K k rows of Phi, the part's
+    first k eigenvectors, when the part has more rows than that, and
+    slice(None), every row, otherwise.  Either indexes Phi and F alike.
+    """
+    m = _SAMPLE_PER_K * Phi.shape[1]
+    return _spectral_sample(Phi, m) if len(Phi) > m else slice(None)
+
+
+def refine(C, Phi, Psi, d, opts=SolverOptions(), sample=None):
     """ICP alignment of the spectral embeddings (Ovsjanikov et al. 2012).
 
-    The rounds are fitted on S, the _spectral_sample of
-    min(n_part, _REFINE_SAMPLE_PER_K k) rows of Phi, k its column count.
-    Each round maps every sampled image point (row of Phi[S] C^T) to its
-    nearest full-shape point (row of Psi), sigma_S, then sets C to the exact
-    minimiser of |Phi[S] C^T - Psi[sigma_S]|^2 over C^T C = diag(d), with r
-    ones in d: _procrustes(Psi[sigma_S]^T Phi[S, :r]).  C starts on that
-    set, at _procrustes(C[:, :r]), so the residuals, taken over S, never
-    increase.  Stops once sigma_S repeats, a fixed point, or after
+    The rounds are fitted on the rows S of Phi that ``sample`` gives,
+    _part_sample(Phi) when it is None.  Each round maps every sampled image
+    point (row of Phi[S] C^T) to its nearest full-shape point (row of Psi),
+    sigma_S, then sets C to the exact minimiser of
+    |Phi[S] C^T - Psi[sigma_S]|^2 over C^T C = diag(d), with r ones in d:
+    _procrustes(Psi[sigma_S]^T Phi[S, :r]).  C starts on that set, at
+    _procrustes(C[:, :r]), so the residuals, taken over S, never increase.  Stops once sigma_S repeats, a fixed point, or after
     ``refine_max_iter`` re-fits, which one more search then follows.  When
     S is not every row, one search of every row of Phi C^T follows the
     rounds.  Returns (C, sigma, residuals), sigma mapping partial-shape to
@@ -410,9 +421,7 @@ def refine(C, Phi, Psi, d, opts=SolverOptions()):
     """
     r = int(np.count_nonzero(d))
     C = _procrustes(C[:, :r])
-    m = _REFINE_SAMPLE_PER_K * Phi.shape[1]
-    sampled = len(Phi) > m
-    fit = Phi[_spectral_sample(Phi, m)] if sampled else Phi
+    fit = Phi[_part_sample(Phi) if sample is None else sample]
     residuals, sigma = [], None
     for fits in range(opts.refine_max_iter + 1):
         image = fit @ C.T
@@ -421,24 +430,25 @@ def refine(C, Phi, Psi, d, opts=SolverOptions()):
         if fits == opts.refine_max_iter or np.array_equal(sigma, sigma_prev):
             break
         C = _procrustes(Psi[sigma].T @ fit[:, :r])
-    if sampled:
+    if len(fit) < len(Phi):
         sigma = nearest_columns(Phi @ C.T, Psi)
     return C, sigma, residuals
 
 
-def initial_mask(prob):
+def initial_mask(prob, sample=slice(None)):
     """Descriptor-similarity seed for the soft part membership.
 
     Every constant mask is a stationary point of the boundary-length term
     (its integrand has a kink at zero gradient where the analytic gradient
     vanishes), so descent from a constant start never moves.  Seeding from
-    the per-vertex distance to the closest partial-shape descriptor gives a
-    non-constant, data-driven start instead.
+    the per-vertex distance to the closest partial-shape descriptor among
+    the part rows ``sample`` (every row by default) gives a non-constant,
+    data-driven start instead.
     """
     # Unit descriptors: squared distance is 2 - 2 <g, f>, so the nearest
     # partial descriptor is the one of largest inner product, taken a block
-    # of rows at a time so that the n x n_part matrix never exists whole.
-    G, F = prob.G, prob.F
+    # of rows at a time so that the n x n_sample matrix never exists whole.
+    G, F = prob.G, prob.F[sample]
     best = np.concatenate([np.max(G[i:i + _MASK_BLOCK] @ F.T, axis=1)
                            for i in range(0, len(G), _MASK_BLOCK)])
     dist = np.sqrt(np.maximum(2.0 - 2.0 * best, 0.0))
@@ -474,10 +484,14 @@ def alternate(prob, params, phi_part, opts=SolverOptions()):
     problem's.  Refine's objective has no descriptor data term, so its C is
     not fed back into the alternation.  The result holds sigma and ``pi``,
     sigma inverted: for each full-shape vertex, the smallest partial-shape
-    vertex that sigma sends there, or -1 where none does.
+    vertex that sigma sends there, or -1 where none does.  One _part_sample
+    of those columns seeds the mask and fits refine's rounds.
     """
+    k = prob.Psi.shape[1]
+    phi = phi_part[:, :k]
+    sample = _part_sample(phi)
     C = np.zeros_like(prob.W)
-    v = initial_mask(prob)
+    v = initial_mask(prob, sample)
     trace = []
     prev_total = np.inf
     for _ in range(opts.max_outer):
@@ -490,8 +504,7 @@ def alternate(prob, params, phi_part, opts=SolverOptions()):
             break
         prev_total = breakdown.total
 
-    k = prob.Psi.shape[1]
-    C, sigma, resids = refine(C, phi_part[:, :k], prob.Psi, prob.d, opts)
+    C, sigma, resids = refine(C, phi, prob.Psi, prob.d, opts, sample)
     pi = invert_assignment(sigma, len(prob.Psi))
     r = int(np.sum(prob.d))
     return MatchResult(C=C, v=v, pi=pi, sigma=sigma, energy_trace=trace,

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from pfmatch.bench import bumpy_sphere, grid_mesh, icosphere
@@ -27,6 +28,47 @@ def test_stiffness_right_isoceles_square():
     assert np.isclose(K[0, 2], 0.0)
     assert np.isclose(K[0, 1], -0.5)
     assert np.isclose(K[1, 2], -0.5)
+
+
+def _cotan_stiffness_unscaled(mesh):
+    """Reference: the cotangent formula on the unscaled corner vectors."""
+    t = mesh.triangles
+    p = mesh.vertices[t]
+    n = mesh.n_vertices
+    rows, cols, vals = [], [], []
+    for c, a, b in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        u = p[:, a] - p[:, c]
+        w = p[:, b] - p[:, c]
+        cot = np.einsum("ij,ij->i", u, w) / np.linalg.norm(np.cross(u, w), axis=1)
+        rows.append(t[:, a]); cols.append(t[:, b]); vals.append(cot / 2.0)
+        rows.append(t[:, b]); cols.append(t[:, a]); vals.append(cot / 2.0)
+    rows = np.concatenate(rows)
+    cols = np.concatenate(cols)
+    vals = np.concatenate(vals)
+    W = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    return (sp.diags(np.asarray(W.sum(axis=1)).ravel()) - W).tocsr()
+
+
+def test_stiffness_scaling_leaves_the_formula_bit_exact(bumpy):
+    # The corner vectors are scaled by a power of two before the products;
+    # on a mesh of ordinary size every cotangent keeps its bits.
+    K, ref = cotan_stiffness(bumpy), _cotan_stiffness_unscaled(bumpy)
+    assert K.data.tobytes() == ref.data.tobytes()
+    assert K.indices.tobytes() == ref.indices.tobytes()
+    assert K.indptr.tobytes() == ref.indptr.tobytes()
+
+
+@pytest.mark.parametrize("exponent", [-300, -400, -500])
+def test_tiny_meshes_have_a_spectrum(exponent):
+    # Below about 2^-266 the squares of the cross products underflow to 0,
+    # and the cotangents divide by zero (an error, as the suite turns
+    # warnings into errors), unless the corner vectors are scaled first.
+    # Eigenvalues scale as length^-2.
+    grid = grid_mesh(8)
+    ref = mesh_basis(grid, 6).eigenvalues
+    tiny = TriangleMesh(np.ldexp(grid.vertices, exponent), grid.triangles)
+    vals = np.ldexp(mesh_basis(tiny, 6).eigenvalues, 2 * exponent)
+    np.testing.assert_allclose(vals, ref, rtol=1e-9, atol=1e-9 * ref[-1])
 
 
 def test_stiffness_row_sums_zero(square_grid, sphere):

@@ -13,10 +13,10 @@ from pfmatch.energy import (EnergyParams, MatchProblem, area_term, eta,
                             g_adjoint, g_forward, mumford_shah,
                             orthogonality_term, slant_term)
 from pfmatch.laplacian import mesh_basis
-from pfmatch.solver import (_NN_BLOCK, _NN_MAX_K, _REFINE_SAMPLE_PER_K,
-                            UNASSIGNED, MatchResult, SolverOptions,
-                            _spectral_sample, alternate, build_problem,
-                            c_objective, c_step, initial_mask,
+from pfmatch.solver import (_MASK_BLOCK, _NN_BLOCK, _NN_MAX_K,
+                            _SAMPLE_PER_K, UNASSIGNED, MatchResult,
+                            SolverOptions, _spectral_sample, alternate,
+                            build_problem, c_objective, c_step, initial_mask,
                             invert_assignment, nearest_columns, nonlinear_cg,
                             refine, v_objective, v_step)
 from pfmatch.spectral import build_d_vector
@@ -216,7 +216,7 @@ def test_build_problem_rejects_all_zero_descriptors(small_pair, shape):
 
 def test_initial_mask_blocks_match_unblocked(rng):
     # Unit descriptors with all-zero columns and all-zero rows, over more
-    # rows than one block.
+    # rows than one block, seeded from every part row or from some.
     mesh = grid_mesh(24)
     n, q = mesh.n_vertices, 30
     assert n > 2 * _NN_BLOCK
@@ -230,10 +230,11 @@ def test_initial_mask_blocks_match_unblocked(rng):
     prob = MatchProblem(A=np.zeros((5, q)), Psi=basis.eigenvectors,
                         mass=basis.mass, G=G, mesh_full=mesh, area_part=0.5,
                         W=np.zeros((5, 5)), d=np.ones(5), F=F, dim=q)
-    best = np.max(G @ F.T, axis=1)
-    dist = np.sqrt(np.maximum(2.0 - 2.0 * best, 0.0))
-    ref = 1.0 - (dist - dist.min()) / (dist.max() - dist.min())
-    assert np.abs(initial_mask(prob) - ref).max() <= 1e-12
+    for sample in (slice(None), np.arange(3, 70, 4), np.array([5])):
+        best = np.max(G @ F[sample].T, axis=1)
+        dist = np.sqrt(np.maximum(2.0 - 2.0 * best, 0.0))
+        ref = 1.0 - (dist - dist.min()) / (dist.max() - dist.min())
+        assert np.abs(initial_mask(prob, sample) - ref).max() <= 1e-12
 
 
 def test_initial_mask_does_not_depend_on_the_search_block(bumpy,
@@ -623,25 +624,44 @@ def _refine_every_row(C, Phi, Psi, d, opts):
     return C, sigma, residuals
 
 
-@pytest.fixture(scope="module")
-def sampled_pair(bumpy):
-    """Eigenbases of a bumpy sphere and of a part with more than
-    _REFINE_SAMPLE_PER_K k vertices, at k = 8."""
-    k = 8
+def _bumpy_problem(bumpy, k):
+    """(problem, params, part eigenvectors) of a part of a bumpy sphere,
+    the vertices with x <= 0.3, matched into the whole at k."""
     part, _ = bumpy.submesh(np.flatnonzero(bumpy.vertices[:, 0] <= 0.3))
-    phi = mesh_basis(part, k).eigenvectors
-    assert len(phi) > _REFINE_SAMPLE_PER_K * k
-    return phi, mesh_basis(bumpy, k).eigenvectors
+    radius = default_radius(bumpy)
+    basis_part = mesh_basis(part, k)
+    params = EnergyParams(k=k)
+    prob, _ = build_problem(basis_part, mesh_basis(bumpy, k),
+                            shot_descriptors(part, radius),
+                            shot_descriptors(bumpy, radius), bumpy,
+                            part.total_area, params)
+    return prob, params, basis_part.eigenvectors
+
+
+@pytest.fixture(scope="module")
+def sampled_problem(bumpy):
+    """A match problem whose part has more than _SAMPLE_PER_K k vertices,
+    at k = 8."""
+    prob, params, phi = _bumpy_problem(bumpy, 8)
+    assert len(phi) > _SAMPLE_PER_K * 8
+    return prob, params, phi
+
+
+@pytest.fixture(scope="module")
+def sampled_pair(sampled_problem):
+    """Eigenbases of that part and of the bumpy sphere."""
+    prob, _, phi = sampled_problem
+    return phi, prob.Psi
 
 
 def test_refine_with_every_row_in_the_sample_is_the_full_loop(small_pair,
                                                               rng):
-    # No sample is drawn while n_part <= _REFINE_SAMPLE_PER_K k, also at
+    # No sample is drawn while n_part <= _SAMPLE_PER_K k, also at
     # equality, and refine is the loop over every row, bit for bit.
     prob, phi = small_pair["prob"], small_pair["phi"]
-    assert len(phi) <= _REFINE_SAMPLE_PER_K * phi.shape[1]
+    assert len(phi) <= _SAMPLE_PER_K * phi.shape[1]
     k = 3
-    n = _REFINE_SAMPLE_PER_K * k  # the largest part that is not sampled
+    n = _SAMPLE_PER_K * k  # the largest part that is not sampled
     cases = [(phi, prob.Psi, prob.d),
              (rng.standard_normal((n, k)), rng.standard_normal((2 * n, k)),
               build_d_vector(k, 2))]
@@ -659,11 +679,11 @@ def test_refine_with_every_row_in_the_sample_is_the_full_loop(small_pair,
 @pytest.mark.parametrize("r", [3, 8])
 def test_sampled_refine_returns_the_nearest_map_of_its_c(sampled_pair, rng,
                                                          monkeypatch, r):
-    # Above _REFINE_SAMPLE_PER_K k part vertices, every round searches the
+    # Above _SAMPLE_PER_K k part vertices, every round searches the
     # sample, then one search of every row gives sigma.
     phi, psi = sampled_pair
     k = phi.shape[1]
-    m = _REFINE_SAMPLE_PER_K * k
+    m = _SAMPLE_PER_K * k
     d = build_d_vector(k, r)
     sizes = []
     real = solver.nearest_columns
@@ -699,7 +719,7 @@ def test_spectral_sample_is_farthest_first(rng):
 
 def test_spectral_sample_ignores_signs_and_numbering(sampled_pair, rng):
     phi, _ = sampled_pair
-    m = _REFINE_SAMPLE_PER_K * phi.shape[1]
+    m = _SAMPLE_PER_K * phi.shape[1]
     picked = _spectral_sample(phi, m)
     assert len(np.unique(picked)) == m
     assert np.array_equal(picked, np.sort(picked))
@@ -966,3 +986,83 @@ def test_alternate_matches_safeguarded_reference(small_pair, monkeypatch,
     assert got.energy_trace == ref.energy_trace
     assert got.refine_residuals == ref.refine_residuals
     assert got.rank_estimate == ref.rank_estimate
+
+
+@pytest.mark.parametrize("sampled", [False, True])
+def test_alternate_draws_one_sample_for_mask_and_refine(
+        small_pair, sampled_problem, monkeypatch, sampled):
+    # Above _SAMPLE_PER_K k part vertices, alternate draws the sample once,
+    # seeds the mask from its rows and fits refine's rounds on them; at or
+    # below, it draws none.
+    if sampled:
+        prob, params, phi = sampled_problem
+    else:
+        prob, params, phi = (small_pair["prob"], small_pair["params"],
+                             small_pair["phi"])
+    k = prob.A.shape[0]
+    assert (len(phi) > _SAMPLE_PER_K * k) == sampled
+    drawn, masks, refines = [], [], []
+    real_sample, real_mask, real_refine = (solver._spectral_sample,
+                                           solver.initial_mask, solver.refine)
+
+    def counted_sample(Phi, m):
+        drawn.append(real_sample(Phi, m))
+        return drawn[-1]
+
+    def counted_mask(prob, sample=slice(None)):
+        masks.append(sample)
+        return real_mask(prob, sample)
+
+    def counted_refine(*args):
+        refines.append(args[5])
+        return real_refine(*args)
+
+    monkeypatch.setattr(solver, "_spectral_sample", counted_sample)
+    monkeypatch.setattr(solver, "initial_mask", counted_mask)
+    monkeypatch.setattr(solver, "refine", counted_refine)
+    opts = SolverOptions(max_outer=2, cg_max_iter=30, refine_max_iter=6)
+    alternate(prob, params, phi, opts)
+    assert len(drawn) == int(sampled)
+    assert len(masks) == len(refines) == 1
+    assert masks[0] is refines[0]
+    if sampled:
+        assert masks[0] is drawn[0] and len(drawn[0]) == _SAMPLE_PER_K * k
+    else:
+        assert masks[0] == slice(None)
+
+
+def _initial_mask_every_row(prob):
+    """Reference: initial_mask seeded from every part descriptor, blocked
+    by _MASK_BLOCK rows."""
+    G, F = prob.G, prob.F
+    best = np.concatenate([np.max(G[i:i + _MASK_BLOCK] @ F.T, axis=1)
+                           for i in range(0, len(G), _MASK_BLOCK)])
+    dist = np.sqrt(np.maximum(2.0 - 2.0 * best, 0.0))
+    lo, hi = dist.min(), dist.max()
+    if hi - lo < 1e-12:
+        return np.ones(prob.Psi.shape[0])
+    return 1.0 - (dist - lo) / (hi - lo)
+
+
+def test_alternate_with_every_row_in_the_sample_is_unchanged(bumpy,
+                                                             monkeypatch):
+    # At or below _SAMPLE_PER_K k part vertices, alternate is, bit for bit,
+    # the scheme with the mask seeded from every part descriptor and refine
+    # fitted on every row.  The full shape spans more than one mask block.
+    k = 30
+    prob, params, phi = _bumpy_problem(bumpy, k)
+    assert len(phi) <= _SAMPLE_PER_K * k and len(prob.G) > _MASK_BLOCK
+    opts = SolverOptions(max_outer=2, cg_max_iter=30, refine_max_iter=6)
+    got = alternate(prob, params, phi, opts)
+    monkeypatch.setattr(solver, "initial_mask",
+                        lambda prob, sample: _initial_mask_every_row(prob))
+    monkeypatch.setattr(solver, "refine",
+                        lambda C, Phi, Psi, d, opts, sample:
+                        _refine_every_row(C, Phi, Psi, d, opts))
+    ref = alternate(prob, params, phi, opts)
+    assert got.C.tobytes() == ref.C.tobytes()
+    assert got.v.tobytes() == ref.v.tobytes()
+    assert got.sigma.tobytes() == ref.sigma.tobytes()
+    assert got.pi.tobytes() == ref.pi.tobytes()
+    assert got.energy_trace == ref.energy_trace
+    assert got.refine_residuals == ref.refine_residuals
