@@ -22,13 +22,10 @@ GEODESIC_LIMIT = 0.15
 
 @dataclass(frozen=True)
 class GroundTruth:
-    """Maps each partial-shape vertex to its originating full-shape vertex."""
+    """Maps each partial-shape vertex to its originating full-shape vertex.
+    Several part vertices may share one, as on a part meshed finer than
+    its model."""
     correspondence: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.correspondence)
-        if len(np.unique(c)) != len(c):
-            raise ValueError("ground-truth correspondence must be injective")
 
 
 # -- synthetic shapes ---------------------------------------------------------

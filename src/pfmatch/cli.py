@@ -262,8 +262,7 @@ def _spectrum_past(K, mass, value, m):
     pair = laplacian.LaplacianPair(K, mass)
     while True:
         m = min(m, pair.n - 1)
-        # eigensolve orders near-ties by eigenvector; sort them by value
-        lam = np.sort(laplacian.eigensolve(pair, m).eigenvalues)
+        lam = laplacian.eigensolve(pair, m).eigenvalues
         if lam[-1] > value or m == pair.n - 1:
             return lam
         m *= 2

@@ -23,8 +23,9 @@ RITZ_TOL = 1e-12  # ARPACK's default 0 (machine precision) costs a restart
 
 
 class EigensolveError(RuntimeError):
-    """Eigensolver failed: ARPACK did not converge within its iteration cap,
-    or the shifted stiffness could not be factored."""
+    """Eigensolver failed: ARPACK did not converge within its iteration cap
+    or stopped with an error, or the shifted stiffness could not be
+    factored."""
 
 
 @dataclass(frozen=True)
@@ -96,45 +97,19 @@ def laplacian_pair(mesh):
     return LaplacianPair(cotan_stiffness(mesh), mesh.vertex_areas())
 
 
-def _leading_entries(vecs):
-    """Row and value of the first significant entry of each column: the
-    first above 1e-6 times the column's largest magnitude (row 0 for a zero
-    column)."""
-    mag = np.abs(vecs)
-    rows = np.argmax(mag > 1e-6 * mag.max(axis=0), axis=0)
-    return rows, vecs[rows, np.arange(vecs.shape[1])]
-
-
 def _fix_signs(vecs):
-    """Flip each column so its first significant entry is positive.
+    """Flip each column so its first significant entry is positive: the
+    first above 1e-6 times the column's largest magnitude (row 0 for a zero
+    column).
 
     Using the first entry above a relative threshold (rather than the entry
     of largest magnitude) keeps the convention stable for antisymmetric
     modes, where the maximum magnitude is attained at several entries with
     opposite signs and floating-point noise would pick among them.
     """
-    return np.where(_leading_entries(vecs)[1] < 0, -vecs, vecs)
-
-
-def _order_ties(vals, vecs, rel_tol=1e-9):
-    """Deterministic ordering inside near-degenerate eigenvalue groups.
-
-    Groups of eigenvalues within relative ``rel_tol`` are reordered by the
-    row of the first significant entry of their sign-fixed eigenvectors,
-    then by the negated value of that entry.
-    """
-    order = np.arange(len(vals))
-    scale = max(abs(vals[-1]), 1e-300)
-    i = 0
-    while i < len(vals):
-        j = i + 1
-        while j < len(vals) and abs(vals[j] - vals[i]) <= rel_tol * scale:
-            j += 1
-        if j - i > 1:
-            rows, lead = _leading_entries(vecs[:, i:j])
-            order[i:j] = order[i:j][np.lexsort((-lead, rows))]
-        i = j
-    return vals[order], vecs[:, order]
+    mag = np.abs(vecs)
+    rows = np.argmax(mag > 1e-6 * mag.max(axis=0), axis=0)
+    return np.where(vecs[rows, np.arange(vecs.shape[1])] < 0, -vecs, vecs)
 
 
 def _shifted_band_factor(A):
@@ -194,13 +169,14 @@ def eigensolve(pair, k):
                              OPinv=OPinv, tol=RITZ_TOL)
     except spla.ArpackNoConvergence as exc:
         raise EigensolveError(f"ARPACK failed to converge: {exc}") from exc
+    except spla.ArpackError as exc:
+        raise EigensolveError(f"ARPACK failed: {exc}") from exc
     order = np.argsort(vals)
     vals = vals[order]
     vecs = y[np.ix_(rank, order)] * r[:, None]
 
     vals = np.maximum(vals, 0.0) if vals[0] > -1e-8 * max(vals[-1], 1) else vals
     vecs = _fix_signs(vecs)
-    vals, vecs = _order_ties(vals, vecs)
     # Lanczos vectors are S-orthonormal only to rounding: re-normalize.
     nrm = np.sqrt(np.einsum("ij,i,ij->j", vecs, s, vecs))
     vecs = vecs / nrm

@@ -404,24 +404,25 @@ def _part_sample(Phi):
     return _spectral_sample(Phi, m) if len(Phi) > m else slice(None)
 
 
-def refine(C, Phi, Psi, d, opts=SolverOptions(), sample=None):
+def refine(C, Phi, Psi, d, sample, opts=SolverOptions()):
     """ICP alignment of the spectral embeddings (Ovsjanikov et al. 2012).
 
-    The rounds are fitted on the rows S of Phi that ``sample`` gives,
-    _part_sample(Phi) when it is None.  Each round maps every sampled image
-    point (row of Phi[S] C^T) to its nearest full-shape point (row of Psi),
-    sigma_S, then sets C to the exact minimiser of
-    |Phi[S] C^T - Psi[sigma_S]|^2 over C^T C = diag(d), with r ones in d:
+    The rounds are fitted on the rows S of Phi that ``sample`` gives, such
+    as _part_sample(Phi).  Each round maps every sampled image point (row
+    of Phi[S] C^T) to its nearest full-shape point (row of Psi), sigma_S,
+    then sets C to the exact minimiser of |Phi[S] C^T - Psi[sigma_S]|^2
+    over C^T C = diag(d), with r ones in d:
     _procrustes(Psi[sigma_S]^T Phi[S, :r]).  C starts on that set, at
-    _procrustes(C[:, :r]), so the residuals, taken over S, never increase.  Stops once sigma_S repeats, a fixed point, or after
-    ``refine_max_iter`` re-fits, which one more search then follows.  When
-    S is not every row, one search of every row of Phi C^T follows the
-    rounds.  Returns (C, sigma, residuals), sigma mapping partial-shape to
-    full-shape vertices; sigma is always the nearest map of the returned C.
+    _procrustes(C[:, :r]), so the residuals, taken over S, never increase.
+    Stops once sigma_S repeats, a fixed point, or after ``refine_max_iter``
+    re-fits, which one more search then follows.  When S is not every row,
+    one search of every row of Phi C^T follows the rounds.  Returns (C,
+    sigma, residuals), sigma mapping partial-shape to full-shape vertices;
+    sigma is always the nearest map of the returned C.
     """
     r = int(np.count_nonzero(d))
     C = _procrustes(C[:, :r])
-    fit = Phi[_part_sample(Phi) if sample is None else sample]
+    fit = Phi[sample]
     residuals, sigma = [], None
     for fits in range(opts.refine_max_iter + 1):
         image = fit @ C.T
@@ -435,15 +436,15 @@ def refine(C, Phi, Psi, d, opts=SolverOptions(), sample=None):
     return C, sigma, residuals
 
 
-def initial_mask(prob, sample=slice(None)):
+def initial_mask(prob, sample):
     """Descriptor-similarity seed for the soft part membership.
 
     Every constant mask is a stationary point of the boundary-length term
     (its integrand has a kink at zero gradient where the analytic gradient
     vanishes), so descent from a constant start never moves.  Seeding from
     the per-vertex distance to the closest partial-shape descriptor among
-    the part rows ``sample`` (every row by default) gives a non-constant,
-    data-driven start instead.
+    the part rows ``sample`` gives a non-constant, data-driven start
+    instead.
     """
     # Unit descriptors: squared distance is 2 - 2 <g, f>, so the nearest
     # partial descriptor is the one of largest inner product, taken a block
@@ -504,7 +505,7 @@ def alternate(prob, params, phi_part, opts=SolverOptions()):
             break
         prev_total = breakdown.total
 
-    C, sigma, resids = refine(C, phi, prob.Psi, prob.d, opts, sample)
+    C, sigma, resids = refine(C, phi, prob.Psi, prob.d, sample, opts)
     pi = invert_assignment(sigma, len(prob.Psi))
     r = int(np.sum(prob.d))
     return MatchResult(C=C, v=v, pi=pi, sigma=sigma, energy_trace=trace,

@@ -83,11 +83,15 @@ def ground_truth_map(basis_part, basis_full, correspondence, k=None):
 
     ``correspondence[i]`` is the full-shape vertex of partial vertex i.  Each
     partial eigenfunction is injected (zero elsewhere) and projected:
-    C[j, i] = psi_j^T S_M (T phi_i).
+    C[j, i] = psi_j^T S_M (T phi_i).  The injection needs each full vertex
+    to receive at most one partial vertex.
     """
+    correspondence = np.asarray(correspondence)
+    if len(np.unique(correspondence)) != len(correspondence):
+        raise ValueError("ground_truth_map needs an injective correspondence")
     k = k or min(basis_part.k, basis_full.k)
     T_phi = np.zeros((basis_full.n, k))
-    T_phi[np.asarray(correspondence)] = basis_part.eigenvectors[:, :k]
+    T_phi[correspondence] = basis_part.eigenvectors[:, :k]
     return fourier_coeffs(basis_full.truncated(k), T_phi)
 
 

@@ -3,17 +3,11 @@ import warnings
 import numpy as np
 import pytest
 
-from pfmatch.bench import (GEODESIC_BLOCK, GEODESIC_LIMIT, GroundTruth, bumpy_sphere,
+from pfmatch.bench import (GEODESIC_BLOCK, GEODESIC_LIMIT, bumpy_sphere,
                            cumulative_curve, erode_holes, grid_mesh,
                            icosphere, plane_cut,
                            plane_offset_for_area, princeton_error,
                            load_ground_truth, save_ground_truth)
-
-
-def test_ground_truth_injective():
-    GroundTruth(np.array([3, 1, 0]))
-    with pytest.raises(ValueError):
-        GroundTruth(np.array([3, 1, 3]))
 
 
 def test_grid_mesh_counts():

@@ -393,6 +393,24 @@ def _write_rows(path, header, rows):
         csv.writer(fh).writerows([header] + rows)
 
 
+def test_eval_many_to_one_truth(mesh_files, tmp_path, capsys):
+    # Part vertices 2 f and 2 f + 1 both lie on full vertex f, as on a part
+    # meshed finer than its model.  pi gives each full vertex one of them.
+    m = load_mesh(mesh_files["sphere"]).n_vertices // 2
+    paths = {"gt": tmp_path / "gt.csv", "pi": tmp_path / "pi.csv"}
+    _write_rows(paths["gt"], ["part_vertex", "full_vertex"],
+                [[p, p // 2] for p in range(2 * m)])
+    _write_rows(paths["pi"], ["full_vertex", "part_vertex"],
+                [[f, 2 * f + f % 2] for f in range(m)])
+    curve_path = tmp_path / "curve.csv"
+    code = main(["eval", "--pi", str(paths["pi"]), "--gt", str(paths["gt"]),
+                 "--full", mesh_files["sphere"], "--out", str(curve_path)])
+    assert code == 0
+    assert capsys.readouterr().out == \
+        f"eval: {m}/{2 * m} assigned, mean error 0.00000\n"
+    assert float(read_rows(curve_path)[1][1]) == 1.0
+
+
 @pytest.mark.parametrize("name, row", [
     ("gt", "0,{full}"),            # part vertex 0 repeats
     ("gt", "-1,{full}"),           # negative part vertex
@@ -598,6 +616,23 @@ def test_match_eigensolve_failure_exit_1(mesh_files, tmp_path, monkeypatch,
                  str(tmp_path / "out")] + MATCH_FLAGS)
     assert code == 1
     assert "ARPACK failed to converge" in capsys.readouterr().err
+
+
+def test_match_eigenvalue_overflow_exit_1(tmp_path, capsys):
+    # At 2^-510 the grid's eigenvalues overflow float64 and ARPACK stops
+    # with an error other than non-convergence.
+    grid = grid_mesh(8)
+    path = tmp_path / "tiny.off"
+    path.write_text("\n".join(
+        ["OFF", f"{grid.n_vertices} {grid.n_triangles} 0"]
+        + [" ".join(map(repr, row))
+           for row in np.ldexp(grid.vertices, -510).tolist()]
+        + [f"3 {a} {b} {c}" for a, b, c in grid.triangles.tolist()]) + "\n")
+    code = main(["match", "--part", str(path), "--full", str(path),
+                 "--out", str(tmp_path / "out")] + MATCH_FLAGS)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and "ARPACK failed" in err
 
 
 def test_match_svd_failure_exit_1(mesh_files, tmp_path, monkeypatch, capsys):

@@ -249,9 +249,9 @@ def test_initial_mask_does_not_depend_on_the_search_block(bumpy,
                             shot_descriptors(bumpy, radius), bumpy,
                             part.total_area, EnergyParams(k=k))
     assert len(prob.G) > 2 * _NN_BLOCK
-    mask = initial_mask(prob)
+    mask = initial_mask(prob, slice(None))
     monkeypatch.setattr(solver, "_NN_BLOCK", 64)
-    assert initial_mask(prob).tobytes() == mask.tobytes()
+    assert initial_mask(prob, slice(None)).tobytes() == mask.tobytes()
 
 
 def test_initial_mask_is_one_where_descriptors_tell_no_vertex_apart():
@@ -264,7 +264,8 @@ def test_initial_mask_is_one_where_descriptors_tell_no_vertex_apart():
                         mass=basis.mass, G=G, mesh_full=mesh, area_part=0.5,
                         W=np.zeros((5, 5)), d=np.ones(5), F=np.eye(q)[1:4],
                         dim=q)
-    assert initial_mask(prob).tobytes() == np.ones(mesh.n_vertices).tobytes()
+    assert initial_mask(prob, slice(None)).tobytes() == \
+        np.ones(mesh.n_vertices).tobytes()
 
 
 def test_c_step_decreases(small_pair, rng):
@@ -337,7 +338,8 @@ def test_objectives_bit_equal_to_step_closures(small_pair, rng):
     # closures the steps used before, so the matches stay byte-identical.
     prob, params = small_pair["prob"], small_pair["params"]
     k, n = prob.A.shape[0], prob.Psi.shape[0]
-    masks = (initial_mask(prob), rng.standard_normal(n), np.full(n, -30.0))
+    masks = (initial_mask(prob, slice(None)), rng.standard_normal(n),
+             np.full(n, -30.0))
     maps = (np.zeros((k, k)), rng.standard_normal((k, k)))
     for v in masks:
         for C in maps:
@@ -528,8 +530,8 @@ def test_refine_recovers_permutation(rng):
     perm = rng.permutation(n)
     Psi = Phi[perm]
     d = np.ones(k)
-    C, sigma, residuals = refine(np.eye(k), Phi, Psi, d,
-                                 opts=SolverOptions(refine_max_iter=5))
+    C, sigma, residuals = refine(np.eye(k), Phi, Psi, d, slice(None),
+                                 SolverOptions(refine_max_iter=5))
     assert np.array_equal(sigma, np.argsort(perm))
     assert residuals[0] < 1e-20
 
@@ -553,7 +555,7 @@ def test_refine_fit_is_optimal(rng, monkeypatch):
         d = (np.arange(k) < r).astype(float)
         searches.clear()
         C, _, _ = refine(rng.standard_normal((k, k)), Phi, Psi, d,
-                         SolverOptions(refine_max_iter=1))
+                         slice(None), SolverOptions(refine_max_iter=1))
         np.testing.assert_allclose(C.T @ C, np.diag(d), rtol=0, atol=1e-12)
         Psi_a = Psi[searches[0]]
         fitted = np.sum((Phi @ C.T - Psi_a) ** 2)
@@ -571,7 +573,7 @@ def test_refine_stops_at_fixed_point(small_pair, rng):
     k = prob.A.shape[0]
     C0 = np.eye(k) + 0.3 * rng.standard_normal((k, k))
     phi = small_pair["phi"]
-    args = (C0, phi, prob.Psi, prob.d)
+    args = (C0, phi, prob.Psi, prob.d, slice(None))
     C, sigma, residuals = refine(*args, SolverOptions(refine_max_iter=50))
     rounds = len(residuals)
     assert 2 < rounds < 50
@@ -591,7 +593,7 @@ def test_refine_at_cap_returns_nearest_map_of_its_c(small_pair, rng):
     k = prob.A.shape[0]
     C0 = np.eye(k) + 0.3 * rng.standard_normal((k, k))
     phi = small_pair["phi"]
-    C, sigma, residuals = refine(C0, phi, prob.Psi, prob.d,
+    C, sigma, residuals = refine(C0, phi, prob.Psi, prob.d, slice(None),
                                  SolverOptions(refine_max_iter=1))
     assert len(residuals) == 2 and residuals[1] <= residuals[0]
     assert np.array_equal(nearest_columns(phi @ C.T, prob.Psi), sigma)
@@ -601,7 +603,8 @@ def test_refine_residuals_decrease(small_pair):
     prob = small_pair["prob"]
     k = prob.A.shape[0]
     C0 = prob.W + 0.5 * np.eye(k)
-    _, sigma, residuals = refine(C0, small_pair["phi"], prob.Psi, prob.d)
+    _, sigma, residuals = refine(C0, small_pair["phi"], prob.Psi, prob.d,
+                                 slice(None))
     assert all(residuals[i + 1] <= residuals[i] + 1e-9
                for i in range(len(residuals) - 1))
     assert sigma.shape == (small_pair["part"].n_vertices,)
@@ -669,7 +672,7 @@ def test_refine_with_every_row_in_the_sample_is_the_full_loop(small_pair,
         C0 = rng.standard_normal((len(d), len(d)))
         for cap in (1, 3, 20):
             opts = SolverOptions(refine_max_iter=cap)
-            got = refine(C0, Phi, Psi, d, opts)
+            got = refine(C0, Phi, Psi, d, solver._part_sample(Phi), opts)
             ref = _refine_every_row(C0, Phi, Psi, d, opts)
             assert got[0].tobytes() == ref[0].tobytes()
             assert got[1].tobytes() == ref[1].tobytes()
@@ -694,7 +697,7 @@ def test_sampled_refine_returns_the_nearest_map_of_its_c(sampled_pair, rng,
 
     monkeypatch.setattr(solver, "nearest_columns", recorded)
     C0 = np.eye(k) + 0.3 * rng.standard_normal((k, k))
-    C, sigma, residuals = refine(C0, phi, psi, d,
+    C, sigma, residuals = refine(C0, phi, psi, d, solver._part_sample(phi),
                                  SolverOptions(refine_max_iter=20))
     assert sizes == [m] * len(residuals) + [len(phi)]
     assert len(residuals) > 2
@@ -898,7 +901,7 @@ def test_steps_do_not_raise_total_energy(small_pair, outer_before):
         return solver.total_energy(C, v, prob, params).total
 
     C = np.zeros_like(prob.W)
-    v = initial_mask(prob)
+    v = initial_mask(prob, slice(None))
     for _ in range(outer_before):
         C, _ = c_step(prob, params, C, v, opts)
         v, _ = v_step(prob, params, C, v, opts)
@@ -918,14 +921,16 @@ def _alternate_reference(prob, params, phi_part, opts=SolverOptions()):
     and the list of safeguard decisions, True where the refined C was
     taken.  It looks up the solver's functions on the module, so a test
     that patches them patches both versions."""
+    sample = solver._part_sample(phi_part)
     C = np.zeros_like(prob.W)
-    v = initial_mask(prob)
+    v = initial_mask(prob, sample)
     trace = []
     accepted = []
     prev_total = np.inf
     for _ in range(opts.max_outer):
         C, _ = solver.c_step(prob, params, C, v, opts)
-        C_ref, _, _ = solver.refine(C, phi_part, prob.Psi, prob.d, opts)
+        C_ref, _, _ = solver.refine(C, phi_part, prob.Psi, prob.d, sample,
+                                    opts)
         e_ref = solver.total_energy(C_ref, v, prob, params)
         e_raw = solver.total_energy(C, v, prob, params)
         accepted.append(bool(e_ref.total <= e_raw.total))
@@ -940,7 +945,7 @@ def _alternate_reference(prob, params, phi_part, opts=SolverOptions()):
         prev_total = breakdown.total
 
     C_out, sigma, resids = solver.refine(C, phi_part, prob.Psi, prob.d,
-                                         opts)
+                                         sample, opts)
     pi = invert_assignment(sigma, len(prob.Psi))
     r = int(np.sum(prob.d))
     ref = MatchResult(C=C_out, v=v, pi=pi, sigma=sigma, energy_trace=trace,
@@ -1009,12 +1014,12 @@ def test_alternate_draws_one_sample_for_mask_and_refine(
         drawn.append(real_sample(Phi, m))
         return drawn[-1]
 
-    def counted_mask(prob, sample=slice(None)):
+    def counted_mask(prob, sample):
         masks.append(sample)
         return real_mask(prob, sample)
 
     def counted_refine(*args):
-        refines.append(args[5])
+        refines.append(args[4])
         return real_refine(*args)
 
     monkeypatch.setattr(solver, "_spectral_sample", counted_sample)
@@ -1057,7 +1062,7 @@ def test_alternate_with_every_row_in_the_sample_is_unchanged(bumpy,
     monkeypatch.setattr(solver, "initial_mask",
                         lambda prob, sample: _initial_mask_every_row(prob))
     monkeypatch.setattr(solver, "refine",
-                        lambda C, Phi, Psi, d, opts, sample:
+                        lambda C, Phi, Psi, d, sample, opts:
                         _refine_every_row(C, Phi, Psi, d, opts))
     ref = alternate(prob, params, phi, opts)
     assert got.C.tobytes() == ref.C.tobytes()

@@ -135,6 +135,16 @@ def test_ground_truth_identity(square_grid):
     assert np.allclose(C, np.eye(8), atol=1e-9)
 
 
+def test_ground_truth_map_needs_an_injective_correspondence(square_grid):
+    # Two part vertices on one full vertex would overwrite each other in
+    # the injected functions.
+    basis = mesh_basis(square_grid, 4)
+    part = SpectralBasis(basis.eigenvalues, basis.eigenvectors[:3],
+                         basis.mass[:3])
+    with pytest.raises(ValueError, match="injective"):
+        ground_truth_map(part, basis, np.array([3, 1, 3]))
+
+
 def test_ground_truth_transfers_coefficients(square_grid):
     # C maps the partial coefficients of a transferred function to the full
     # shape's coefficients of its zero-padded version.
