@@ -220,13 +220,13 @@ def princeton_error(assignment, gt, mesh_full):
 
 
 def cumulative_curve(errors, thresholds):
-    """Fraction of (finite) errors at or below each threshold."""
+    """Fraction of (finite) errors at or below each finite threshold."""
     errors = np.asarray(errors, dtype=np.float64)
-    errors = errors[np.isfinite(errors)]
+    errors = np.sort(errors[np.isfinite(errors)])
     thresholds = np.asarray(thresholds, dtype=np.float64)
     if len(errors) == 0:
         return np.zeros_like(thresholds)
-    return np.array([(errors <= t).mean() for t in thresholds])
+    return np.searchsorted(errors, thresholds, side="right") / len(errors)
 
 
 # -- persistence --------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 numerical failure, 2 usage or I/O error.
 Configuration files are flat ``key=value`` text; command-line flags override
-file values.  ``--jobs N`` runs N jobs of a ``--pairs`` batch at a time.
+file values.  A ``--pairs`` batch runs in spawned workers at one BLAS
+thread, ``--jobs N`` jobs at a time; a single ``match`` runs in-process.
 """
 
 import argparse
@@ -118,7 +119,7 @@ def run_match(args):
     matio.save_csv(os.path.join(args.out, "energy.csv"),
                    ["iteration", "data", "area", "mumford_shah", "slant",
                     "orthogonality", "total"],
-                   ([it] + [repr(float(x)) for x in bd.as_row()]
+                   ([it] + [repr(float(x)) for x in dataclasses.astuple(bd)]
                     for it, bd in enumerate(result.energy_trace)))
     # Correspondence visualization: full-shape coordinate colors carried to
     # the partial shape through the point-wise map.
@@ -163,30 +164,25 @@ def _batch_job(args, job):
 
 
 def run_match_batch(args):
-    """Run every job of the manifest; a failed job prints one line naming
-    its manifest line.  Returns the largest exit code of the jobs.
-
-    With more than one worker, the jobs run in spawned processes whose
-    BLAS is pinned to one thread, set in the environment they start with,
-    so that N jobs use N cores."""
+    """Run every job of the manifest in ``--jobs`` spawned worker processes,
+    whose environment pins BLAS to one thread; so N jobs use N cores, and a
+    job's results are those of ``pfmatch match`` at one BLAS thread at every
+    ``--jobs``.  A failed job prints one line naming its manifest line.
+    Returns the largest exit code of the jobs."""
     jobs = _read_pairs(args.pairs)
-    run = functools.partial(_batch_job, args)
-    workers = min(args.jobs, len(jobs))
-    if workers <= 1:
-        outcomes = list(map(run, jobs))
-    else:
-        saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARS}
-        os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
-        try:
-            with concurrent.futures.ProcessPoolExecutor(
-                    workers, multiprocessing.get_context("spawn")) as ex:
-                outcomes = list(ex.map(run, jobs))
-        finally:
-            for name, value in saved.items():
-                if value is None:
-                    os.environ.pop(name, None)
-                else:
-                    os.environ[name] = value
+    saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+    try:
+        with concurrent.futures.ProcessPoolExecutor(
+                max(1, min(args.jobs, len(jobs))),
+                multiprocessing.get_context("spawn")) as ex:
+            outcomes = list(ex.map(functools.partial(_batch_job, args), jobs))
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
     codes = [out if isinstance(out, int)
              else _report(out, f"{args.pairs}:{job[0]}: ")
              for job, out in zip(jobs, outcomes)]
@@ -194,6 +190,13 @@ def run_match_batch(args):
 
 
 def run_eval(args):
+    t = args.max_threshold
+    if not (np.isfinite(t) and t > 0):
+        raise UsageError(f"--max-threshold {t!r}: expected a finite positive "
+                         "number")
+    if args.n_thresholds < 2:
+        raise UsageError(f"--n-thresholds {args.n_thresholds}: expected at "
+                         "least 2")
     mesh_full = load_mesh(args.full)
     n_full = mesh_full.n_vertices
     gt = bench.load_ground_truth(args.gt, n_full)
@@ -211,7 +214,7 @@ def run_eval(args):
         pi[full_v], listed[full_v] = part_v, True
     assignment = solver.invert_assignment(pi, n_part)
     errors = bench.princeton_error(assignment, gt, mesh_full)
-    thresholds = np.linspace(0.0, args.max_threshold, args.n_thresholds)
+    thresholds = np.linspace(0.0, t, args.n_thresholds)
     curve = bench.cumulative_curve(errors, thresholds)
     matio.save_csv(args.out, ["threshold", "fraction"],
                    ([repr(float(t)), repr(float(f))]

@@ -53,10 +53,6 @@ class EnergyBreakdown:
                  + params.mu3 * slant + params.mu4_5 * orth)
         return EnergyBreakdown(data, area, ms, slant, orth, total)
 
-    def as_row(self):
-        return [self.data, self.area, self.mumford_shah, self.slant,
-                self.orthogonality, self.total]
-
 
 @dataclass
 class MatchProblem:

@@ -175,7 +175,9 @@ def eigensolve(pair, k):
     vals = vals[order]
     vecs = y[np.ix_(rank, order)] * r[:, None]
 
-    vals = np.maximum(vals, 0.0) if vals[0] > -1e-8 * max(vals[-1], 1) else vals
+    # A - SHIFT I factored, so every Ritz value lies above SHIFT; a value
+    # below 0 is rounding of a zero eigenvalue.
+    vals = np.maximum(vals, 0.0)
     vecs = _fix_signs(vecs)
     # Lanczos vectors are S-orthonormal only to rounding: re-normalize.
     nrm = np.sqrt(np.einsum("ij,i,ij->j", vecs, s, vecs))

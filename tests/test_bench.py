@@ -242,6 +242,17 @@ def test_cumulative_curve_basic():
     assert np.allclose(curve, [0.25, 0.5, 0.75, 0.75, 1.0])
 
 
+@pytest.mark.parametrize("n", [10, 1000, 1811])
+def test_cumulative_curve_equals_per_threshold_mean(n):
+    # Errors that sit on thresholds, and repeats, count as at or below.
+    rng = np.random.default_rng(n)
+    thresholds = np.linspace(0.0, 0.25, 101)
+    errors = np.round(rng.random(n) * 0.3, 2)
+    errors[:3] = thresholds[[0, 20, 100]]
+    assert np.array_equal(cumulative_curve(errors, thresholds),
+                          [(errors <= t).mean() for t in thresholds])
+
+
 def test_cumulative_curve_nan_dropped():
     curve = cumulative_curve([0.0, np.nan, 0.2], [0.1])
     assert np.isclose(curve[0], 0.5)

@@ -2,6 +2,8 @@ import csv
 import dataclasses
 import os
 import pathlib
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -15,9 +17,8 @@ from pfmatch.bench import (bumpy_sphere, grid_mesh, icosphere,
 from pfmatch.cli import UsageError, _read_config, build_parser, main
 from pfmatch.descriptors import default_radius, shot_descriptors
 from pfmatch.energy import EnergyParams
-from pfmatch.laplacian import EigensolveError
 from pfmatch.matio import load_matrix, save_matrix
-from pfmatch.mesh import MeshError, load_mesh, save_ply
+from pfmatch.mesh import load_mesh, save_ply
 from pfmatch.solver import SolverOptions
 from pfmatch.spectral import perturbation_setup
 
@@ -266,8 +267,8 @@ def test_match_batch(mesh_files, tmp_path):
 
 def test_match_batch_workers_leave_the_environment_alone(
         mesh_files, tmp_path, monkeypatch):
-    # --jobs 2 runs in worker processes with BLAS pinned in their own
-    # environment; the outputs equal those of --jobs 1.
+    # A batch runs in worker processes with BLAS pinned in their own
+    # environment; the outputs at --jobs 2 equal those of --jobs 1.
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
     monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
     outputs = {}
@@ -283,6 +284,40 @@ def test_match_batch_workers_leave_the_environment_alone(
     assert outputs["2"] == outputs["1"]
     assert os.environ["OPENBLAS_NUM_THREADS"] == "3"
     assert "OMP_NUM_THREADS" not in os.environ
+
+
+def test_match_batch_equals_one_thread_match_at_every_jobs(tmp_path):
+    # A batch job gives the C.bin of a single match at one BLAS thread, at
+    # --jobs 1 as at --jobs 2.  Under one BLAS thread in the calling process
+    # every run is a one-thread run, so this catches only a batch that runs
+    # under the caller's BLAS threads when those are several.
+    full = bumpy_sphere(4)
+    normal = [0.0, 0.0, 1.0]
+    part, _ = plane_cut(full, plane_offset_for_area(full, normal, 0.7),
+                        normal)
+    paths = {"part": tmp_path / "part.ply", "full": tmp_path / "full.ply"}
+    save_ply(part, paths["part"])
+    save_ply(full, paths["full"])
+    flags = ["--k", "30", "--max-outer", "1", "--cg-max-iter", "20"]
+    outputs = {}
+    for jobs in ("1", "2"):
+        manifest = tmp_path / f"pairs{jobs}.txt"
+        outs = [tmp_path / f"jobs{jobs}_{i}" for i in range(2)]
+        manifest.write_text("".join(
+            f"{paths['part']} {paths['full']} {out}\n" for out in outs))
+        assert main(["match", "--pairs", str(manifest), "--jobs", jobs]
+                    + flags) == 0
+        outputs[jobs] = [(out / "C.bin").read_bytes() for out in outs]
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=src,
+               **dict.fromkeys(cli._BLAS_THREAD_VARS, "1"))
+    single = tmp_path / "single"
+    subprocess.run([sys.executable, "-m", "pfmatch.cli", "match", "--part",
+                    str(paths["part"]), "--full", str(paths["full"]),
+                    "--out", str(single)] + flags,
+                   env=env, check=True, capture_output=True, timeout=300)
+    expected = (single / "C.bin").read_bytes()
+    assert outputs["1"] == outputs["2"] == [expected, expected]
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -303,29 +338,32 @@ def test_match_batch_runs_every_job(mesh_files, tmp_path, capsys, jobs):
     assert os.path.exists(tmp_path / "j2" / "C.bin")
 
 
-def test_match_batch_exits_with_largest_job_code(tmp_path, capsys,
-                                                 monkeypatch):
+def test_match_batch_exits_with_largest_job_code(mesh_files, tmp_path,
+                                                 capsys):
     # Job exit codes follow main's: 1 for a numerical failure, 2 for bad
-    # input; the batch returns the largest.
-    failures = {"num": EigensolveError("no convergence"),
-                "bad": MeshError("not a mesh")}
-
-    def fake_match(args):
-        if args.part in failures:
-            raise failures[args.part]
-        return 0
-
-    monkeypatch.setattr(cli, "run_match", fake_match)
+    # input; the batch returns the largest.  The jobs fail for real, in the
+    # workers.
+    tiny, bad = tmp_path / "tiny.off", tmp_path / "bad.ply"
+    _write_overflowing_grid(tiny)
+    bad.write_text("not a mesh\n")
+    inputs = {"ok": (mesh_files["part"], mesh_files["full"]),
+              "num": (tiny, tiny), "bad": (bad, mesh_files["full"])}
     manifest = tmp_path / "pairs.txt"
     for parts, expected in ((["ok", "num", "ok"], 1),
                             (["num", "bad", "ok"], 2), (["ok"], 0)):
-        manifest.write_text("".join(f"{p} full.ply out{i}\n"
-                                    for i, p in enumerate(parts)))
-        assert main(["match", "--pairs", str(manifest)]) == expected
-    assert capsys.readouterr().err.splitlines() == [
-        f"numerical failure: {manifest}:2: no convergence",
-        f"numerical failure: {manifest}:1: no convergence",
-        f"error: {manifest}:2: not a mesh"]
+        manifest.write_text("".join(
+            f"{inputs[p][0]} {inputs[p][1]} {tmp_path / f'{expected}_{i}'}\n"
+            for i, p in enumerate(parts)))
+        assert main(["match", "--pairs", str(manifest)] + MATCH_FLAGS) \
+            == expected
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 3
+    assert err[0].startswith(f"numerical failure: {manifest}:2: ARPACK "
+                             "failed: ")
+    assert err[1].startswith(f"numerical failure: {manifest}:1: ARPACK "
+                             "failed: ")
+    assert err[2] == (f"error: {manifest}:2: {bad}: unrecognized mesh "
+                      "format")
 
 
 @pytest.mark.parametrize("jobs", ["0", "-1"])
@@ -364,7 +402,9 @@ def test_match_batch_rejects_file_as_outdir(mesh_files, tmp_path, capsys):
     assert not (tmp_path / "j1").exists()
 
 
-def test_eval_perfect(mesh_files, tmp_path):
+def _perfect_eval_inputs(mesh_files, tmp_path):
+    """eval's --pi, --gt and --full flags for a plane cut of the sphere and
+    its true map."""
     prefix = str(tmp_path / "cut")
     assert main(["gen", "cut", "--mesh", mesh_files["sphere"],
                  "--plane-point", "0,0,0.1", "--out-prefix", prefix]) == 0
@@ -378,14 +418,36 @@ def test_eval_perfect(mesh_files, tmp_path):
         inverse = {int(f): p for p, f in enumerate(gt.correspondence)}
         for full_v in range(full.n_vertices):
             w.writerow([full_v, inverse.get(full_v, -1)])
+    return ["--pi", str(pi_path), "--gt", prefix + "_gt.csv",
+            "--full", mesh_files["sphere"]]
 
+
+def test_eval_perfect(mesh_files, tmp_path):
     curve_path = str(tmp_path / "curve.csv")
-    code = main(["eval", "--pi", str(pi_path), "--gt", prefix + "_gt.csv",
-                 "--full", mesh_files["sphere"], "--out", curve_path])
+    code = main(["eval"] + _perfect_eval_inputs(mesh_files, tmp_path)
+                + ["--out", curve_path])
     assert code == 0
     rows = read_rows(curve_path)
     assert rows[0] == ["threshold", "fraction"]
     assert float(rows[1][1]) == 1.0  # all errors are zero
+
+
+@pytest.mark.parametrize("flag, message", [
+    ("--max-threshold=nan", "--max-threshold nan: expected a finite positive"),
+    ("--max-threshold=inf", "--max-threshold inf: expected a finite positive"),
+    ("--max-threshold=-1", "--max-threshold -1.0: expected a finite "
+     "positive"),
+    ("--n-thresholds=0", "--n-thresholds 0: expected at least 2"),
+])
+def test_eval_rejects_curve_flags(mesh_files, tmp_path, capsys, flag,
+                                   message):
+    inputs = _perfect_eval_inputs(mesh_files, tmp_path)
+    capsys.readouterr()
+    curve_path = tmp_path / "curve.csv"
+    code = main(["eval"] + inputs + ["--out", str(curve_path), flag])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not curve_path.exists()
 
 
 def _write_rows(path, header, rows):
@@ -618,16 +680,20 @@ def test_match_eigensolve_failure_exit_1(mesh_files, tmp_path, monkeypatch,
     assert "ARPACK failed to converge" in capsys.readouterr().err
 
 
-def test_match_eigenvalue_overflow_exit_1(tmp_path, capsys):
-    # At 2^-510 the grid's eigenvalues overflow float64 and ARPACK stops
-    # with an error other than non-convergence.
+def _write_overflowing_grid(path):
+    """An OFF grid at 2^-510, where the eigenvalues overflow float64 and
+    ARPACK stops with an error other than non-convergence."""
     grid = grid_mesh(8)
-    path = tmp_path / "tiny.off"
     path.write_text("\n".join(
         ["OFF", f"{grid.n_vertices} {grid.n_triangles} 0"]
         + [" ".join(map(repr, row))
            for row in np.ldexp(grid.vertices, -510).tolist()]
         + [f"3 {a} {b} {c}" for a, b, c in grid.triangles.tolist()]) + "\n")
+
+
+def test_match_eigenvalue_overflow_exit_1(tmp_path, capsys):
+    path = tmp_path / "tiny.off"
+    _write_overflowing_grid(path)
     code = main(["match", "--part", str(path), "--full", str(path),
                  "--out", str(tmp_path / "out")] + MATCH_FLAGS)
     assert code == 1

@@ -400,7 +400,7 @@ def test_breakdown_combination():
     params = EnergyParams(mu1=2.0, mu2=3.0, mu3=5.0, mu4_5=7.0)
     b = EnergyBreakdown.combine(1.0, 1.0, 1.0, 1.0, 1.0, params)
     assert b.total == 1.0 + 2.0 + 3.0 + 5.0 + 7.0
-    assert b.as_row() == [1.0, 1.0, 1.0, 1.0, 1.0, 18.0]
+    assert dataclasses.astuple(b) == (1.0, 1.0, 1.0, 1.0, 1.0, 18.0)
 
 
 def test_total_energy_grads(tiny_problem, rng):
@@ -463,8 +463,9 @@ def test_objectives_invariant_under_relabelling(rng):
     def close(x, y):
         return np.abs(x - y).max() <= 1e-12 * max(np.abs(y).max(), 1e-300)
 
-    assert close(np.array(total_energy(C, v[perm], r, params).as_row()),
-                 np.array(total_energy(C, v, p, params).as_row()))
+    row = dataclasses.astuple
+    assert close(np.array(row(total_energy(C, v[perm], r, params))),
+                 np.array(row(total_energy(C, v, p, params))))
     c_got = c_objective(r, params, v[perm])(C.ravel())
     c_ref = c_objective(p, params, v)(C.ravel())
     assert close(c_got[0], c_ref[0]) and close(c_got[1], c_ref[1])
