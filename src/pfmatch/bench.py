@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matio import save_csv
-from .mesh import TriangleMesh
+from .mesh import TriangleMesh, edge_table
 
 GEODESIC_BLOCK = 64  # Dijkstra sources per call in princeton_error
 # Bound of princeton_error's first Dijkstra pass, in units of sqrt(area).
@@ -61,17 +61,19 @@ def icosphere(subdivisions=3, radius=1.0):
         [3, 9, 4], [3, 4, 2], [3, 2, 6], [3, 6, 8], [3, 8, 9],
         [4, 9, 5], [2, 4, 11], [6, 2, 10], [8, 6, 7], [9, 8, 1],
     ])
-    mesh = TriangleMesh(verts, tris)
+    # The literal triangles face outward, and subdivision keeps that.
     for _ in range(subdivisions):
-        n = mesh.n_vertices
-        fine = mesh.subdivided()
-        verts = fine.vertices.copy()
-        mid = verts[n:]
+        edges, _, tri_edges = edge_table(tris)
+        mid = 0.5 * (verts[edges[:, 0]] + verts[edges[:, 1]])
         # Row-wise dot products through matmul round like the norm of a
         # single 3-vector does; np.linalg.norm(axis=1) does not.
-        verts[n:] = mid / np.sqrt(mid[:, None, :] @ mid[:, :, None])[:, 0]
-        mesh = TriangleMesh(verts, fine.triangles)
-    return TriangleMesh(mesh.vertices * radius, mesh.triangles)
+        mid /= np.sqrt(mid[:, None, :] @ mid[:, :, None])[:, 0]
+        a, b, c = tris.T
+        mab, mbc, mca = (len(verts) + tri_edges).T
+        tris = np.stack([a, mab, mca, mab, b, mbc, mca, mbc, c, mab, mbc, mca],
+                        axis=1).reshape(-1, 3)
+        verts = np.vstack([verts, mid])
+    return TriangleMesh(verts * radius, tris)
 
 
 def bumpy_sphere(subdivisions=4, n_bumps=8, amplitude=0.25, width=0.45,
@@ -144,16 +146,15 @@ def plane_offset_for_area(mesh, normal, keep_fraction, tol=0.01):
     return 0.5 * (lo + hi) * normal
 
 
-def erode_holes(mesh, seed_count, area_budget, seed_vertex=0):
-    """Grow geodesic holes from farthest-point seeds until the kept area
-    drops to the budgeted fraction of the total area.
+def erode_holes(mesh, seed_count, area_budget):
+    """Grow geodesic holes from farthest-point seeds, the first at vertex 0,
+    until the kept area drops to the budgeted fraction of the total area.
 
     Returns (partial mesh, GroundTruth).
     """
     if not 0.0 < area_budget < 1.0:
         raise ValueError("area budget must be in (0, 1)")
-    seeds = mesh.farthest_point_sample(seed_count, seed_vertex)
-    dmin = mesh.geodesic_distances(np.asarray(seeds)).min(axis=0)
+    _, dmin = mesh.farthest_point_sample(seed_count, 0)
     total = mesh.total_area
     areas = mesh.triangle_areas
     tri_d = dmin[mesh.triangles]

@@ -6,6 +6,7 @@ little-endian integers, then the row-major IEEE-754 double payload.
 """
 
 import csv
+import os
 import struct
 
 import numpy as np
@@ -36,8 +37,10 @@ def load_matrix(path):
         if len(header) < 16:
             raise ValueError(f"{path}: truncated header")
         rows, cols = struct.unpack("<QQ", header)
-        payload = fh.read(rows * cols * 8)
-    if len(payload) != rows * cols * 8:
+        size = rows * cols * 8
+        # The header may claim more than the file holds: read only that.
+        payload = fh.read(min(size, os.fstat(fh.fileno()).st_size - fh.tell()))
+    if len(payload) != size:
         raise ValueError(f"{path}: truncated payload")
     return np.frombuffer(payload, dtype="<f8").reshape(rows, cols).copy()
 

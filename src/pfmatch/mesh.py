@@ -8,8 +8,10 @@ edge-midpoint Steiner points, which keeps the graph-metric error small
 enough for evaluation purposes.
 """
 
+import os
 import warnings
 from functools import cached_property
+from itertools import islice
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -159,7 +161,8 @@ class TriangleMesh:
         return d[0] if np.isscalar(source) or np.ndim(source) == 0 else d
 
     def farthest_point_sample(self, count, seed):
-        """Greedy max-min geodesic sampling starting from ``seed``."""
+        """Greedy max-min geodesic sampling starting from ``seed``: the samples
+        and each vertex's distance to the nearest one."""
         if count > self.n_vertices:
             raise ValueError("count exceeds number of vertices")
         if count < 1:
@@ -170,7 +173,7 @@ class TriangleMesh:
             nxt = int(np.argmax(dmin))
             samples.append(nxt)
             dmin = np.minimum(dmin, self.geodesic_distances(nxt))
-        return samples
+        return samples, dmin
 
     # -- derived meshes -----------------------------------------------------
 
@@ -189,16 +192,6 @@ class TriangleMesh:
             warnings.simplefilter("ignore")
             sub = TriangleMesh(self.vertices, self.triangles[tri_keep])
         return sub, sub.kept_vertices
-
-    def subdivided(self):
-        """One step of 1-to-4 midpoint subdivision (no smoothing)."""
-        edges, _, tri_edges = self._edge_data
-        mids = 0.5 * (self.vertices[edges[:, 0]] + self.vertices[edges[:, 1]])
-        a, b, c = self.triangles.T
-        mab, mbc, mca = (self.n_vertices + tri_edges).T
-        tris = np.stack([a, mab, mca, mab, b, mbc, mca, mbc, c, mab, mbc, mca],
-                        axis=1).reshape(-1, 3)
-        return TriangleMesh(np.vstack([self.vertices, mids]), tris)
 
     # -- internals ----------------------------------------------------------
 
@@ -425,7 +418,8 @@ def _ply_element(fh, count, fields, binary, path):
     """Read the records of one PLY element into a structured array.
 
     Binary records take the declared types; ASCII values are all read as
-    float64, one row per line, ignoring values past the declared ones.
+    float64, one row per line, ignoring values past the declared ones;
+    neither reads past the end of the file, whatever the declared count.
     """
     try:
         dt = np.dtype([(name, "<" + _PLY_TYPES[ptype] if binary else "<f8",
@@ -437,13 +431,14 @@ def _ply_element(fh, count, fields, binary, path):
     except ValueError as exc:  # a property name declared twice
         raise MeshError(f"{path}: malformed ply header: {exc}") from exc
     if binary:
-        buf = fh.read(dt.itemsize * count)
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        buf = fh.read(min(dt.itemsize * count, left))
         raw = np.frombuffer(buf, dtype=dt, count=len(buf) // dt.itemsize)
         short = "truncated ply data"
     else:
         width = dt.itemsize // 8
-        rows = [fh.readline().split()[:width] for _ in range(count)]
-        full = next((i for i, row in enumerate(rows) if len(row) < width), count)
+        rows = [line.split()[:width] for line in islice(fh, count)]
+        full = next((i for i, r in enumerate(rows) if len(r) < width), len(rows))
         try:
             values = np.array(rows[:full], dtype=np.float64).reshape(full, width)
         except ValueError as exc:

@@ -49,7 +49,7 @@ def estimate_rank(lambda_part, lambda_full, k):
     return int(below[-1] + 1) if len(below) else 0
 
 
-def build_weight_matrix(k, r, sigma=0.03):
+def build_weight_matrix(k, r, sigma):
     """Slanted-diagonal weight matrix.
 
     w_ij = exp(-sigma * sqrt(i^2 + j^2)) * distance of the 1-based grid point

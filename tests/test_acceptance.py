@@ -130,7 +130,7 @@ def test_criterion_1_gradient_suite():
         G = rng.standard_normal((n, q))
         C = rng.standard_normal((k, k))
         v = rng.standard_normal(n)
-        W = build_weight_matrix(k, max(k // 2, 1))
+        W = build_weight_matrix(k, max(k // 2, 1), 0.03)
         d = build_d_vector(k, max(k // 2, 1))
         Psi, mass = basis.eigenvectors, basis.mass
 

@@ -125,7 +125,7 @@ def test_erode_holes_budget(sphere):
     assert frac > 0.5  # smallest radius that satisfies the budget
     assert np.array_equal(part.vertices, sphere.vertices[gt.correspondence])
     # The seeds are the hole centers and must be gone.
-    seeds = sphere.farthest_point_sample(4, 0)
+    seeds, _ = sphere.farthest_point_sample(4, 0)
     assert not set(seeds) & set(gt.correspondence.tolist())
 
 

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import os
 import pathlib
+import struct
 import subprocess
 import sys
 import warnings
@@ -17,7 +18,7 @@ from pfmatch.bench import (bumpy_sphere, grid_mesh, icosphere,
 from pfmatch.cli import UsageError, _read_config, build_parser, main
 from pfmatch.descriptors import default_radius, shot_descriptors
 from pfmatch.energy import EnergyParams
-from pfmatch.matio import load_matrix, save_matrix
+from pfmatch.matio import MAGIC, load_matrix, save_matrix
 from pfmatch.mesh import load_mesh, save_ply
 from pfmatch.solver import SolverOptions
 from pfmatch.spectral import perturbation_setup
@@ -658,6 +659,23 @@ def test_eval_ply_element_without_properties_exit_2(tmp_path, capsys):
         capsys.readouterr().err
 
 
+def test_gen_ply_declaring_more_vertices_than_it_holds_exit_2(tmp_path,
+                                                              capsys):
+    # Read whole, 10^9 declared vertices of 24 bytes would take 24 GB.
+    path = tmp_path / "huge.ply"
+    path.write_bytes(b"ply\nformat binary_little_endian 1.0\n"
+                     b"element vertex 1000000000\nproperty double x\n"
+                     b"property double y\nproperty double z\n"
+                     b"element face 1\nproperty list uchar int vertex_indices\n"
+                     b"end_header\n" + bytes(3 * 24))
+    code = main(["gen", "cut", "--mesh", str(path),
+                 "--out-prefix", str(tmp_path / "cut")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"error: {path}: truncated ply data" in err
+    assert "Traceback" not in err
+
+
 def test_missing_mesh_exit_2(tmp_path):
     out = tmp_path / "out"
     code = main(["match", "--part", str(tmp_path / "nope.ply"),
@@ -821,6 +839,22 @@ def test_match_truncated_descriptor_header_exit_2(cut_files, tmp_path, capsys,
                  "--k", "20", "--out", str(out)])
     assert code == 2
     assert f"error: {short}: truncated header" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_match_descriptor_header_larger_than_file_exit_2(cut_files, tmp_path,
+                                                         capsys):
+    # 2^40 x 2^40 doubles: a size no read can be asked for.
+    huge = tmp_path / "huge.bin"
+    huge.write_bytes(MAGIC + struct.pack("<QQ", 2 ** 40, 2 ** 40) + bytes(160))
+    out = tmp_path / "out"
+    code = main(["match", "--part", cut_files["part"], "--full",
+                 cut_files["full"], "--descriptors-part", str(huge),
+                 "--k", "20", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"error: {huge}: truncated payload" in err
+    assert "Traceback" not in err
     assert not out.exists()
 
 

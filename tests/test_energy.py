@@ -44,7 +44,7 @@ def tiny_problem(rng):
     A = rng.standard_normal((k, q))
     return MatchProblem(A=A, Psi=basis.eigenvectors, mass=basis.mass, G=G,
                         mesh_full=mesh, area_part=0.4,
-                        W=build_weight_matrix(k, 3),
+                        W=build_weight_matrix(k, 3, 0.03),
                         d=build_d_vector(k, 3), F=np.zeros((1, q)), dim=q)
 
 
@@ -331,7 +331,7 @@ def test_slant_term_diagonal_free():
 def test_slant_term_grad(rng):
     k = 5
     C = rng.standard_normal((k, k))
-    W = build_weight_matrix(k, 3)
+    W = build_weight_matrix(k, 3, 0.03)
     _, grad = slant_term(C, W)
     num = fd_gradient(lambda x: slant_term(x.reshape(k, k), W)[0],
                       C.ravel()).reshape(k, k)
@@ -539,8 +539,9 @@ def _problem(mesh, k, G, rng):
     return MatchProblem(A=rng.standard_normal((k, G.shape[1])),
                         Psi=basis.eigenvectors, mass=basis.mass, G=G,
                         mesh_full=mesh, area_part=0.4,
-                        W=build_weight_matrix(k, 3), d=build_d_vector(k, 3),
-                        F=np.zeros((1, G.shape[1])), dim=G.shape[1])
+                        W=build_weight_matrix(k, 3, 0.03),
+                        d=build_d_vector(k, 3), F=np.zeros((1, G.shape[1])),
+                        dim=G.shape[1])
 
 
 @pytest.mark.parametrize("zero_cols", [0, 5, 30])

@@ -1,3 +1,4 @@
+import io
 import re
 import struct
 
@@ -5,8 +6,8 @@ import numpy as np
 import pytest
 
 from pfmatch.bench import grid_mesh
-from pfmatch.mesh import (MeshError, TriangleMesh, edge_table, load_mesh,
-                          save_off, save_ply)
+from pfmatch.mesh import (MeshError, TriangleMesh, _ply_element, edge_table,
+                          load_mesh, save_off, save_ply)
 
 
 def test_load_tetrahedron(tetra_off):
@@ -149,6 +150,34 @@ end_header
 0 1 0
 3 0 1 2
 """
+
+
+class _LineCounter(io.BytesIO):
+    """Bytes read line by line, counting the lines asked for; a few reads
+    past the end fail, so a reader that would go on costs no time."""
+
+    def __init__(self, data):
+        super().__init__(data)
+        self.lines = 0
+
+    def readline(self, size=-1):
+        self.lines += 1
+        assert self.lines < 10, "read on past the end of the file"
+        return super().readline(size)
+
+    def __next__(self):
+        line = self.readline()
+        if not line:
+            raise StopIteration
+        return line
+
+
+def test_ascii_ply_rows_stop_at_end_of_file():
+    stream = _LineCounter(b"0 0 0\n1 0 0\n0 1 0\n")
+    fields = [(name, "float", 1) for name in "xyz"]
+    with pytest.raises(MeshError, match="fewer values than its header"):
+        _ply_element(stream, 10 ** 9, fields, False, "huge.ply")
+    assert stream.lines == 4  # three rows, then the end of the file
 
 
 @pytest.mark.parametrize("text, message", [
@@ -382,13 +411,15 @@ def test_geodesic_source_out_of_range(square_grid):
 
 
 def test_fps_single(square_grid):
-    assert square_grid.farthest_point_sample(1, 17) == [17]
+    samples, dmin = square_grid.farthest_point_sample(1, 17)
+    assert samples == [17]
+    assert np.array_equal(dmin, square_grid.geodesic_distances(17))
 
 
 def test_fps_strip_opposite_end():
     mesh = grid_mesh(4, 1, width=4.0, height=0.5)
     corner_a = int(np.argmin(np.linalg.norm(mesh.vertices - [0, 0, 0], axis=1)))
-    samples = mesh.farthest_point_sample(2, corner_a)
+    samples, _ = mesh.farthest_point_sample(2, corner_a)
     d = mesh.geodesic_distances(corner_a)
     assert d[samples[1]] == d.max()
 
@@ -396,7 +427,7 @@ def test_fps_strip_opposite_end():
 def test_fps_grid_corners(fine_grid):
     center = int(np.argmin(
         np.linalg.norm(fine_grid.vertices - [0.5, 0.5, 0], axis=1)))
-    samples = fine_grid.farthest_point_sample(5, center)
+    samples, dmin = fine_grid.farthest_point_sample(5, center)
     corners = set()
     for cx in (0.0, 1.0):
         for cy in (0.0, 1.0):
@@ -406,6 +437,8 @@ def test_fps_grid_corners(fine_grid):
     # Brute-force max-min verification of the greedy choices.
     d0 = fine_grid.geodesic_distances(center)
     assert samples[1] == int(np.argmax(d0))
+    # The distances are those to the nearest sample.
+    assert np.array_equal(dmin, fine_grid.geodesic_distances(samples).min(axis=0))
 
 
 def test_fps_count_too_large(square_grid):
@@ -553,8 +586,3 @@ def test_edge_table_of_oriented_triangles(square_grid):
         for got, want in zip(mesh._edge_data, edge_table(mesh.triangles)):
             assert np.array_equal(got, want)
 
-
-def test_subdivided_preserves_area(square_grid):
-    sub = square_grid.subdivided()
-    assert sub.n_triangles == 4 * square_grid.n_triangles
-    assert np.isclose(sub.total_area, square_grid.total_area)

@@ -232,20 +232,30 @@ def test_geodesics_invariant_under_rigid_motion(name, seed):
                        mesh.geodesic_distances(sources), rtol=1e-9, atol=1e-12)
 
 
-@given(nx=st.integers(1, 5), ny=st.integers(1, 5), seed=seeds)
-def test_subdivided_appends_edge_midpoints(nx, ny, seed):
-    rng = np.random.default_rng(seed)
-    grid = grid_mesh(nx, ny)
-    verts = grid.vertices + rng.uniform(-0.02, 0.02, size=grid.vertices.shape)
-    mesh = TriangleMesh(verts, rng.permutation(grid.triangles))
-    sub = mesh.subdivided()
-    n, edges = mesh.n_vertices, mesh.edges
-    assert sub.n_vertices == n + len(edges)
-    assert np.array_equal(sub.vertices[:n], mesh.vertices)
-    assert np.array_equal(sub.vertices[n:],
-                          0.5 * (verts[edges[:, 0]] + verts[edges[:, 1]]))
-    assert sub.n_triangles == 4 * mesh.n_triangles
-    assert np.isclose(sub.total_area, mesh.total_area)
+def subdivide_loop(mesh):
+    """1-to-4 subdivision of a unit-sphere mesh, triangle by triangle: one
+    vertex per edge of ``mesh.edges``, at its midpoint pushed out to the
+    sphere, appended in edge order."""
+    n = mesh.n_vertices
+    index = {tuple(e): n + i for i, e in enumerate(mesh.edges.tolist())}
+    verts = list(mesh.vertices)
+    for a, b in mesh.edges:
+        mid = 0.5 * (mesh.vertices[a] + mesh.vertices[b])
+        verts.append(mid / np.sqrt(mid @ mid))
+    tris = []
+    for a, b, c in mesh.triangles.tolist():
+        ab, bc, ca = (index[tuple(sorted(e))] for e in ((a, b), (b, c), (c, a)))
+        tris += [[a, ab, ca], [ab, b, bc], [ca, bc, c], [ab, bc, ca]]
+    return np.array(verts), np.array(tris)
+
+
+@pytest.mark.parametrize("s", [0, 1, 2, 3])
+def test_icosphere_subdivides_coarser_edges(s):
+    coarse, fine = icosphere(s), icosphere(s + 1)
+    verts, tris = subdivide_loop(coarse)
+    assert fine.n_triangles == 4 * coarse.n_triangles
+    assert fine.vertices.tobytes() == verts.tobytes()
+    assert np.array_equal(fine.triangles, tris)
 
 
 @pytest.mark.parametrize("s", [0, 1, 2, 3])

@@ -93,7 +93,7 @@ def test_weight_matrix_example():
 
 def test_weight_matrix_origin_zero():
     for r in (1, 5, 10):
-        w = build_weight_matrix(10, r)
+        w = build_weight_matrix(10, r, 0.03)
         assert w[0, 0] == 0.0
 
 
@@ -111,9 +111,9 @@ def test_weight_matrix_slant_follows_rank():
 
 def test_weight_matrix_validation():
     with pytest.raises(ValueError):
-        build_weight_matrix(5, 0)
+        build_weight_matrix(5, 0, 0.03)
     with pytest.raises(ValueError):
-        build_weight_matrix(5, 6)
+        build_weight_matrix(5, 6, 0.03)
     with pytest.raises(ValueError):
         build_weight_matrix(5, 3, sigma=-1.0)
 
