@@ -76,14 +76,15 @@ class MatchProblem:
     dim: int  # descriptor length before all-zero bins were dropped
 
     def __post_init__(self):
-        # G as a dense block and a CSR tail with its transpose, a view of G
-        # when the dense bins come first, as build_problem orders them.  G
-        # must not change in place; dataclasses.replace rebuilds the split.
+        # G as a C-contiguous dense block and a CSR tail with its
+        # transpose, in G's column order when the dense bins come first, as
+        # build_problem orders them.  G must not change in place;
+        # dataclasses.replace rebuilds the split.
         dense = dense_bins(self.G)
         nd = np.count_nonzero(dense)
         self._bins = ((slice(0, nd), slice(nd, None)) if dense[:nd].all()
                       else (np.flatnonzero(dense), np.flatnonzero(~dense)))
-        self._G_dense = self.G[:, self._bins[0]]
+        self._G_dense = np.ascontiguousarray(self.G[:, self._bins[0]])
         tail = self.G[:, self._bins[1]]
         rows, cols = np.nonzero(tail != 0)
         self._G_tail = csr_matrix((tail[rows, cols], cols, np.searchsorted(

@@ -112,9 +112,17 @@ def _fix_signs(vecs):
     return np.where(vecs[rows, np.arange(vecs.shape[1])] < 0, -vecs, vecs)
 
 
-def _shifted_band_factor(A):
+def _shifted_band_factor(A, min_area):
     """Banded Cholesky factor of A - SHIFT I in a reverse Cuthill-McKee
-    ordering, and the new position of each vertex in that ordering."""
+    ordering, and the new position of each vertex in that ordering.
+
+    ``min_area``, the mesh's smallest vertex area, is named in the errors:
+    A = S^-1/2 K S^-1/2 grows as its inverse.
+    """
+    if not np.isfinite(A.data).all():
+        raise EigensolveError(
+            "S^-1/2 K S^-1/2 overflows float64: the smallest vertex area, "
+            f"{min_area:.6g}, is too small")
     n = A.shape[0]
     perm = reverse_cuthill_mckee(A.tocsr(), symmetric_mode=True)
     rank = np.argsort(perm)
@@ -131,7 +139,8 @@ def _shifted_band_factor(A):
         raise EigensolveError(
             "banded Cholesky factorization of A - SHIFT I failed "
             f"(LAPACK dpbtrf info={info}): the shifted stiffness is "
-            "not positive definite")
+            "not positive definite (smallest vertex area "
+            f"{min_area:.6g})")
     return factor, rank
 
 
@@ -157,7 +166,8 @@ def eigensolve(pair, k):
         raise ValueError("vertex areas must be strictly positive")
     r = 1.0 / np.sqrt(s)
 
-    factor, rank = _shifted_band_factor(sp.diags(r) @ K @ sp.diags(r))
+    factor, rank = _shifted_band_factor(sp.diags(r) @ K @ sp.diags(r),
+                                        s.min())
     OPinv = spla.LinearOperator(
         (n, n), dtype=np.float64,
         matvec=lambda b: dpbtrs(factor, b, lower=1)[0])

@@ -15,12 +15,15 @@ MAGIC = b"PFMMAT01"
 
 
 def save_matrix(path, mat):
-    """Write a 1-D or 2-D array as a binary matrix file (vectors as n x 1)."""
+    """Write a nonempty 1-D or 2-D array as a binary matrix file (vectors as
+    n x 1)."""
     a = np.asarray(mat, dtype=np.float64)
     if a.ndim == 1:
         a = a[:, None]
     if a.ndim != 2:
         raise ValueError("only 1-D or 2-D arrays can be saved")
+    if a.size == 0:
+        raise ValueError("an empty array cannot be saved")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<QQ", a.shape[0], a.shape[1]))
@@ -28,7 +31,8 @@ def save_matrix(path, mat):
 
 
 def load_matrix(path):
-    """Read a binary matrix file back into a float64 array of shape (rows, cols)."""
+    """Read a binary matrix file back into a float64 array of shape (rows,
+    cols); a header that declares no entries is an error."""
     with open(path, "rb") as fh:
         magic = fh.read(8)
         if magic != MAGIC:
@@ -37,6 +41,9 @@ def load_matrix(path):
         if len(header) < 16:
             raise ValueError(f"{path}: truncated header")
         rows, cols = struct.unpack("<QQ", header)
+        if rows == 0 or cols == 0:
+            raise ValueError(f"{path}: header declares {rows} x {cols}, "
+                             "no entries")
         size = rows * cols * 8
         # The header may claim more than the file holds: read only that.
         payload = fh.read(min(size, os.fstat(fh.fileno()).st_size - fh.tell()))

@@ -288,8 +288,24 @@ def v_step(prob, params, C_fixed, v0, opts=SolverOptions()):
     return res.x, res
 
 
+class SearchSide:
+    """The points of nearest_columns, prepared once for many searches: the
+    float64 points, their largest magnitude, and for each scaling exponent
+    e met so far the float32 screen columns and max_j |p_j|^2 of the points
+    scaled by 2^-e.  The points must not change in place.
+    """
+
+    def __init__(self, points):
+        self.points = np.asarray(points, dtype=np.float64)
+        self.big = np.abs(self.points).max(initial=0.0)
+        self.scaled = {}
+
+
 def nearest_columns(queries, points):
     """Index of the nearest row of ``points`` for each row of ``queries``.
+
+    ``points`` is an array or a SearchSide of one; a SearchSide serves
+    every search against the same points.
 
     Exact search: the returned row j minimises the float64 squared distance
     ``np.sum((q - points[j]) ** 2)``, and among equal distances it is the
@@ -324,24 +340,29 @@ def nearest_columns(queries, points):
     Raises ValueError beyond _NN_MAX_K columns, and for coordinates that
     are not finite or whose squared distances could overflow float64.
     """
+    side = points if isinstance(points, SearchSide) else SearchSide(points)
     queries = np.asarray(queries, dtype=np.float64)
-    points = np.asarray(points, dtype=np.float64)
+    points = side.points
     k = points.shape[1]
-    big = float(np.max([np.abs(queries).max(initial=0.0),
-                        np.abs(points).max(initial=0.0)]))
+    # np.max, not max(): the builtin drops a NaN that comes second.
+    big = float(np.max([np.abs(queries).max(initial=0.0), side.big]))
     if k > _NN_MAX_K or not math.isfinite(4.0 * (k + 1) * big * big):
         raise ValueError(f"nearest_columns needs at most {_NN_MAX_K} columns "
                          "and finite coordinates whose squared distances "
                          "fit in float64")
     e = math.frexp(big)[1]  # big 2^-e lies in [1/2, 1); e = 0 for big = 0
-    q, p = np.ldexp(queries, -e), np.ldexp(points, -e)
+    if e not in side.scaled:
+        p = np.ldexp(points, -e)
+        p_sq = np.einsum("ij,ij->i", p, p)
+        side.scaled[e] = (np.vstack([-2.0 * p.T, p_sq]).astype(np.float32),
+                          p_sq.max(initial=0.0))
+    cols_p, p_sq_max = side.scaled[e]
+    q = np.ldexp(queries, -e)
     rows_q = np.ones((len(q), k + 1), dtype=np.float32)
     rows_q[:, :-1] = q
-    p_sq = np.einsum("ij,ij->i", p, p)
-    cols_p = np.vstack([-2.0 * p.T, p_sq]).astype(np.float32)
     floor = (k + 1) * (2.0 ** -122 + math.ldexp(1.0, min(-2 * e - 1074, 64)))
     margin = 2 * ((4 * k + 8) * 2.0 ** -23 * (
-        np.einsum("ij,ij->i", q, q) + p_sq.max(initial=0.0)) + floor)
+        np.einsum("ij,ij->i", q, q) + p_sq_max) + floor)
     out = np.empty(len(rows_q), dtype=np.intp)
     for start in range(0, len(rows_q), _NN_BLOCK):
         stop = start + _NN_BLOCK
@@ -384,10 +405,16 @@ def _spectral_sample(Phi, m):
     # |x - mean|^2 less |mean|^2, which is the same for every row
     j = int(np.argmax(sq - 2.0 * (Phi @ Phi.mean(axis=0))))
     gap = np.full(len(Phi), np.inf)
+    dot, dist = np.empty(len(Phi)), np.empty(len(Phi))
     picked = np.empty(m, dtype=np.intp)
     for i in range(m):
         picked[i] = j
-        np.minimum(gap, sq + sq[j] - 2.0 * (Phi @ Phi[j]), out=gap)
+        # (sq + sq[j]) - 2 (Phi Phi[j]), in place
+        np.matmul(Phi, Phi[j], out=dot)
+        dot *= 2.0
+        np.add(sq, sq[j], out=dist)
+        dist -= dot
+        np.minimum(gap, dist, out=gap)
         gap[j] = -np.inf  # never taken twice, even among equal rows
         j = int(np.argmax(gap))
     return np.sort(picked)
@@ -416,23 +443,26 @@ def refine(C, Phi, Psi, d, sample, opts=SolverOptions()):
     _procrustes(C[:, :r]), so the residuals, taken over S, never increase.
     Stops once sigma_S repeats, a fixed point, or after ``refine_max_iter``
     re-fits, which one more search then follows.  When S is not every row,
-    one search of every row of Phi C^T follows the rounds.  Returns (C,
-    sigma, residuals), sigma mapping partial-shape to full-shape vertices;
-    sigma is always the nearest map of the returned C.
+    one search of every row of Phi C^T follows the rounds.  Every search
+    runs against one SearchSide of Psi.  Returns (C, sigma, residuals),
+    sigma mapping partial-shape to full-shape vertices; sigma is always the
+    nearest map of the returned C.
     """
     r = int(np.count_nonzero(d))
     C = _procrustes(C[:, :r])
     fit = Phi[sample]
+    side = SearchSide(Psi)
     residuals, sigma = [], None
     for fits in range(opts.refine_max_iter + 1):
         image = fit @ C.T
-        sigma_prev, sigma = sigma, nearest_columns(image, Psi)
-        residuals.append(float(np.sum((image - Psi[sigma]) ** 2)))
+        sigma_prev, sigma = sigma, nearest_columns(image, side)
+        target = Psi[sigma]
+        residuals.append(float(np.sum((image - target) ** 2)))
         if fits == opts.refine_max_iter or np.array_equal(sigma, sigma_prev):
             break
-        C = _procrustes(Psi[sigma].T @ fit[:, :r])
+        C = _procrustes(target.T @ fit[:, :r])
     if len(fit) < len(Phi):
-        sigma = nearest_columns(Phi @ C.T, Psi)
+        sigma = nearest_columns(Phi @ C.T, side)
     return C, sigma, residuals
 
 
@@ -520,7 +550,9 @@ def match(part, full, params=EnergyParams(), opts=SolverOptions(),
     descriptors not given, both at one support radius (by default
     ``descriptors.default_radius(full)``), then runs build_problem and
     alternate.  Every stage is looked up on its module at call time, so
-    that a function patched there is the one called.
+    that a function patched there is the one called.  match drops its
+    references to the descriptor fields before alternate runs:
+    build_problem keeps what it uses of them.
     """
     basis_part = laplacian.mesh_basis(part, params.k)
     basis_full = laplacian.mesh_basis(full, params.k)
@@ -532,4 +564,5 @@ def match(part, full, params=EnergyParams(), opts=SolverOptions(),
         desc_full = descriptors.shot_descriptors(full, radius)
     prob, _ = build_problem(basis_part, basis_full, desc_part, desc_full,
                             full, part.total_area, params)
+    del desc_part, desc_full
     return alternate(prob, params, basis_part.eigenvectors, opts)

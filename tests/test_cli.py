@@ -359,10 +359,10 @@ def test_match_batch_exits_with_largest_job_code(mesh_files, tmp_path,
             == expected
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 3
-    assert err[0].startswith(f"numerical failure: {manifest}:2: ARPACK "
-                             "failed: ")
-    assert err[1].startswith(f"numerical failure: {manifest}:1: ARPACK "
-                             "failed: ")
+    assert err[0].startswith(f"numerical failure: {manifest}:2: S^-1/2 K "
+                             "S^-1/2 overflows float64")
+    assert err[1].startswith(f"numerical failure: {manifest}:1: S^-1/2 K "
+                             "S^-1/2 overflows float64")
     assert err[2] == (f"error: {manifest}:2: {bad}: unrecognized mesh "
                       "format")
 
@@ -699,8 +699,7 @@ def test_match_eigensolve_failure_exit_1(mesh_files, tmp_path, monkeypatch,
 
 
 def _write_overflowing_grid(path):
-    """An OFF grid at 2^-510, where the eigenvalues overflow float64 and
-    ARPACK stops with an error other than non-convergence."""
+    """An OFF grid at 2^-510, where S^-1/2 K S^-1/2 overflows float64."""
     grid = grid_mesh(8)
     path.write_text("\n".join(
         ["OFF", f"{grid.n_vertices} {grid.n_triangles} 0"]
@@ -709,14 +708,17 @@ def _write_overflowing_grid(path):
         + [f"3 {a} {b} {c}" for a, b, c in grid.triangles.tolist()]) + "\n")
 
 
-def test_match_eigenvalue_overflow_exit_1(tmp_path, capsys):
+def test_match_eigenvalue_overflow_exit_1(tmp_path, capfd):
     path = tmp_path / "tiny.off"
     _write_overflowing_grid(path)
     code = main(["match", "--part", str(path), "--full", str(path),
                  "--out", str(tmp_path / "out")] + MATCH_FLAGS)
     assert code == 1
-    err = capsys.readouterr().err
-    assert err.startswith("numerical failure: ") and "ARPACK failed" in err
+    # capfd: LAPACK once wrote to the standard output's file descriptor.
+    out, err = capfd.readouterr()
+    assert out == ""
+    assert err.startswith("numerical failure: ") and err.count("\n") == 1
+    assert "overflows float64: the smallest vertex area" in err
 
 
 def test_match_svd_failure_exit_1(mesh_files, tmp_path, monkeypatch, capsys):
@@ -855,6 +857,21 @@ def test_match_descriptor_header_larger_than_file_exit_2(cut_files, tmp_path,
     err = capsys.readouterr().err
     assert f"error: {huge}: truncated payload" in err
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_match_descriptor_header_without_entries_exit_2(cut_files, tmp_path,
+                                                        capsys):
+    empty = tmp_path / "empty.bin"
+    empty.write_bytes(MAGIC + struct.pack("<QQ", 2 ** 63, 0))
+    out = tmp_path / "out"
+    code = main(["match", "--part", cut_files["part"], "--full",
+                 cut_files["full"], "--descriptors-part", str(empty),
+                 "--k", "20", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {empty}: header declares {2 ** 63} x 0, " \
+        "no entries\n"
     assert not out.exists()
 
 

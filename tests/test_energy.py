@@ -198,7 +198,9 @@ def test_g_products_match_dense_products(rng, shares, n_dense):
     p = _sparse_g_problem(rng, shares)
     n, q = p.G.shape
     assert n_dense[0] <= np.count_nonzero(dense_bins(p.G)) <= n_dense[1]
-    assert np.shares_memory(p._G_dense, p.G) or p._G_dense.size == 0
+    # The dense block is its own C-contiguous copy of G's leading columns.
+    assert p._G_dense.flags.c_contiguous
+    assert np.array_equal(p._G_dense, p.G[:, :p._G_dense.shape[1]])
     k = p.Psi.shape[1]
     w, H = rng.standard_normal(n), rng.standard_normal((k, q))
     forward, adjoint = g_forward(p, w), g_adjoint(p, H)

@@ -72,12 +72,30 @@ def test_tiny_meshes_have_a_spectrum(exponent):
 
 
 def test_eigenvalues_that_overflow_raise_eigensolve_error():
-    # From about 2^-510 the eigenvalues, which scale as length^-2, overflow
-    # float64 and ARPACK stops with an error that is not a non-convergence.
+    # From 2^-508 S^-1/2 K S^-1/2, which scales as length^-2, overflows
+    # float64; it is rejected before the factorization and ARPACK.
     grid = grid_mesh(8)
     tiny = TriangleMesh(np.ldexp(grid.vertices, -510), grid.triangles)
-    with pytest.raises(EigensolveError, match="ARPACK failed"):
+    with pytest.raises(EigensolveError, match=r"S\^-1/2 K S\^-1/2 overflows "
+                       r"float64: the smallest vertex area, 2\.31779e-310, "
+                       "is too small"):
         mesh_basis(tiny, 6)
+
+
+@pytest.mark.parametrize("exponent", range(-504, -513, -1))
+def test_meshes_near_overflow_have_a_spectrum_or_raise(exponent, capfd):
+    # At 2^-508 the overflowing matrix once gave a wrong spectrum without an
+    # error, and from 2^-509 LAPACK wrote its complaints to standard output.
+    grid = grid_mesh(8)
+    ref = mesh_basis(grid, 6).eigenvalues
+    tiny = TriangleMesh(np.ldexp(grid.vertices, exponent), grid.triangles)
+    try:
+        vals = np.ldexp(mesh_basis(tiny, 6).eigenvalues, 2 * exponent)
+    except EigensolveError as exc:
+        assert "smallest vertex area" in str(exc)
+    else:
+        np.testing.assert_allclose(vals, ref, rtol=1e-9, atol=1e-9 * ref[-1])
+    assert capfd.readouterr().out == ""
 
 
 @pytest.mark.xfail(strict=True, reason="eigensolve drops one copy of a "

@@ -58,3 +58,30 @@ def test_truncated_header(tmp_path):
     path.write_bytes(MAGIC + b"\0\0")
     with pytest.raises(ValueError, match=re.escape(f"{path}: truncated header")):
         load_matrix(path)
+
+
+@pytest.mark.parametrize("rows", [2 ** 40, 2 ** 63])
+def test_header_without_entries_names_the_file(tmp_path, rows):
+    # rows x 0 once loaded as a (2^40, 0) array, and at 2^63 rows raised
+    # numpy's "Maximum allowed dimension exceeded" without the path.
+    path = tmp_path / "empty.bin"
+    path.write_bytes(MAGIC + struct.pack("<QQ", rows, 0))
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}: header declares {rows} x 0, no entries")):
+        load_matrix(path)
+
+
+def test_zero_rows_rejected(tmp_path):
+    path = tmp_path / "empty.bin"
+    path.write_bytes(MAGIC + struct.pack("<QQ", 0, 5))
+    with pytest.raises(ValueError, match="no entries"):
+        load_matrix(path)
+
+
+@pytest.mark.parametrize("shape", [(0,), (0, 3), (3, 0)])
+def test_empty_array_not_saved(tmp_path, shape):
+    # Every file save_matrix writes loads back.
+    path = tmp_path / "empty.bin"
+    with pytest.raises(ValueError, match="empty array"):
+        save_matrix(path, np.zeros(shape))
+    assert not path.exists()

@@ -1,10 +1,12 @@
 import dataclasses
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import pfmatch.descriptors as descriptors
 import pfmatch.solver as solver
 from pfmatch.bench import grid_mesh
 from pfmatch.descriptors import (DescriptorField, default_radius,
@@ -15,10 +17,10 @@ from pfmatch.energy import (EnergyParams, MatchProblem, area_term, eta,
 from pfmatch.laplacian import mesh_basis
 from pfmatch.solver import (_MASK_BLOCK, _NN_BLOCK, _NN_MAX_K,
                             _SAMPLE_PER_K, UNASSIGNED, MatchResult,
-                            SolverOptions, _spectral_sample, alternate,
-                            build_problem, c_objective, c_step, initial_mask,
-                            invert_assignment, nearest_columns, nonlinear_cg,
-                            refine, v_objective, v_step)
+                            SearchSide, SolverOptions, _spectral_sample,
+                            alternate, build_problem, c_objective, c_step,
+                            initial_mask, invert_assignment, nearest_columns,
+                            nonlinear_cg, refine, v_objective, v_step)
 from pfmatch.spectral import build_d_vector
 
 
@@ -181,7 +183,8 @@ def test_build_problem_drops_bins_zero_on_both_shapes(small_pair):
     used = (np.any(desc_full.values != 0.0, axis=0) |
             np.any(desc_part.values != 0.0, axis=0))
     # The kept bins set on at least 15% of the full shape's vertices come
-    # first, so that the problem's dense block of G is a view of G.
+    # first, and the problem's dense block of G is a C-contiguous copy of
+    # them.
     dense = np.count_nonzero(desc_full.values, axis=0) >= 0.15 * full.n_vertices
     keep = np.concatenate([np.flatnonzero(used & dense),
                            np.flatnonzero(used & ~dense)])
@@ -189,7 +192,9 @@ def test_build_problem_drops_bins_zero_on_both_shapes(small_pair):
     assert only_full in keep and only_part in keep and neither not in keep
     assert prob.dim == desc_full.dim == 352
     assert np.array_equal(prob.G, desc_full.values[:, keep])
-    assert np.shares_memory(prob._G_dense, prob.G)
+    n_dense = np.count_nonzero(dense[keep])
+    assert prob._G_dense.flags.c_contiguous
+    assert np.array_equal(prob._G_dense, prob.G[:, :n_dense])
     assert np.array_equal(prob.F, desc_part.values[:, keep])
     assert prob.A.shape == (k, len(keep))
     A_all = basis_part.eigenvectors.T @ (basis_part.mass[:, None] *
@@ -524,6 +529,70 @@ def test_nearest_columns_rejects_what_its_bound_does_not_cover(queries,
         nearest_columns(queries, points)
 
 
+def _tie_points(rng):
+    """(queries, points) with exact ties: repeated integer points, queried
+    on points and halfway between two."""
+    pts = np.repeat(rng.integers(-2, 3, size=(30, 4)).astype(float), 5, axis=0)
+    return np.vstack([pts[::7], 0.5 * (pts[::5] + pts[3::5][::-1])]), pts
+
+
+def _near_tie_points(rng):
+    """(queries, points) whose distances to a point and to its copy moved
+    up by 1 ulp differ far below the float32 screen's rounding, so every
+    query reaches the float64 re-rank."""
+    base = rng.standard_normal((40, 7))
+    up = np.nextafter(base, np.inf)
+    src = rng.integers(0, len(base), 2 * _NN_BLOCK + 3)
+    q = np.where(rng.random((len(src), 7)) < 0.5, base[src], up[src])
+    return q, np.vstack([base, up])
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda rng: (rng.standard_normal((300, 6)),
+                              rng.standard_normal((200, 6))), id="random"),
+    pytest.param(_tie_points, id="exact-ties"),
+    pytest.param(_near_tie_points, id="near-ties")])
+def test_search_side_equals_the_array_call(rng, make):
+    queries, points = make(rng)
+    side = SearchSide(points)
+    got = nearest_columns(queries, side)
+    assert got.tobytes() == nearest_columns(queries, points).tobytes()
+    dists = np.sum((queries[:, None, :] - points[None, :, :]) ** 2, axis=2)
+    assert np.array_equal(got, np.argmin(dists, axis=1))
+    # A second search reads the side's cached columns.
+    assert nearest_columns(queries, side).tobytes() == got.tobytes()
+
+
+def test_search_side_serves_queries_of_every_magnitude(rng):
+    # The queries' magnitude moves the scaling exponent up and back down;
+    # each search equals the array call, with one cached entry per
+    # exponent.
+    queries, points = _near_tie_points(rng)
+    side = SearchSide(points)
+    exponents = []
+    for scale in (1.0, 2.0 ** 40, 1.0, 2.0 ** 300, 2.0 ** -40, 2.0 ** 40):
+        q = points[rng.integers(0, len(points), 50)] * (1.0 + 1e-3 * (
+            rng.random((50, 1)) < 0.5)) * scale
+        got = nearest_columns(q, side)
+        assert got.tobytes() == nearest_columns(q, points).tobytes()
+        exponents.append(np.frexp(max(np.abs(q).max(), side.big))[1])
+    assert len(set(exponents)) == 3
+    assert sorted(side.scaled) == sorted(set(exponents))
+
+
+@pytest.mark.parametrize("queries, points", [
+    pytest.param([[0.0, np.nan]], [[0.0, 1.0]], id="nan-query"),
+    pytest.param([[5.0, 0.0]], [[np.nan, 1.0]], id="nan-point"),
+    pytest.param([[np.inf, 0.0]], [[0.0, 1.0]], id="inf-query"),
+    pytest.param([[5.0, 0.0]], [[-np.inf, 1.0]], id="inf-point")])
+def test_search_side_rejects_what_is_not_finite(queries, points):
+    # A NaN point beside a larger query must not be dropped when the two
+    # magnitudes are compared.
+    for target in (points, SearchSide(points)):
+        with pytest.raises(ValueError, match="finite coordinates"):
+            nearest_columns(queries, target)
+
+
 def test_refine_recovers_permutation(rng):
     n, k = 30, 6
     Phi = rng.standard_normal((n, k))
@@ -707,6 +776,63 @@ def test_sampled_refine_returns_the_nearest_map_of_its_c(sampled_pair, rng,
                for earlier, later in zip(residuals, residuals[1:]))
 
 
+def test_sampled_refine_searches_one_side_of_psi(sampled_pair, rng,
+                                                 monkeypatch):
+    # One SearchSide of Psi per refine serves every round's search and the
+    # final one, each called through the solver module.
+    phi, psi = sampled_pair
+    k = phi.shape[1]
+    sides, targets = [], []
+    real_side, real_search = solver.SearchSide, solver.nearest_columns
+
+    class CountedSide(real_side):
+        def __init__(self, points):
+            super().__init__(points)
+            sides.append(self)
+
+    def recorded(queries, points):
+        targets.append(points)
+        return real_search(queries, points)
+
+    monkeypatch.setattr(solver, "SearchSide", CountedSide)
+    monkeypatch.setattr(solver, "nearest_columns", recorded)
+    for _ in range(2):
+        C0 = np.eye(k) + 0.3 * rng.standard_normal((k, k))
+        sides.clear()
+        targets.clear()
+        _, _, residuals = refine(C0, phi, psi, build_d_vector(k, 5),
+                                 solver._part_sample(phi))
+        assert len(sides) == 1 and sides[0].points is psi
+        assert len(targets) == len(residuals) + 1
+        assert all(t is sides[0] for t in targets)
+
+
+def _spectral_sample_loop(Phi, m):
+    """Reference: _spectral_sample with a fresh array per step."""
+    Phi = np.ascontiguousarray(Phi, dtype=np.float64)
+    sq = np.einsum("ij,ij->i", Phi, Phi)
+    j = int(np.argmax(sq - 2.0 * (Phi @ Phi.mean(axis=0))))
+    gap = np.full(len(Phi), np.inf)
+    picked = np.empty(m, dtype=np.intp)
+    for i in range(m):
+        picked[i] = j
+        np.minimum(gap, sq + sq[j] - 2.0 * (Phi @ Phi[j]), out=gap)
+        gap[j] = -np.inf
+        j = int(np.argmax(gap))
+    return np.sort(picked)
+
+
+def test_spectral_sample_equals_the_allocating_loop(sampled_pair, rng):
+    phi, _ = sampled_pair
+    m = _SAMPLE_PER_K * phi.shape[1]
+    ties = np.repeat(rng.integers(-2, 3, size=(40, 3)).astype(float), 3,
+                     axis=0)
+    for Phi, count in ((phi, m), (phi[:, :3], 50),
+                       (rng.standard_normal((500, 7)), 120), (ties, 60)):
+        assert _spectral_sample(Phi, count).tobytes() == \
+            _spectral_sample_loop(Phi, count).tobytes()
+
+
 def test_spectral_sample_is_farthest_first(rng):
     # Three clusters: the first row taken is the one farthest from the mean,
     # then one row of each other cluster before a second of any.
@@ -869,6 +995,32 @@ def test_match_equals_the_hand_assembly(small_pair, given):
     assert got.sigma.tobytes() == sigma.tobytes()
     assert got.energy_trace == ref.energy_trace
     assert got.refine_residuals == ref.refine_residuals
+
+
+def test_match_releases_the_descriptor_fields_before_alternate(small_pair,
+                                                               monkeypatch):
+    # The computed SHOT fields are not read after build_problem; no
+    # reference to them is left while alternate runs.
+    full, part, params = small_pair["full"], small_pair["part"], \
+        small_pair["params"]
+    refs, alive = [], []
+    real_shot, real_alternate = descriptors.shot_descriptors, solver.alternate
+
+    def recorded_shot(mesh, radius):
+        field = real_shot(mesh, radius)
+        refs.extend([weakref.ref(field), weakref.ref(field.values)])
+        return field
+
+    def checked_alternate(*args, **kwargs):
+        alive.extend(ref() is not None for ref in refs)
+        return real_alternate(*args, **kwargs)
+
+    monkeypatch.setattr(descriptors, "shot_descriptors", recorded_shot)
+    monkeypatch.setattr(solver, "alternate", checked_alternate)
+    opts = SolverOptions(max_outer=1, cg_max_iter=5, refine_max_iter=2)
+    solver.match(part, full, params, opts, radius=0.3)
+    assert len(refs) == 4
+    assert alive == [False] * 4
 
 
 def test_alternate_recovers_part_region(small_pair):
