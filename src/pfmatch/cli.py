@@ -250,6 +250,9 @@ def run_gen(args):
                                                 args.keep_fraction)
         partial, gt = bench.plane_cut(mesh, point, normal)
     else:
+        if not 1 <= args.seeds <= mesh.n_vertices:
+            raise UsageError(f"--seeds {args.seeds}: expected 1 to "
+                             f"{mesh.n_vertices}, the vertices of {args.mesh}")
         partial, gt = bench.erode_holes(mesh, args.seeds, args.area_budget)
     save_ply(partial, args.out_prefix + "_part.ply")
     bench.save_ground_truth(gt, args.out_prefix + "_gt.csv")

@@ -35,6 +35,8 @@ class EnergyParams:
             raise ValueError("energy weights must be nonnegative")
         if self.sigma_xi <= 0:
             raise ValueError("sigma_xi must be positive")
+        if self.k < 1:
+            raise ValueError(f"k={self.k} must be at least 1")
 
 
 @dataclass(frozen=True)

@@ -163,10 +163,8 @@ class TriangleMesh:
     def farthest_point_sample(self, count, seed):
         """Greedy max-min geodesic sampling starting from ``seed``: the samples
         and each vertex's distance to the nearest one."""
-        if count > self.n_vertices:
-            raise ValueError("count exceeds number of vertices")
-        if count < 1:
-            raise ValueError("count must be positive")
+        if not 1 <= count <= self.n_vertices:
+            raise ValueError(f"count {count} is outside 1..{self.n_vertices}")
         samples = [int(seed)]
         dmin = self.geodesic_distances(int(seed))
         for _ in range(count - 1):
@@ -315,33 +313,24 @@ def load_mesh(path):
 
 
 def _read_off(path):
-    with open(path, "r") as fh:
-        tokens = []
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if line:
-                tokens.extend(line.split())
-    if not tokens or tokens[0] != "OFF":
-        raise MeshError(f"{path}: missing OFF header")
-    try:
-        nv, nf = int(tokens[1]), int(tokens[2])
-        if nv < 0 or nf < 0:
-            raise ValueError("negative element count")
-        pos = 4 + 3 * nv  # past the edge count and the vertices
-        verts = np.asarray(tokens[4:pos], dtype=np.float64).reshape(nv, 3)
-        # Faces must be triangles, so each is four tokens: 3 and its corners.
-        block = tokens[pos:pos + 4 * nf]
-        faces = np.asarray(block[:len(block) // 4 * 4],
-                           dtype=np.int64).reshape(-1, 4)
-    except (ValueError, IndexError) as exc:
-        raise MeshError(f"{path}: malformed OFF data: {exc}") from exc
-    # A short face also shortens the data, so test before the length.
-    if (faces[:, 0] != 3).any():
-        raise MeshError(f"{path}: only triangular faces supported")
-    if len(faces) < nf:
-        raise MeshError(f"{path}: OFF data has fewer values than its header "
-                        "declares")
-    return verts, faces[:, 1:]
+    with open(path, "rb") as fh:
+        # Comments and blank lines are dropped before any row is read.
+        lines = (r for r in (ln.split(b"#", 1)[0] for ln in fh) if r.strip())
+        head = next(lines, b"").split()
+        if head[:1] != [b"OFF"]:
+            raise MeshError(f"{path}: missing OFF header")
+        # Counts on the OFF line or the next; the edge count may be absent.
+        try:
+            nv, nf = map(int, (head[1:] or next(lines, b"").split())[:2])
+            if nv < 0 or nf < 0:
+                raise ValueError("negative element count")
+        except ValueError as exc:
+            raise MeshError(f"{path}: malformed OFF data: {exc}") from exc
+        verts = _ply_element(lines, nv, [(c, "double", 1) for c in "xyz"],
+                             False, path, "OFF")
+        faces = _ply_element(lines, nf, [("idx.count", "uchar", 1),
+                                         ("idx", "int", 3)], False, path, "OFF")
+    return np.column_stack([verts[c] for c in "xyz"]), faces["idx"]
 
 
 _PLY_TYPES = {
@@ -408,16 +397,13 @@ def _read_ply(path):
                 tris = data[key]
     if verts is None or tris is None:
         raise MeshError(f"{path}: missing vertex or face element")
-    if tris.dtype.kind == "f" and not (np.isfinite(tris).all()
-                                       and (tris % 1 == 0).all()):
-        raise MeshError(f"{path}: ply face index is not an integer")
     return np.asarray(verts, dtype=np.float64), np.asarray(tris, dtype=np.int64)
 
 
-def _ply_element(fh, count, fields, binary, path):
-    """Read the records of one PLY element into a structured array.
+def _ply_element(fh, count, fields, binary, path, label="ply"):
+    """Read one PLY element, or one block of OFF rows, into records.
 
-    Binary records take the declared types; ASCII values are all read as
+    Binary records take the declared types; text values are all read as
     float64, one row per line, ignoring values past the declared ones;
     neither reads past the end of the file, whatever the declared count.
     """
@@ -442,13 +428,16 @@ def _ply_element(fh, count, fields, binary, path):
         try:
             values = np.array(rows[:full], dtype=np.float64).reshape(full, width)
         except ValueError as exc:
-            raise MeshError(f"{path}: malformed ply data: {exc}") from exc
+            raise MeshError(f"{path}: malformed {label} data: {exc}") from exc
         raw = values.view(dt)[:, 0]
-        short = "ply data has fewer values than its header declares"
+        short = f"{label} data has fewer values than its header declares"
     # A short face also cuts the records short, so test the counts first.
     for name, _, width in fields:
         if width == 3 and (raw[name + ".count"] != 3).any():
             raise MeshError(f"{path}: only triangular faces supported")
+        if width == 3 and raw[name].dtype.kind == "f" and not (
+                np.isfinite(raw[name]).all() and (raw[name] % 1 == 0).all()):
+            raise MeshError(f"{path}: {label} face index is not an integer")
     if len(raw) < count:
         raise MeshError(f"{path}: {short}")
     return raw

@@ -554,6 +554,10 @@ def match(part, full, params=EnergyParams(), opts=SolverOptions(),
     references to the descriptor fields before alternate runs:
     build_problem keeps what it uses of them.
     """
+    for name, mesh in (("partial", part), ("full", full)):
+        if params.k >= mesh.n_vertices:
+            raise ValueError(f"k={params.k} must be smaller than the "
+                             f"{mesh.n_vertices} vertices of the {name} shape")
     basis_part = laplacian.mesh_basis(part, params.k)
     basis_full = laplacian.mesh_basis(full, params.k)
     if radius is None:

@@ -19,7 +19,7 @@ from pfmatch.cli import UsageError, _read_config, build_parser, main
 from pfmatch.descriptors import default_radius, shot_descriptors
 from pfmatch.energy import EnergyParams
 from pfmatch.matio import MAGIC, load_matrix, save_matrix
-from pfmatch.mesh import load_mesh, save_ply
+from pfmatch.mesh import load_mesh, save_off, save_ply
 from pfmatch.solver import SolverOptions
 from pfmatch.spectral import perturbation_setup
 
@@ -212,6 +212,26 @@ def test_match_deterministic(mesh_files, tmp_path):
         a = pathlib.Path(outs[0], fname).read_bytes()
         b = pathlib.Path(outs[1], fname).read_bytes()
         assert a == b, fname
+
+
+def test_match_reads_off_with_face_colors_as_binary_ply(mesh_files, tmp_path):
+    # The full shape once as binary PLY, once as OFF from save_off with a
+    # color after every face row: the same mesh, so the same match.
+    full = load_mesh(mesh_files["full"])
+    off = tmp_path / "full.off"
+    save_off(full, off)
+    rows = off.read_text().splitlines()
+    faces = 2 + full.n_vertices  # past OFF, the counts and the vertices
+    off.write_text("\n".join(rows[:faces]
+                             + [row + " 255 128 0" for row in rows[faces:]])
+                   + "\n")
+    for name, path in (("ply", mesh_files["full"]), ("off", off)):
+        assert main(["match", "--part", mesh_files["part"], "--full",
+                     str(path), "--out", str(tmp_path / name)]
+                    + MATCH_FLAGS) == 0
+    for name in ("C.bin", "v.csv", "pi.csv", "energy.csv"):
+        assert (tmp_path / "ply" / name).read_bytes() == \
+            (tmp_path / "off" / name).read_bytes()
 
 
 @pytest.mark.filterwarnings("ignore:mesh is not consistently orientable")
@@ -892,3 +912,50 @@ def test_match_requires_inputs():
 def test_gen_bad_budget(mesh_files):
     assert main(["gen", "holes", "--mesh", mesh_files["sphere"],
                  "--area-budget", "2.0"]) == 2
+
+
+@pytest.mark.parametrize("swap, k, message", [
+    (False, "500", "k=500 must be smaller than the 45 vertices of the "
+     "partial shape"),
+    (True, "60", "k=60 must be smaller than the 45 vertices of the full "
+     "shape"),
+    (False, "0", "k=0 must be at least 1"),
+], ids=["partial", "full", "zero"])
+def test_match_rejects_k_out_of_range_before_any_eigensolve(
+        mesh_files, tmp_path, capsys, monkeypatch, swap, k, message):
+    def no_eigensolve(*args):
+        raise AssertionError("an eigensolve ran")
+
+    monkeypatch.setattr(laplacian, "mesh_basis", no_eigensolve)
+    part, full = mesh_files["part"], mesh_files["full"]
+    if swap:
+        part, full = full, part
+    out = tmp_path / "out"
+    assert main(["match", "--part", part, "--full", full, "--out", str(out)]
+                + MATCH_FLAGS + ["--k", k]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_match_batch_names_the_line_of_a_k_out_of_range(mesh_files, tmp_path,
+                                                        capsys):
+    manifest = tmp_path / "pairs.txt"
+    manifest.write_text(
+        f"{mesh_files['part']} {mesh_files['full']} {tmp_path / 'j1'}\n")
+    assert main(["match", "--pairs", str(manifest)] + MATCH_FLAGS
+                + ["--k", "500"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {manifest}:1: k=500 must be smaller than the 45 vertices of "
+        "the partial shape\n")
+
+
+@pytest.mark.parametrize("seeds", ["0", "-1", "163"])
+def test_gen_holes_rejects_seeds_out_of_range(mesh_files, tmp_path, capsys,
+                                              seeds):
+    sphere = mesh_files["sphere"]  # icosphere(2): 162 vertices
+    assert main(["gen", "holes", "--mesh", sphere, "--seeds", seeds,
+                 "--out-prefix", str(tmp_path / "holes")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: --seeds {seeds}: expected 1 to 162, the vertices of "
+        f"{sphere}\n")
+    assert not os.listdir(tmp_path)

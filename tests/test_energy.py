@@ -396,6 +396,8 @@ def test_params_validation():
         EnergyParams(mu1=-1.0)
     with pytest.raises(ValueError):
         EnergyParams(sigma_xi=0.0)
+    with pytest.raises(ValueError, match="k=0 must be at least 1"):
+        EnergyParams(k=0)
 
 
 def test_breakdown_combination():

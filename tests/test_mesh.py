@@ -308,6 +308,79 @@ def test_malformed_mesh_rejected_with_path(tmp_path, name, text, message):
         load_mesh(path)
 
 
+_SQUARE_OFF = "OFF\n4 2 0\n0 0 0\n1 0 0\n1 1 0\n0 1 0\n3 0 1 2\n3 0 2 3\n"
+
+
+@pytest.mark.parametrize("text", [
+    _SQUARE_OFF.replace("3 0 1 2\n3 0 2 3", "3 0 1 2 255 0 0\n3 0 2 3 0 9 0"),
+    _SQUARE_OFF.replace("3 0 1 2\n3 0 2 3",
+                        "3 0 1 2 0.5 0.5 0.5 1\n3 0 2 3 1 0.25 0 1"),
+    _SQUARE_OFF.replace("1 1 0\n", "1 1 0 255 255 255\n"),
+    _SQUARE_OFF.replace("4 2 0", "4 2"),
+    _SQUARE_OFF.replace("OFF\n4 2 0", "OFF 4 2 0"),
+    _SQUARE_OFF.replace("OFF\n", "OFF # made by hand\n\n# counts\n")
+    .replace("3 0 1 2\n", "  \n3 0 1 2 # first face\n"),
+], ids=["int_face_colors", "float_face_colors", "vertex_color",
+        "no_edge_count", "counts_on_off_line", "comments_and_blank_lines"])
+def test_off_rows_ignore_values_past_the_vertex_or_face(tmp_path, text):
+    # OFF rows go through ASCII PLY's reader: a row is x y z or 3 a b c,
+    # and a color after it is read past.
+    path = tmp_path / "square.off"
+    path.write_text(text)
+    mesh = load_mesh(path)
+    assert mesh.vertices.tobytes() == np.array(
+        [[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]], dtype=float).tobytes()
+    assert mesh.triangles.tolist() == [[0, 1, 2], [0, 2, 3]]
+
+
+@pytest.mark.parametrize("text, message", [
+    (_SQUARE_OFF.replace("3 0 1 2", "3 0 1.5 2"),
+     "OFF face index is not an integer"),
+    (_SQUARE_OFF.replace("3 0 1 2", "3 0 1.5 2 255 0 0"),
+     "OFF face index is not an integer"),
+    (_SQUARE_OFF.replace("3 0 2 3", "3 0 2 inf"),
+     "OFF face index is not an integer"),
+    # One vertex per line: a vertex split over two lines is short.
+    (_SQUARE_OFF.replace("1 0 0\n", "1 0\n0\n"),
+     "OFF data has fewer values than its header declares"),
+    (_SQUARE_OFF.replace("4 2 0", "4 1 0").replace(
+        "3 0 1 2\n3 0 2 3", "4 0 1 2 3 255 0 0"),
+     "only triangular faces supported"),
+    ("OFF\n4\n0 0 0\n", "malformed OFF data: not enough values to unpack"),
+    ("OFF\n4 x 0\n", "malformed OFF data: invalid literal for int()"),
+    ("OFFX\n3 1 0\n", "missing OFF header"),
+], ids=["index_not_integral", "index_not_integral_with_color",
+        "index_not_finite", "split_vertex", "quad_with_color",
+        "one_count", "count_not_an_integer", "not_the_off_keyword"])
+def test_malformed_off_rows_rejected(tmp_path, text, message):
+    path = tmp_path / "bad.off"
+    path.write_text(text)
+    with pytest.raises(MeshError, match=re.escape(f"{path}: {message}")):
+        load_mesh(path)
+
+
+def test_binary_ply_float_indices_must_be_integers(tmp_path, square_grid):
+    # The index rule of ASCII PLY and OFF holds for a binary float list.
+    header = ["ply", "format binary_little_endian 1.0", "element vertex 4",
+              "property double x", "property double y", "property double z",
+              "element face 2", "property list uchar float vertex_indices",
+              "end_header"]
+    verts = np.array([[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]], "<f8")
+    path = tmp_path / "float.ply"
+    for second, ok in (((0, 2, 3), True), ((0, 2.5, 3), False)):
+        with open(path, "wb") as fh:
+            fh.write(("\n".join(header) + "\n").encode("ascii"))
+            fh.write(verts.tobytes())
+            fh.write(struct.pack("<B3f", 3, 0, 1, 2))
+            fh.write(struct.pack("<B3f", 3, *second))
+        if ok:
+            assert load_mesh(path).triangles.tolist() == [[0, 1, 2], [0, 2, 3]]
+        else:
+            with pytest.raises(MeshError, match=re.escape(
+                    f"{path}: ply face index is not an integer")):
+                load_mesh(path)
+
+
 def test_vertex_areas_equilateral(equilateral):
     s = equilateral.vertex_areas()
     expected = (np.sqrt(3) / 4) / 3
