@@ -85,14 +85,22 @@ def _neighbour_table(pts, radius):
     out: point v's neighbours are ``nbr[indptr[v]:indptr[v + 1]]``, in
     ascending index order."""
     n = len(pts)
-    i, j = cKDTree(pts).query_pairs(radius, output_type="ndarray").T
+    pairs = cKDTree(pts).query_pairs(radius, output_type="ndarray")
+    i, j = pairs.T
     # Sorting the keys centre * n + neighbour orders the table by centre,
-    # then by neighbour.
-    nbr = np.sort(np.concatenate([i * n + j, j * n + i])) % n
+    # then by neighbour.  Both halves of the keys are written into the one
+    # array that becomes the table, 32-bit where the keys fit.
+    p = len(i)
+    key = np.empty(2 * p, dtype=np.int32 if n * n < 2**31 else np.int64)
+    for half, centre, other in ((key[:p], i, j), (key[p:], j, i)):
+        np.multiply(centre, n, out=half, casting="unsafe")
+        np.add(half, other, out=half, casting="unsafe")
+    key.sort()
+    key %= n
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(i, minlength=n) + np.bincount(j, minlength=n),
-              out=indptr[1:])
-    return indptr, nbr
+    # A point's count is how often it appears in a pair, on either side.
+    np.cumsum(np.bincount(pairs.ravel(), minlength=n), out=indptr[1:])
+    return indptr, key
 
 
 def shot_descriptors(mesh, radius):
@@ -152,24 +160,50 @@ def _histograms(centres, indptr, nbr, pts, normals, radius):
     if not ok.all():  # a neighbour coincides with its centre
         local, dist, cosang, owner = local[ok], dist[ok], cosang[ok], owner[ok]
 
-    azimuth = np.arctan2(local[:, 1], local[:, 0])  # (-pi, pi]
-    az_bin = np.minimum((azimuth + np.pi) / (2 * np.pi) * N_AZIMUTH,
-                        N_AZIMUTH - 1e-9).astype(np.int64)
-    el_bin = (local[:, 2] >= 0).astype(np.int64)
-    rad_bin = (dist >= radius / 2.0).astype(np.int64)
-    sector = (az_bin * N_ELEVATION + el_bin) * N_RADIAL + rad_bin
+    # Each neighbour adds two terms, to its lower and then its upper cosine
+    # bin.  Both land in one index and one weight array, lower terms first,
+    # computed in place by the floating-point steps of the per-neighbour
+    # formulas, in their order, so the bins match a per-vertex loop's.
+    m = len(cosang)
+    index = np.empty(2 * m, dtype=np.int64)
+    weight = np.empty(2 * m)
+    lo, hi = index[:m], index[m:]
+    w_lo, w_hi = weight[:m], weight[m:]
 
-    cosang = np.clip(cosang, -1.0, 1.0)
-    # Soft assignment across the two adjacent cosine bins.
-    pos = (cosang + 1.0) / 2.0 * N_COS_BINS - 0.5
-    lo = np.floor(pos).astype(np.int64)
-    frac = pos - lo
-    base = (owner * (N_AZIMUTH * N_ELEVATION * N_RADIAL) + sector) * N_COS_BINS
+    # base = (owner * 32 + sector) * 11, the first bin of the neighbour's
+    # sector in the block's histograms, built in owner.
+    np.arctan2(local[:, 1], local[:, 0], out=w_lo)  # (-pi, pi]
+    w_lo += np.pi
+    w_lo /= 2 * np.pi
+    w_lo *= N_AZIMUTH
+    np.minimum(w_lo, N_AZIMUTH - 1e-9, out=w_lo)
+    base = owner
+    base *= N_AZIMUTH
+    lo[...] = w_lo  # the azimuth bin
+    base += lo
+    base *= N_ELEVATION
+    base += np.greater_equal(local[:, 2], 0, out=lo)
+    base *= N_RADIAL
+    base += np.greater_equal(dist, radius / 2.0, out=lo)
+    base *= N_COS_BINS
+
+    # Soft assignment across the two adjacent cosine bins, each clamped
+    # into the histogram.
+    pos = np.clip(cosang, -1.0, 1.0, out=cosang)
+    pos += 1.0
+    pos /= 2.0
+    pos *= N_COS_BINS
+    pos -= 0.5
+    np.floor(pos, out=w_lo)
+    np.subtract(pos, w_lo, out=w_hi)  # frac
+    lo[...] = w_lo
+    np.subtract(1.0, w_hi, out=w_lo)
+    np.add(lo, 1, out=hi)
+    np.minimum(hi, N_COS_BINS - 1, out=hi)
+    hi += base
+    np.maximum(lo, 0, out=lo)
+    lo += base
     # One bincount in the order of two passes, lower bin then upper bin,
-    # each clamped into the histogram, so every bin sums its terms in
-    # neighbour order, pass by pass.
-    index = np.concatenate([base + np.maximum(lo, 0),
-                            base + np.minimum(lo + 1, N_COS_BINS - 1)])
-    weight = np.concatenate([1.0 - frac, frac])
+    # so every bin sums its terms in neighbour order, pass by pass.
     hist = np.bincount(index, weight, minlength=len(centres) * DESCRIPTOR_DIM)
     return hist.reshape(len(centres), DESCRIPTOR_DIM)

@@ -8,10 +8,12 @@ edge-midpoint Steiner points, which keeps the graph-metric error small
 enough for evaluation purposes.
 """
 
+import codecs
 import os
+import re
 import warnings
 from functools import cached_property
-from itertools import islice
+from itertools import chain, islice
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -296,14 +298,18 @@ def edge_table(triangles):
 
 
 def load_mesh(path):
-    """Load an OFF or PLY mesh (ascii or binary-little-endian PLY)."""
+    """Load an OFF or PLY mesh (ascii or binary-little-endian PLY).
+
+    The format is named by the first word of the first line that is
+    neither blank nor a ``#`` comment, after any UTF-8 byte-order mark.
+    """
     path = str(path)
     with open(path, "rb") as fh:
-        head = fh.read(4)
-    if head.startswith(b"OFF"):
-        v, t = _read_off(path)
-    elif head.startswith(b"ply"):
+        keyword = next(_text_rows(fh), b"").split()[:1]
+    if keyword == [b"ply"]:
         v, t = _read_ply(path)
+    elif keyword and b"OFF" in keyword[0]:
+        v, t = _read_off(path)
     else:
         raise MeshError(f"{path}: unrecognized mesh format")
     try:
@@ -312,13 +318,29 @@ def load_mesh(path):
         raise MeshError(f"{path}: {exc}") from exc
 
 
+def _text_rows(fh):
+    """The lines of a text file opened in binary, with a leading UTF-8
+    byte-order mark, ``#`` comments and blank lines dropped."""
+    lines = chain([fh.readline().removeprefix(codecs.BOM_UTF8)], fh)
+    return (r for r in (ln.split(b"#", 1)[0] for ln in lines) if r.strip())
+
+
+# Geomview's OFF keywords: [ST][C][N][4][n]OFF.  The ST, C and N prefixes
+# add texture coordinates, a color and a normal after a vertex's x y z,
+# which the row reader reads past; 4 and n change the vertex dimension.
+_OFF_KEYWORD = re.compile(rb"(ST)?C?N?(?P<dim>4?n?)OFF")
+
+
 def _read_off(path):
     with open(path, "rb") as fh:
-        # Comments and blank lines are dropped before any row is read.
-        lines = (r for r in (ln.split(b"#", 1)[0] for ln in fh) if r.strip())
+        lines = _text_rows(fh)
         head = next(lines, b"").split()
-        if head[:1] != [b"OFF"]:
+        keyword = _OFF_KEYWORD.fullmatch(head[0]) if head else None
+        if keyword is None:
             raise MeshError(f"{path}: missing OFF header")
+        if keyword["dim"]:
+            raise MeshError(f"{path}: {head[0].decode()} is not supported: "
+                            "only 3-D OFF vertices are read")
         # Counts on the OFF line or the next; the edge count may be absent.
         try:
             nv, nf = map(int, (head[1:] or next(lines, b"").split())[:2])

@@ -216,8 +216,11 @@ def build_problem(basis_part, basis_full, desc_part, desc_full, mesh_full,
     if desc_part.dim != desc_full.dim:
         raise ValueError(f"descriptor lengths differ: {desc_part.dim} on the "
                          f"partial shape, {desc_full.dim} on the full shape")
+    # One scan per shape: the bins that are nonzero anywhere on it.
+    used = []
     for name, desc in (("partial", desc_part), ("full", desc_full)):
-        if not np.any(desc.values):
+        used.append(desc.values.any(axis=0))
+        if not used[-1].any():
             where = ("" if desc.radius is None
                      else f" (support radius {desc.radius:g})")
             raise ValueError(f"every descriptor of the {name} shape is "
@@ -225,8 +228,7 @@ def build_problem(basis_part, basis_full, desc_part, desc_full, mesh_full,
     k = min(params.k, basis_part.k, basis_full.k)
     bp = basis_part.truncated(k)
     bf = basis_full.truncated(k)
-    bins = np.flatnonzero(np.any(desc_part.values != 0.0, axis=0) |
-                          np.any(desc_full.values != 0.0, axis=0))
+    bins = np.flatnonzero(used[0] | used[1])
     bins = bins[np.argsort(~dense_bins(desc_full.values)[bins], kind="stable")]
     F = desc_part.values.take(bins, axis=1)
     A = fourier_coeffs(bp, F)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -343,3 +345,31 @@ def test_neighbour_table_matches_argsort():
     owner = np.repeat(np.arange(len(lonely)), np.diff(indptr))
     coincident = np.all(lonely[nbr] == lonely[owner], axis=1)
     assert len(np.unique(owner[coincident])) == 18
+
+
+def test_neighbour_table_key_width(rng):
+    # 32-bit keys while centre * n + neighbour fits them, 64-bit from
+    # n = 46341, where n * n passes 2**31 - 1; the random points at that
+    # radius make a few thousand pairs.
+    for pts, radius, dtype in ((bumpy_sphere(3).vertices, 0.3, np.int32),
+                               (rng.random((46341, 3)), 0.009, np.int64)):
+        indptr, nbr = _neighbour_table(pts, radius)
+        ref_indptr, ref_nbr = _neighbour_table_argsort(pts, radius)
+        assert nbr.dtype == dtype and len(nbr) > 1000
+        assert np.array_equal(indptr, ref_indptr)
+        assert np.array_equal(nbr, ref_nbr)
+
+
+def test_neighbour_table_is_its_only_large_array():
+    # The keys are built, sorted and reduced in the array that is returned,
+    # so the call's traced peak stays near the table's own size.
+    mesh = bumpy_sphere(4)
+    radius = default_radius(mesh)
+    tracemalloc.start()
+    try:
+        _, nbr = _neighbour_table(mesh.vertices, radius)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert nbr.nbytes > 1e6
+    assert peak <= 1.25 * nbr.nbytes

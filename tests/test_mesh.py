@@ -333,6 +333,45 @@ def test_off_rows_ignore_values_past_the_vertex_or_face(tmp_path, text):
     assert mesh.triangles.tolist() == [[0, 1, 2], [0, 2, 3]]
 
 
+_COLORED_VERTICES = "".join(
+    f"{row} 255 0 0 255\n" for row in ["0 0 0", "1 0 0", "1 1 0", "0 1 0"])
+
+
+@pytest.mark.parametrize("data", [
+    b"# made by hand\n" + _SQUARE_OFF.encode(),
+    b"\n  \n" + _SQUARE_OFF.encode(),
+    b"\xef\xbb\xbf" + _SQUARE_OFF.encode(),
+    b"\xef\xbb\xbf# made by hand\n\n" + _SQUARE_OFF.encode(),
+    _SQUARE_OFF.replace("OFF", "COFF").replace(
+        "0 0 0\n1 0 0\n1 1 0\n0 1 0\n", _COLORED_VERTICES).encode(),
+    _SQUARE_OFF.replace("OFF", "NOFF").replace(
+        "0 0 0\n1 0 0\n1 1 0\n0 1 0\n", "0 0 0 0 0 1\n1 0 0 0 0 1\n"
+        "1 1 0 0 0 1\n0 1 0 0 0 1\n").encode(),
+    _SQUARE_OFF.replace("OFF", "STCNOFF").encode(),
+], ids=["comment_first", "blank_first", "byte_order_mark",
+        "byte_order_mark_then_comment", "coff", "noff", "stcnoff"])
+def test_off_keyword_found_past_comments_blanks_and_prefixes(tmp_path, data):
+    # The format is named by the first line that is neither blank nor a
+    # comment, after a byte-order mark; Geomview's ST, C and N prefixes add
+    # values after x y z, which are read past.
+    plain, path = tmp_path / "plain.off", tmp_path / "square.off"
+    plain.write_text(_SQUARE_OFF)
+    path.write_bytes(data)
+    mesh, expected = load_mesh(path), load_mesh(plain)
+    assert mesh.vertices.tobytes() == expected.vertices.tobytes()
+    assert mesh.triangles.tobytes() == expected.triangles.tobytes()
+
+
+@pytest.mark.parametrize("keyword", ["4OFF", "nOFF", "C4OFF"])
+def test_off_of_other_vertex_dimensions_rejected(tmp_path, keyword):
+    path = tmp_path / "bad.off"
+    path.write_text(_SQUARE_OFF.replace("OFF", keyword))
+    with pytest.raises(MeshError, match=re.escape(
+            f"{path}: {keyword} is not supported: only 3-D OFF vertices "
+            "are read")):
+        load_mesh(path)
+
+
 @pytest.mark.parametrize("text, message", [
     (_SQUARE_OFF.replace("3 0 1 2", "3 0 1.5 2"),
      "OFF face index is not an integer"),

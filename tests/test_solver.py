@@ -219,6 +219,33 @@ def test_build_problem_rejects_all_zero_descriptors(small_pair, shape):
                       part.total_area, EnergyParams(k=k))
 
 
+def test_build_problem_bins_treat_negative_zero_as_zero(small_pair):
+    # A bin holding only -0.0 is unused, as is a shape holding only -0.0;
+    # a NaN counts as a value, as np.any(values != 0.0) counts it.
+    full, part = small_pair["full"], small_pair["part"]
+    k = 8
+    desc_full = shot_descriptors(full, radius=0.3)
+    desc_part = shot_descriptors(part, radius=0.3)
+    basis_part, basis_full = mesh_basis(part, k), mesh_basis(full, k)
+    unused = np.flatnonzero(~desc_full.values.any(axis=0) &
+                            ~desc_part.values.any(axis=0))
+    assert len(unused) >= 2
+    desc_full.values[:, unused[0]] = -0.0
+    desc_full.values[0, unused[1]] = np.nan
+    with np.errstate(invalid="ignore"):
+        prob, _ = build_problem(basis_part, basis_full, desc_part, desc_full,
+                                full, part.total_area, EnergyParams(k=k))
+    kept = prob.G.shape[1]
+    assert kept == np.count_nonzero(np.any(desc_full.values != 0.0, axis=0) |
+                                    np.any(desc_part.values != 0.0, axis=0))
+    assert np.isnan(prob.G).any()
+    negative = DescriptorField(np.full_like(desc_part.values, -0.0), 0.3,
+                               np.ones(part.n_vertices, dtype=bool))
+    with pytest.raises(ValueError, match="of the partial shape is zero"):
+        build_problem(basis_part, basis_full, negative, desc_full, full,
+                      part.total_area, EnergyParams(k=k))
+
+
 def test_initial_mask_blocks_match_unblocked(rng):
     # Unit descriptors with all-zero columns and all-zero rows, over more
     # rows than one block, seeded from every part row or from some.
