@@ -78,6 +78,10 @@ def _load_descriptors(path, mesh):
     values = matio.load_matrix(path)
     if values.shape[0] != mesh.n_vertices:
         raise UsageError(f"{path}: descriptor rows do not match mesh")
+    bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
+    if len(bad):
+        raise UsageError(f"{path}: descriptor row {bad[0]} holds a value that "
+                         "is not finite")
     return descriptors.DescriptorField(
         values, None, np.zeros(mesh.n_vertices, dtype=bool))
 

@@ -9,6 +9,7 @@ conventions below.  The L2,1 data norm is smoothed per column as
 sqrt(|col|^2 + eps^2) - eps so the gradient exists at zero residual columns.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,10 +32,14 @@ class EnergyParams:
     k: int = 100
 
     def __post_init__(self):
-        if min(self.mu1, self.mu2, self.mu3, self.mu4_5) < 0:
-            raise ValueError("energy weights must be nonnegative")
-        if self.sigma_xi <= 0:
-            raise ValueError("sigma_xi must be positive")
+        for name in ("mu1", "mu2", "mu3", "mu4_5", "sigma_w"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name}={value!r}: energy weights must be "
+                                 "finite and nonnegative")
+        if not (math.isfinite(self.sigma_xi) and self.sigma_xi > 0):
+            raise ValueError(f"sigma_xi={self.sigma_xi!r} must be finite and "
+                             "positive")
         if self.k < 1:
             raise ValueError(f"k={self.k} must be at least 1")
 

@@ -58,8 +58,9 @@ class SolverOptions:
     def __post_init__(self):
         if min(self.max_outer, self.cg_max_iter, self.refine_max_iter) < 1:
             raise ValueError("iteration caps must be positive")
-        if self.cg_grad_tol <= 0:
-            raise ValueError("cg_grad_tol must be positive")
+        if not (math.isfinite(self.cg_grad_tol) and self.cg_grad_tol > 0):
+            raise ValueError(f"cg_grad_tol={self.cg_grad_tol!r} must be "
+                             "finite and positive")
 
 
 @dataclass
@@ -207,14 +208,19 @@ def build_problem(basis_part, basis_full, desc_part, desc_full, mesh_full,
 
     A, G and F keep only the descriptor bins that are nonzero on either
     shape; any other bin has a zero residual column for every C and v.
-    Bins dense on the full shape come first (see MatchProblem).
+    Bins dense on the full shape come first (see MatchProblem).  The
+    part's field is dropped once F is taken, and the full shape's once G
+    is taken, before the MatchProblem is formed, so a field that only the
+    call holds is freed there.  G is taken after A, so a caller that keeps
+    both fields does not hold G beside A's temporaries.
 
     Raises ValueError when the shapes' descriptors differ in length, or
     when every descriptor of a shape is zero, as when no vertex has enough
     neighbours within the support radius.
     """
-    if desc_part.dim != desc_full.dim:
-        raise ValueError(f"descriptor lengths differ: {desc_part.dim} on the "
+    dim = desc_part.dim
+    if dim != desc_full.dim:
+        raise ValueError(f"descriptor lengths differ: {dim} on the "
                          f"partial shape, {desc_full.dim} on the full shape")
     # One scan per shape: the bins that are nonzero anywhere on it.
     used = []
@@ -225,21 +231,24 @@ def build_problem(basis_part, basis_full, desc_part, desc_full, mesh_full,
                      else f" (support radius {desc.radius:g})")
             raise ValueError(f"every descriptor of the {name} shape is "
                              f"zero{where}")
-    k = min(params.k, basis_part.k, basis_full.k)
-    bp = basis_part.truncated(k)
-    bf = basis_full.truncated(k)
+    del desc  # the loop variable would keep the full shape's field alive
     bins = np.flatnonzero(used[0] | used[1])
     bins = bins[np.argsort(~dense_bins(desc_full.values)[bins], kind="stable")]
     F = desc_part.values.take(bins, axis=1)
+    del desc_part
+    k = min(params.k, basis_part.k, basis_full.k)
+    bp = basis_part.truncated(k)
+    bf = basis_full.truncated(k)
     A = fourier_coeffs(bp, F)
+    G = desc_full.values.take(bins, axis=1)
+    del desc_full
     r = estimate_rank(bp.eigenvalues, bf.eigenvalues, k)
     r = max(r, 1)
     W = build_weight_matrix(k, r, params.sigma_w)
     d = build_d_vector(k, r)
-    prob = MatchProblem(A=A, Psi=bf.eigenvectors, mass=bf.mass,
-                        G=desc_full.values.take(bins, axis=1),
+    prob = MatchProblem(A=A, Psi=bf.eigenvectors, mass=bf.mass, G=G,
                         mesh_full=mesh_full, area_part=area_part, W=W, d=d,
-                        F=F, dim=desc_part.dim)
+                        F=F, dim=dim)
     return prob, r
 
 
@@ -552,9 +561,11 @@ def match(part, full, params=EnergyParams(), opts=SolverOptions(),
     descriptors not given, both at one support radius (by default
     ``descriptors.default_radius(full)``), then runs build_problem and
     alternate.  Every stage is looked up on its module at call time, so
-    that a function patched there is the one called.  match drops its
-    references to the descriptor fields before alternate runs:
-    build_problem keeps what it uses of them.
+    that a function patched there is the one called.  match keeps no
+    reference to a descriptor field that it computes: it hands both to
+    build_problem, which drops each once its columns are taken, so neither
+    is alive when the MatchProblem is built.  A field given by the caller
+    lives as long as the caller holds it.
     """
     for name, mesh in (("partial", part), ("full", full)):
         if params.k >= mesh.n_vertices:
@@ -564,11 +575,11 @@ def match(part, full, params=EnergyParams(), opts=SolverOptions(),
     basis_full = laplacian.mesh_basis(full, params.k)
     if radius is None:
         radius = descriptors.default_radius(full)
-    if desc_part is None:
-        desc_part = descriptors.shot_descriptors(part, radius)
-    if desc_full is None:
-        desc_full = descriptors.shot_descriptors(full, radius)
-    prob, _ = build_problem(basis_part, basis_full, desc_part, desc_full,
-                            full, part.total_area, params)
-    del desc_part, desc_full
+    prob, _ = build_problem(
+        basis_part, basis_full,
+        (descriptors.shot_descriptors(part, radius) if desc_part is None
+         else desc_part),
+        (descriptors.shot_descriptors(full, radius) if desc_full is None
+         else desc_full),
+        full, part.total_area, params)
     return alternate(prob, params, basis_part.eigenvectors, opts)

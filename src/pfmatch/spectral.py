@@ -58,8 +58,8 @@ def build_weight_matrix(k, r, sigma):
     """
     if not 1 <= r <= k:
         raise ValueError("rank must satisfy 1 <= r <= k")
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
+    if not (np.isfinite(sigma) and sigma >= 0):
+        raise ValueError(f"sigma={sigma!r} must be finite and nonnegative")
     i = np.arange(1, k + 1)[:, None].astype(np.float64)
     j = np.arange(1, k + 1)[None, :].astype(np.float64)
     n = np.array([1.0, r / k])

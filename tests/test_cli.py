@@ -651,6 +651,31 @@ def test_config_rejects_parser_keys(mesh_files, tmp_path, key):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("name", ["mu1", "mu2", "mu3", "mu4_5", "sigma_w",
+                                  "sigma_xi", "cg_grad_tol"])
+def test_match_rejects_non_finite_setting_exit_2(mesh_files, tmp_path, capsys,
+                                                 monkeypatch, name, value,
+                                                 source):
+    def no_match(*args, **kwargs):
+        raise AssertionError("match ran")
+
+    monkeypatch.setattr(solver, "match", no_match)
+    flag = "--" + name.replace("_", "-")
+    if source == "flag":
+        given = [flag, value]
+    else:
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"{flag[2:]} = {value}\n")
+        given = ["--config", str(cfg)]
+    out = tmp_path / "out"
+    assert main(["match", "--part", mesh_files["part"], "--full",
+                 mesh_files["full"], "--out", str(out)] + given) == 2
+    assert capsys.readouterr().err.startswith(f"error: {name}={value}")
+    assert not out.exists()
+
+
 def test_read_config_malformed(tmp_path):
     cfg = tmp_path / "bad.txt"
     cfg.write_text("this is not a key value pair\n")
@@ -847,6 +872,27 @@ def test_match_descriptor_rows_mismatch_exit_2(cut_files, tmp_path, capsys,
     assert code == 2
     assert f"{wrong}: descriptor rows do not match mesh" in \
         capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("shape", ["part", "full"])
+def test_match_non_finite_descriptor_exit_2(cut_files, tmp_path, capsys,
+                                            shape, value):
+    values = load_matrix(cut_files[shape + "_desc"])
+    values[7, 40] = value
+    values[9, 0] = value
+    bad = str(tmp_path / "bad.bin")
+    save_matrix(bad, values)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["match", "--part", cut_files["part"], "--full",
+                     cut_files["full"], f"--descriptors-{shape}", bad,
+                     "--k", "20", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {bad}: descriptor row 7 " \
+        "holds a value that is not finite\n"
     assert not out.exists()
 
 

@@ -400,6 +400,14 @@ def test_params_validation():
         EnergyParams(k=0)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("name", ["mu1", "mu2", "mu3", "mu4_5", "sigma_w",
+                                  "sigma_xi"])
+def test_params_reject_non_finite_values(name, value):
+    with pytest.raises(ValueError, match=f"^{name}={value!r}.* finite"):
+        EnergyParams(**{name: value})
+
+
 def test_breakdown_combination():
     params = EnergyParams(mu1=2.0, mu2=3.0, mu3=5.0, mu4_5=7.0)
     b = EnergyBreakdown.combine(1.0, 1.0, 1.0, 1.0, 1.0, params)

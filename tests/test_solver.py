@@ -149,6 +149,13 @@ def test_solver_options_validation():
         SolverOptions(max_outer=0)
 
 
+@pytest.mark.parametrize("tol", [np.nan, np.inf])
+def test_solver_options_reject_non_finite_grad_tol(tol):
+    with pytest.raises(ValueError,
+                       match=f"cg_grad_tol={tol!r} must be finite"):
+        SolverOptions(cg_grad_tol=tol)
+
+
 # -- problem assembly and single steps ------------------------------------------
 
 
@@ -1024,30 +1031,46 @@ def test_match_equals_the_hand_assembly(small_pair, given):
     assert got.refine_residuals == ref.refine_residuals
 
 
-def test_match_releases_the_descriptor_fields_before_alternate(small_pair,
-                                                               monkeypatch):
-    # The computed SHOT fields are not read after build_problem; no
-    # reference to them is left while alternate runs.
+def _fields_alive_at(small_pair, monkeypatch, owner, name):
+    """Run match with SHOT computed inside it, and return, at each call of
+    ``owner.name``, whether each field and its values are still alive."""
     full, part, params = small_pair["full"], small_pair["part"], \
         small_pair["params"]
     refs, alive = [], []
-    real_shot, real_alternate = descriptors.shot_descriptors, solver.alternate
+    real_shot, real_stage = descriptors.shot_descriptors, getattr(owner, name)
 
     def recorded_shot(mesh, radius):
         field = real_shot(mesh, radius)
         refs.extend([weakref.ref(field), weakref.ref(field.values)])
         return field
 
-    def checked_alternate(*args, **kwargs):
+    def checked_stage(*args, **kwargs):
         alive.extend(ref() is not None for ref in refs)
-        return real_alternate(*args, **kwargs)
+        return real_stage(*args, **kwargs)
 
     monkeypatch.setattr(descriptors, "shot_descriptors", recorded_shot)
-    monkeypatch.setattr(solver, "alternate", checked_alternate)
+    monkeypatch.setattr(owner, name, checked_stage)
     opts = SolverOptions(max_outer=1, cg_max_iter=5, refine_max_iter=2)
     solver.match(part, full, params, opts, radius=0.3)
     assert len(refs) == 4
-    assert alive == [False] * 4
+    return alive
+
+
+def test_match_releases_the_descriptor_fields_before_alternate(small_pair,
+                                                               monkeypatch):
+    # The computed SHOT fields are not read after build_problem; no
+    # reference to them is left while alternate runs.
+    assert _fields_alive_at(small_pair, monkeypatch, solver,
+                            "alternate") == [False] * 4
+
+
+def test_build_problem_frees_computed_fields_before_the_match_problem(
+        small_pair, monkeypatch):
+    # match holds no field it computes, and build_problem drops each one
+    # after taking F and G, so neither is alive beside the MatchProblem's
+    # own arrays.
+    assert _fields_alive_at(small_pair, monkeypatch, solver,
+                            "MatchProblem") == [False] * 4
 
 
 def test_alternate_recovers_part_region(small_pair):

@@ -118,6 +118,12 @@ def test_weight_matrix_validation():
         build_weight_matrix(5, 3, sigma=-1.0)
 
 
+@pytest.mark.parametrize("sigma", [np.nan, np.inf])
+def test_weight_matrix_rejects_non_finite_sigma(sigma):
+    with pytest.raises(ValueError, match=f"sigma={sigma!r} must be finite"):
+        build_weight_matrix(5, 3, sigma)
+
+
 def test_d_vector():
     assert np.array_equal(build_d_vector(5, 2), [1, 1, 0, 0, 0])
     assert np.array_equal(build_d_vector(3, 0), [0, 0, 0])
