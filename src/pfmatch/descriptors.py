@@ -19,7 +19,10 @@ N_COS_BINS = 11
 DESCRIPTOR_DIM = N_AZIMUTH * N_ELEVATION * N_RADIAL * N_COS_BINS  # 352
 MIN_NEIGHBORS = 5
 DEFAULT_RADIUS_FRACTION = 0.18
-SHOT_BLOCK = 64  # centres per batch; bounds the live pair arrays
+# Neighbour pairs per block of centres, which bounds the block's pair
+# arrays unless one centre alone has more: 64 centres of 288 neighbours, the
+# size of a block of a 2562-vertex benchmark shape.
+SHOT_PAIRS = 64 * 288
 
 
 @dataclass(frozen=True)
@@ -40,35 +43,54 @@ def default_radius(mesh):
     return DEFAULT_RADIUS_FRACTION * np.sqrt(mesh.total_area)
 
 
-def _frames(stacks, radius):
-    """Local reference frames of the centres of a list of stacks.
+def _runs(cnt):
+    """(first, stop, span) of each run of equal count in ``cnt``: centres
+    first:stop, whose pairs are ``span`` of the block's flat pair arrays."""
+    bounds = np.concatenate([[0], np.cumsum(cnt)])
+    edges = np.flatnonzero(np.diff(cnt, prepend=-1, append=-1))
+    return [(a, b, slice(bounds[a], bounds[b]))
+            for a, b in zip(edges[:-1], edges[1:])]
 
-    Stack i (c_i, m_i, 3) holds the neighbour offsets of c_i centres with
-    m_i neighbours each.  Returns (sum c_i, 3, 3) in stack order: rows
-    (x, y, z) per centre, x and z the covariance eigenvectors of largest
-    and smallest eigenvalue.
+
+def _frames(diff, cnt, radius):
+    """Local reference frames of a block of centres.
+
+    ``diff`` (sum cnt, 3) holds the neighbour offsets of the centres, centre
+    by centre, and ``cnt`` their neighbour counts.  Returns (len(cnt), 3, 3):
+    rows (x, y, z) per centre, x and z the covariance eigenvectors of
+    largest and smallest eigenvalue.
     """
-    # A stacked matmul makes per centre the BLAS call of the 2-D product,
-    # and sum(axis=1) the pairwise sum of one centre's weights: on a flat or
+    runs = _runs(cnt)
+    w = _row_norms(diff)
+    np.subtract(radius, w, out=w)
+    dw = diff * w[:, None]
+    # The elementwise steps run once over the block's pairs.  The products
+    # and sums run per run of equal count m on (c, m, 3) stacks: a stacked
+    # matmul makes per centre the BLAS call of the 2-D product, and
+    # sum(axis=1) the pairwise sum of one centre's weights.  On a flat or
     # symmetric support one ulp of w.sum() rotates the degenerate
     # eigenvectors, and the in-plane signs below sit at rounding level.
-    cov = []
-    for d in stacks:
-        w = radius - _row_norms(d)
-        cov.append((d * w[..., None]).transpose(0, 2, 1) @ d
-                   / w.sum(axis=1)[:, None, None])
-    evecs = np.linalg.eigh(np.concatenate(cov))[1]  # eigenvalues ascending
-    sizes = [len(d) for d in stacks]
-    half = np.repeat([d.shape[1] / 2.0 for d in stacks], sizes)
-    axes = []
-    for col in (2, 0):
-        axis = evecs[:, :, col]
-        # Sign disambiguation: majority of neighbors on the positive side.
-        n_pos = np.concatenate([
-            (d @ a[:, :, None] >= 0)[:, :, 0].sum(axis=1)
-            for d, a in zip(stacks, np.split(axis, np.cumsum(sizes[:-1])))])
-        axes.append(np.where((n_pos < half)[:, None], -axis, axis))
-    x_axis, z_axis = axes
+    cov = np.empty((len(cnt), 3, 3))
+    w_sum = np.empty(len(cnt))
+    for a, b, span in runs:
+        d = diff[span].reshape(b - a, -1, 3)
+        np.matmul(dw[span].reshape(d.shape).transpose(0, 2, 1), d,
+                  out=cov[a:b])
+        np.sum(w[span].reshape(b - a, -1), axis=1, out=w_sum[a:b])
+    cov /= w_sum[:, None, None]
+    evecs = np.linalg.eigh(cov)[1]  # eigenvalues ascending
+    axes = evecs[:, :, 2], evecs[:, :, 0]
+    proj = np.empty((2, len(diff)))
+    for a, b, span in runs:
+        d = diff[span].reshape(b - a, -1, 3)
+        for p, axis in zip(proj, axes):
+            np.matmul(d, axis[a:b, :, None],
+                      out=p[span].reshape(b - a, -1, 1))
+    # Sign disambiguation: majority of neighbours on the positive side,
+    # counted per centre and axis over the centre's pairs.
+    n_pos = np.add.reduceat(proj >= 0, np.cumsum(cnt) - cnt, axis=1)
+    flip = (n_pos < cnt / 2.0)[:, :, None]
+    x_axis, z_axis = (np.where(f, -axis, axis) for f, axis in zip(flip, axes))
     return np.stack([x_axis, np.cross(z_axis, x_axis), z_axis], axis=1)
 
 
@@ -119,14 +141,26 @@ def shot_descriptors(mesh, radius):
     # each other, so each such run stacks into (c, m, 3) arrays.
     order = np.flatnonzero(~flags)
     order = order[np.argsort(cnt[order], kind="stable")]
-    for first in range(0, len(order), SHOT_BLOCK):
-        centres = order[first:first + SHOT_BLOCK]
+    # A block takes centres in visit order while their pairs fit in
+    # SHOT_PAIRS, and at least one centre.
+    pairs = np.concatenate([[0], np.cumsum(cnt[order])])
+    first = 0
+    while first < len(order):
+        stop = max(first + 1, np.searchsorted(pairs, pairs[first] + SHOT_PAIRS,
+                                              side="right") - 1)
+        centres = order[first:stop]
+        first = stop
         hist = _histograms(centres, indptr, nbr, pts, normals, radius)
         # np.linalg.norm(h) per row: the same BLAS dot, stacked.
         norm = np.sqrt((hist[:, None, :] @ hist[:, :, None]).ravel())
-        good = norm > 0
-        desc[centres[good]] = hist[good] / norm[good, None]
-        flags[centres[~good]] = True
+        # Each neighbour adds 1 to its centre's histogram, so a zero norm
+        # means an all-zero histogram: every neighbour coincides with the
+        # centre.  Its descriptor stays zero and is flagged.
+        empty = norm == 0
+        norm[empty] = 1.0
+        hist /= norm[:, None]
+        desc[centres] = hist
+        flags[centres[empty]] = True
     return DescriptorField(desc, float(radius), flags)
 
 
@@ -139,22 +173,20 @@ def _histograms(centres, indptr, nbr, pts, normals, radius):
     rows = np.repeat(indptr[centres] - bounds[:-1], cnt) + np.arange(bounds[-1])
     nb = nbr[rows]
     owner = np.repeat(np.arange(len(centres)), cnt)
-    diff = (pts.take(nb, axis=0)
-            - pts.take(centres, axis=0).repeat(cnt, axis=0))
-    # Centres of equal count m come in runs, each one (c, m, 3) stack and
-    # one stacked product per step, bit-equal to a product per centre.
-    edges = np.flatnonzero(np.diff(cnt, prepend=-1, append=-1))
-    runs = [(a, b, slice(bounds[a], bounds[b]))
-            for a, b in zip(edges[:-1], edges[1:])]
-    stacks = [diff[span].reshape(b - a, -1, 3) for a, b, span in runs]
-    frames = _frames(stacks, radius)
+    diff = pts.take(nb, axis=0)
+    diff -= pts.take(centres, axis=0).repeat(cnt, axis=0)
+    frames = _frames(diff, cnt, radius)
     nb_normals = normals.take(nb, axis=0)
+    centre_normals = normals.take(centres, axis=0)
     local = np.empty_like(diff)
     cosang = np.empty(len(nb))
-    for (a, b, span), d in zip(runs, stacks):
-        local[span] = (d @ frames[a:b].transpose(0, 2, 1)).reshape(-1, 3)
-        cosang[span] = (nb_normals[span].reshape(d.shape)
-                        @ normals[centres[a:b], :, None]).ravel()
+    for a, b, span in _runs(cnt):
+        d = diff[span].reshape(b - a, -1, 3)
+        np.matmul(d, frames[a:b].transpose(0, 2, 1),
+                  out=local[span].reshape(d.shape))
+        np.matmul(nb_normals[span].reshape(d.shape),
+                  centre_normals[a:b, :, None],
+                  out=cosang[span].reshape(b - a, -1, 1))
     dist = _row_norms(local)
     ok = dist > 1e-12 * radius
     if not ok.all():  # a neighbour coincides with its centre

@@ -165,9 +165,17 @@ def eigensolve(pair, k):
     if np.any(s <= 0):
         raise ValueError("vertex areas must be strictly positive")
     r = 1.0 / np.sqrt(s)
+    # S^-1/2 K S^-1/2 entrywise on K's CSC entries as (r_i K_ij) r_j: after
+    # tocsr the values and layout of sp.diags(r) @ K @ sp.diags(r), without
+    # its two sparse products.  An overflow is left to the finiteness check
+    # of _shifted_band_factor, as the products leave it.
+    scaled = r[K.indices]
+    with np.errstate(over="ignore"):
+        scaled *= K.data
+        scaled *= np.repeat(r, np.diff(K.indptr))
+    A = sp.csc_matrix((scaled, K.indices, K.indptr), shape=K.shape).tocsr()
 
-    factor, rank = _shifted_band_factor(sp.diags(r) @ K @ sp.diags(r),
-                                        s.min())
+    factor, rank = _shifted_band_factor(A, s.min())
     OPinv = spla.LinearOperator(
         (n, n), dtype=np.float64,
         matvec=lambda b: dpbtrs(factor, b, lower=1)[0])

@@ -6,9 +6,10 @@ import pytest
 from scipy.spatial import cKDTree
 
 from pfmatch import descriptors
-from pfmatch.bench import bumpy_sphere, grid_mesh, icosphere, plane_cut
+from pfmatch.bench import (bumpy_sphere, grid_mesh, icosphere, plane_cut,
+                           plane_offset_for_area)
 from pfmatch.descriptors import (DESCRIPTOR_DIM, MIN_NEIGHBORS, N_AZIMUTH,
-                                 N_COS_BINS, N_ELEVATION, N_RADIAL, SHOT_BLOCK,
+                                 N_COS_BINS, N_ELEVATION, N_RADIAL,
                                  DescriptorField, _frames, _neighbour_table,
                                  default_radius, shot_descriptors)
 from pfmatch.mesh import TriangleMesh
@@ -203,7 +204,7 @@ def test_distinguishes_geometry():
 def test_lrf_orthonormal_right_handed(rng):
     pts = rng.standard_normal((40, 3)) * 0.2
     center = np.zeros(3)
-    frame = _frames([(pts - center)[None]], 1.0)[0]
+    frame = _frames(pts - center, np.array([len(pts)]), 1.0)[0]
     assert np.allclose(frame @ frame.T, np.eye(3), atol=1e-12)
     assert np.isclose(np.linalg.det(frame), 1.0)
 
@@ -220,6 +221,24 @@ def _cut_bumpy():
     return part
 
 
+def _recipe(subdivisions=3):
+    """The benchmark's full shape."""
+    return bumpy_sphere(subdivisions, n_bumps=16, amplitude=0.35, width=0.25)
+
+
+def _recipe_cut():
+    """The benchmark's plane cut of the recipe, keeping 60% of its area."""
+    full = _recipe()
+    point = plane_offset_for_area(full, [0.0, 0.0, 1.0], 0.6)
+    part, _ = plane_cut(full, point, [0.0, 0.0, 1.0])
+    return part
+
+
+# The benchmark's support radius, 0.18 sqrt(area of the full shape): its
+# supports of 45 to 90 neighbours make many short runs of equal count.
+RECIPE_RADIUS = default_radius(_recipe())
+
+
 @pytest.mark.parametrize("make_mesh, radius", [
     (lambda: grid_mesh(8), 0.3),     # flat: degenerate in-plane frames
     (lambda: grid_mesh(8), 0.05),    # below the spacing: all flagged
@@ -229,8 +248,12 @@ def _cut_bumpy():
     (lambda: bumpy_sphere(3), 0.15),  # flagged and unflagged in one block
     (_folded_sheets, 0.3),           # neighbours that coincide with a centre
     (_creased_sheet, 0.3),           # spills and ordinary terms in end bins
+    (_recipe, RECIPE_RADIUS),        # the benchmark's shapes
+    (_recipe_cut, RECIPE_RADIUS),
+    (lambda: _recipe(4), default_radius(_recipe(4))),  # many blocks
 ], ids=["grid8-r0.3", "grid8-r0.05", "grid30-r0.1", "bumpy-r0.6",
-        "cut-r0.3", "bumpy-r0.15", "folded-r0.3", "creased-r0.3"])
+        "cut-r0.3", "bumpy-r0.15", "folded-r0.3", "creased-r0.3",
+        "recipe", "recipe-cut", "recipe-2562"])
 def test_shot_matches_loop_exactly(make_mesh, radius):
     mesh = make_mesh()
     field = shot_descriptors(mesh, radius=radius)
@@ -263,24 +286,35 @@ def test_shot_matches_loop_on_coincident_support():
 
 def _visited_blocks(monkeypatch, mesh, radius):
     """Neighbour counts of the centres of each block that shot_descriptors
-    hands to _histograms, and the descriptor flags."""
+    hands to _histograms, and the descriptor flags.  Checks that the blocks
+    take the unflagged centres in visit order, by ascending count, and are
+    filled by the pair budget: each block holds at most SHOT_PAIRS pairs
+    unless it holds a single centre, and stops only where the next centre's
+    pairs would not fit."""
     blocks = []
     histograms = descriptors._histograms
 
     def spy(centres, indptr, *args):
-        blocks.append(np.diff(indptr)[centres])
+        blocks.append(centres)
         return histograms(centres, indptr, *args)
 
     monkeypatch.setattr(descriptors, "_histograms", spy)
-    return blocks, shot_descriptors(mesh, radius).flags
+    flags = shot_descriptors(mesh, radius).flags
+    cnt = np.diff(_neighbour_table(mesh.vertices, radius)[0])
+    visit = np.flatnonzero(cnt >= MIN_NEIGHBORS)
+    visit = visit[np.argsort(cnt[visit], kind="stable")]
+    assert np.array_equal(np.concatenate(blocks), visit)
+    counts = [cnt[centres] for centres in blocks]
+    for block, after in zip(counts, counts[1:] + [None]):
+        assert block.sum() <= descriptors.SHOT_PAIRS or len(block) == 1
+        assert after is None or block.sum() + after[0] > descriptors.SHOT_PAIRS
+    return counts, flags
 
 
 def test_shot_reference_cases_cover_blocks(monkeypatch):
     # The reference cases must reach the block logic they are for.
     blocks, flags = _visited_blocks(monkeypatch, bumpy_sphere(3), 0.6)
-    counts = np.concatenate(blocks)
-    assert len(counts) == len(flags) and np.all(np.diff(counts) >= 0)
-    assert all(len(b) <= SHOT_BLOCK for b in blocks)
+    assert len(np.concatenate(blocks)) == len(flags)
     # A block holds several runs of equal count, the last of which goes on
     # in the next block.
     assert any(len(np.unique(a)) > 1 and a[-1] == b[0]
@@ -288,6 +322,9 @@ def test_shot_reference_cases_cover_blocks(monkeypatch):
 
     grid_blocks, _ = _visited_blocks(monkeypatch, grid_mesh(30), 0.1)
     assert len(grid_blocks) > 1
+    mesh = _recipe(4)
+    recipe_blocks, _ = _visited_blocks(monkeypatch, mesh, default_radius(mesh))
+    assert len(recipe_blocks) > 10
 
     # Sparse centres never enter a block; the others all do.
     mesh = bumpy_sphere(3)
@@ -302,8 +339,22 @@ def test_shot_reference_cases_cover_blocks(monkeypatch):
     # and is flagged in a block beside unflagged centres.
     blocks, flags = _visited_blocks(monkeypatch, _stacked_sheets(), 0.3)
     assert np.count_nonzero(blocks[0] == MIN_NEIGHBORS) == 54
-    assert len(blocks[0]) == SHOT_BLOCK
+    assert len(blocks[0]) > 54
     assert np.count_nonzero(flags) == 54
+
+
+def test_shot_blocks_of_one_centre_over_the_budget(monkeypatch):
+    # Supports of 6 to 18 neighbours against a budget of 12 pairs: most
+    # blocks hold one centre whose pairs exceed the budget, and the
+    # descriptors do not depend on the blocks.
+    mesh = bumpy_sphere(3)
+    field = shot_descriptors(mesh, 0.3)
+    monkeypatch.setattr(descriptors, "SHOT_PAIRS", 12)
+    blocks, flags = _visited_blocks(monkeypatch, mesh, 0.3)
+    assert sum(len(b) == 1 and b[0] > 12 for b in blocks) > 100
+    assert any(len(b) > 1 for b in blocks)
+    assert np.array_equal(flags, field.flags)
+    assert np.array_equal(shot_descriptors(mesh, 0.3).values, field.values)
 
 
 def test_shot_invariant_under_relabelling(rng):
@@ -325,7 +376,8 @@ def test_lrf_matches_loop_exactly(rng):
     for _ in range(5):
         pts = rng.standard_normal((40, 3)) * 0.2
         center = rng.standard_normal(3) * 0.01
-        assert np.array_equal(_frames([(pts - center)[None]], 1.0)[0],
+        assert np.array_equal(_frames(pts - center, np.array([len(pts)]),
+                                      1.0)[0],
                               _lrf_loop(center, pts, 1.0))
 
 

@@ -4,7 +4,8 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from pfmatch.bench import bumpy_sphere, grid_mesh, icosphere
+from pfmatch import laplacian
+from pfmatch.bench import bumpy_sphere, grid_mesh, icosphere, plane_cut
 from pfmatch.laplacian import (EigensolveError, LaplacianPair, _fix_signs,
                                cotan_stiffness, eigensolve, laplacian_pair,
                                mesh_basis)
@@ -96,6 +97,48 @@ def test_meshes_near_overflow_have_a_spectrum_or_raise(exponent, capfd):
     else:
         np.testing.assert_allclose(vals, ref, rtol=1e-9, atol=1e-9 * ref[-1])
     assert capfd.readouterr().out == ""
+
+
+def _scaled_grid(exponent):
+    grid = grid_mesh(8)
+    return TriangleMesh(np.ldexp(grid.vertices, exponent), grid.triangles)
+
+
+@pytest.mark.parametrize("make_mesh, overflows", [
+    (lambda: bumpy_sphere(3), False),
+    (lambda: plane_cut(bumpy_sphere(3), [0.0, 0.0, 0.2],
+                       [0.0, 0.0, 1.0])[0], False),
+    (lambda: grid_mesh(8), False),
+    *[(lambda e=e: _scaled_grid(e), True) for e in range(-508, -513, -1)],
+], ids=["bumpy", "cut", "grid8",
+        *[f"grid8-2^{e}" for e in range(-508, -513, -1)]])
+def test_scaled_stiffness_matches_sparse_products(make_mesh, overflows,
+                                                  monkeypatch):
+    # eigensolve forms S^-1/2 K S^-1/2 entrywise; the factorization, its
+    # ordering and its overflow check must see the matrix of the two sparse
+    # products, entry by entry and in the same layout.
+    factored = []
+    factor = laplacian._shifted_band_factor
+
+    def spy(A, min_area):
+        factored.append(A)
+        return factor(A, min_area)
+
+    monkeypatch.setattr(laplacian, "_shifted_band_factor", spy)
+    pair = laplacian_pair(make_mesh())
+    if overflows:
+        with pytest.raises(EigensolveError, match="overflows float64"):
+            eigensolve(pair, 6)
+    else:
+        eigensolve(pair, 6)
+    r = 1.0 / np.sqrt(pair.mass)
+    ref = sp.diags(r) @ pair.stiffness.tocsc() @ sp.diags(r)
+    (A,) = factored
+    assert A.format == ref.format
+    assert np.array_equal(A.indptr, ref.indptr)
+    assert np.array_equal(A.indices, ref.indices)
+    assert np.array_equal(A.data, ref.data)
+    assert np.isfinite(ref.data).all() != overflows
 
 
 @pytest.mark.xfail(strict=True, reason="eigensolve drops one copy of a "
